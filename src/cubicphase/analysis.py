@@ -25,7 +25,7 @@ import numpy as np
 from .cubic import gamma_factors, ideal_cubic_gate, u_n_operator
 from .errors import FactorFailure
 from .hilbert import FockState, apply, coherent, expectation, fidelity, quadrature_p, quadrature_x
-from .protocol import DetectorModel, ProtocolConfig, full_gate
+from .protocol import DetectorModel, ProtocolConfig, TrialLog, full_gate
 
 
 @dataclass
@@ -224,6 +224,36 @@ class GateFidelityReport:
 DEFAULT_INPUT_ALPHAS = (0.3, 0.15 + 0.15j, 0.0, -0.2 + 0.1j)
 
 
+def run_ensemble(config: ProtocolConfig, alphas, rngs) -> list[tuple[RunResult, TrialLog]]:
+    """Run the full gate once per (coherent input α, generator) pair.
+
+    Each run's output is scored by fidelity against the normalized U_N target
+    and the ideal cubic gate applied to its input (against the input itself
+    when γ = 0).  A run whose factor exhausts its attempt budget is a failure
+    and carries no fidelity.  Seeding stays with the caller: ``rngs`` may
+    yield one generator per run or the same generator repeatedly.
+    """
+    sys_c = config.cutoffs[0]
+    un = u_n_operator(config.gamma, config.n, sys_c) if config.gamma > 0 else None
+    ideal = ideal_cubic_gate(config.gamma, sys_c) if config.gamma > 0 else None
+    results = []
+    for alpha, rng in zip(alphas, rngs):
+        inp = coherent(alpha, sys_c)
+        try:
+            out, log = full_gate(inp, config, rng)
+        except FactorFailure as err:
+            log = err.log if err.log is not None else TrialLog()
+            results.append((RunResult(alpha, False, log.total_attempts, None, None), log))
+            continue
+        if un is None:
+            f_un = f_id = fidelity(out, inp)
+        else:
+            f_un = fidelity(out, apply(un, inp).normalize())
+            f_id = fidelity(out, apply(ideal, inp).normalize())
+        results.append((RunResult(alpha, True, log.total_attempts, f_un, f_id), log))
+    return results
+
+
 def gate_fidelity_report(
     config: ProtocolConfig,
     ensemble_size: int,
@@ -236,43 +266,23 @@ def gate_fidelity_report(
     ideal cubic gate, plus attempt statistics compared with 3N/p where p is
     the exact first-attempt click probability returned by the POVM sampling.
     Runs whose factor exhausts its attempt budget count as failures and carry
-    no fidelity.
+    no fidelity.  All runs draw from the one generator ``rng``.
     """
-    sys_c = config.cutoffs[0]
-    un = u_n_operator(config.gamma, config.n, sys_c) if config.gamma > 0 else None
-    ideal = ideal_cubic_gate(config.gamma, sys_c) if config.gamma > 0 else None
-
-    runs = []
-    first_ps = []
-    fid_un, fid_ideal, attempts, failures = [], [], [], 0
-    for i in range(int(ensemble_size)):
-        alpha = complex(input_alphas[i % len(input_alphas)])
-        inp = coherent(alpha, sys_c)
-        try:
-            out, log = full_gate(inp, config, rng)
-        except FactorFailure as err:
-            failures += 1
-            total = err.log.total_attempts if err.log is not None else 0
-            runs.append(RunResult(alpha, False, total, None, None))
-            continue
-        first_ps.extend(f.first_click_prob for f in log.factors if f.attempts > 0)
-        if un is None:
-            f_un = f_id = fidelity(out, inp)
-        else:
-            tgt_un = apply(un, inp).normalize()
-            tgt_id = apply(ideal, inp).normalize()
-            f_un = fidelity(out, tgt_un)
-            f_id = fidelity(out, tgt_id)
-        fid_un.append(f_un)
-        fid_ideal.append(f_id)
-        attempts.append(log.total_attempts)
-        runs.append(RunResult(alpha, True, log.total_attempts, f_un, f_id))
+    alphas = (complex(input_alphas[i % len(input_alphas)]) for i in range(int(ensemble_size)))
+    results = run_ensemble(config, alphas, itertools.repeat(rng))
+    runs = tuple(r for r, _ in results)
+    done = [(r, log) for r, log in results if r.success]
+    first_ps = [f.first_click_prob for _, log in done for f in log.factors if f.attempts > 0]
+    fid_un = [r.fidelity_un for r, _ in done]
+    fid_ideal = [r.fidelity_ideal for r, _ in done]
+    attempts = [r.total_attempts for r, _ in done]
+    failures = len(runs) - len(done)
 
     p_first = float(np.mean(first_ps)) if first_ps else float("nan")
     mean_attempts = float(np.mean(attempts)) if attempts else float("nan")
     predicted = 3.0 * int(config.n) / p_first if p_first > 0 else float("nan")
     return GateFidelityReport(
-        runs=tuple(runs),
+        runs=runs,
         mean_fidelity_un=float(np.mean(fid_un)) if fid_un else float("nan"),
         mean_fidelity_ideal=float(np.mean(fid_ideal)) if fid_ideal else float("nan"),
         mean_total_attempts=mean_attempts,

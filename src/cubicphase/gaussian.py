@@ -2,7 +2,10 @@
 
 All gates are exact matrix exponentials of the truncated generator
 (scipy's scaling-and-squaring), so unitarity holds on the interior block and
-degrades only at the truncation boundary.
+degrades only at the truncation boundary.  The simulator's fast paths,
+DisplacementFactory and apply_x_conditioned_displacement, are cached spectral
+constructions equal to them to machine precision; the dense gates stay as the
+reference oracles the tests compare against.
 
 Conventions fixed here:
 
@@ -20,6 +23,7 @@ Conventions fixed here:
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm
@@ -27,6 +31,7 @@ from scipy.linalg import expm
 from .errors import CutoffError, DimensionError
 from .hilbert import (
     FockOperator,
+    FockState,
     annihilation,
     coherent_truncation_loss,
     quadrature_p,
@@ -37,7 +42,11 @@ from .hilbert import (
 
 
 def displacement_gate(alpha: complex, cutoff: int, max_loss: float = 1e-8) -> FockOperator:
-    """D(α) = exp(α â† − α* â).  Requires the cutoff to hold |α| (coherent tail rule)."""
+    """D(α) = exp(α â† − α* â).  Requires the cutoff to hold |α| (coherent tail rule).
+
+    Reference oracle for the tests; the simulator uses the cached spectral
+    ``displacement_factory(cutoff).gate`` instead.
+    """
     loss = coherent_truncation_loss(alpha, cutoff)
     if loss >= max_loss:
         raise CutoffError(
@@ -49,7 +58,11 @@ def displacement_gate(alpha: complex, cutoff: int, max_loss: float = 1e-8) -> Fo
 
 
 def momentum_shift_gate(c: float, cutoff: int) -> FockOperator:
-    """exp(i c x̂): displaces p̂ by c.  Used to compensate QND coupling phases."""
+    """exp(i c x̂): displaces p̂ by c.  Compensates QND coupling phases.
+
+    Reference oracle for the tests; the simulator applies the compensation as
+    the ``kick`` phase of ``apply_x_conditioned_displacement``.
+    """
     x = quadrature_x(cutoff).matrix
     return FockOperator(expm(1j * float(c) * x), (int(cutoff),), unitary_hint=True)
 
@@ -94,6 +107,8 @@ def qnd_gate(beta: complex, cutoffs, system_mode: int = 0, resource_mode: int = 
     """exp[(β â†_R − β* â_R) x̂_S]: QND coupling of system position to the resource.
 
     Commutes with x̂_S, so the system position distribution is untouched.
+    Reference oracle for the tests; the simulator uses
+    ``apply_x_conditioned_displacement(state, β, kick)``.
     """
     cutoffs = _two_mode_order(cutoffs, system_mode, resource_mode)
     xs = quadrature_x(cutoffs[system_mode])
@@ -113,6 +128,8 @@ def qnd_prime_gate(cutoffs, system_mode: int = 0, resource_mode: int = 1,
 
     On wavefunctions, Ψ(x, x_R) → Ψ(x, x_R + s·x), which is the coupling that
     writes the system position onto the resource homodyne record.
+    Reference oracle for the tests; the simulator uses
+    ``apply_x_conditioned_displacement(state, −s/√2)``, since e^{isλp̂} = D(−sλ/√2).
     """
     cutoffs = _two_mode_order(cutoffs, system_mode, resource_mode)
     xs = quadrature_x(cutoffs[system_mode])
@@ -203,3 +220,48 @@ class DisplacementFactory:
         cores = np.einsum("ik,jk,lk->jil", self._v, ee, self._v.conj())
         phases = np.exp(1j * np.outer(thetas, self._n))
         return cores * phases[:, :, None] * phases.conj()[:, None, :]
+
+
+# ---------------------------------------------------------------------------
+# x̂-conditioned displacements in the x̂ eigenbasis (cached; values immutable)
+
+
+@lru_cache(maxsize=32)
+def x_eigh(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of the truncated x̂, read-only."""
+    w, v = np.linalg.eigh(quadrature_x(cutoff).matrix)
+    w.flags.writeable = False
+    v.flags.writeable = False
+    return w, v
+
+
+@lru_cache(maxsize=32)
+def displacement_factory(cutoff: int) -> DisplacementFactory:
+    """The one shared DisplacementFactory per cutoff."""
+    return DisplacementFactory(cutoff)
+
+
+@lru_cache(maxsize=64)
+def _x_conditioned_gates(beta: complex, kick: float, sys_c: int, res_c: int) -> np.ndarray:
+    """Per-x̂_S-eigenvalue resource displacements e^{i·kick·λ}D(βλ), stacked."""
+    w, _ = x_eigh(sys_c)
+    gates = displacement_factory(res_c).gates_batch(beta * w)
+    gates *= np.exp(1j * kick * w)[:, None, None]
+    gates.flags.writeable = False
+    return gates
+
+
+def apply_x_conditioned_displacement(state: FockState, beta: complex, kick: float = 0.0) -> FockState:
+    """exp(i·kick·x̂_S)·exp[(βâ†_R − β*â_R)x̂_S] on a (system, resource) state.
+
+    In the x̂_S eigenbasis the gate is a direct sum of resource displacements
+    D(βλ) times the scalar phase e^{i·kick·λ}.  Equal to momentum_shift_gate(kick)
+    after qnd_gate(β) to machine precision, and with β = −s/√2, kick = 0 to
+    qnd_prime_gate(strength=s).
+    """
+    sys_c, res_c = state.cutoffs
+    _, v = x_eigh(sys_c)
+    gates = _x_conditioned_gates(complex(beta), float(kick), sys_c, res_c)
+    psi_x = v.conj().T @ state.amplitudes.reshape(sys_c, res_c)
+    out = np.einsum("jab,jb->ja", gates, psi_x)
+    return FockState((v @ out).reshape(-1), state.cutoffs, normalized=False)

@@ -388,7 +388,11 @@ def expectation(op: FockOperator, state: FockState) -> complex:
 
 
 def state_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Uhlmann fidelity (Tr√(√ρ σ √ρ))² between density matrices."""
+    """Uhlmann fidelity (Tr√(√ρ σ √ρ))² between density matrices.
+
+    Reference oracle for the tests; the simulator keeps pure states and uses
+    ``fidelity`` instead.
+    """
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
     sq = sqrtm(rho)

@@ -35,8 +35,9 @@ from .errors import (
     NumericalDegradationError,
 )
 from .gaussian import (
-    DisplacementFactory,
+    apply_x_conditioned_displacement,
     beamsplitter_gate,
+    displacement_factory,
     qnd_compensation_kick,
 )
 from .hilbert import (
@@ -44,7 +45,6 @@ from .hilbert import (
     FockState,
     coherent_truncation_loss,
     dominant_pure_component,
-    quadrature_x,
     tensor,
     vacuum,
 )
@@ -80,9 +80,7 @@ IDEAL_DETECTOR = DetectorModel(eta=1.0, dark_rate_hz=0.0, window_s=1e-10)
 
 def detector_povm(detector: DetectorModel, cutoff: int) -> tuple[FockOperator, FockOperator]:
     """(Π₀, Π_click) with Π₀ diagonal e^{−ν}(1−η)^m and Π_click = I − Π₀."""
-    m = np.arange(int(cutoff))
-    diag = math.exp(-detector.nu) * (1.0 - detector.eta) ** m
-    pi0 = np.diag(diag.astype(complex))
+    pi0 = np.diag(_povm0_diag(detector.eta, detector.nu, int(cutoff)).astype(complex))
     pick = np.eye(int(cutoff), dtype=complex) - pi0
     return (
         FockOperator(pi0, (int(cutoff),), hermitian_hint=True),
@@ -90,14 +88,17 @@ def detector_povm(detector: DetectorModel, cutoff: int) -> tuple[FockOperator, F
     )
 
 
+# assumed |x|-range of the input in the weak-subtraction warning
+X_SUPPORT = 4.0
+
+
 @dataclass
 class ProtocolConfig:
     """Parameters of the full repeat-until-success gate.
 
-    cutoffs = (system, resource, ancilla).  ``x_support`` is the assumed
-    |x|-range of the input, used only for the weak-subtraction sanity warning
-    (1−T)·α₁²·(1+|γ_l|·x_support)² above 0.1 voids the single-photon
-    approximation of the tapped beam.
+    cutoffs = (system, resource, ancilla).  A weak-subtraction parameter
+    (1−T)·α₁²·(1+|γ_l|·X_SUPPORT)² above 0.1 voids the single-photon
+    approximation of the tapped beam and draws a warning.
     """
 
     gamma: float = 0.03
@@ -107,8 +108,6 @@ class ProtocolConfig:
     cutoffs: tuple[int, int, int] = (30, 25, 4)
     max_attempts_per_factor: int = 10_000
     detector: DetectorModel = field(default_factory=DetectorModel)
-    seed: int = 0
-    x_support: float = 4.0
     purity_tol: float = 1e-4
 
     def __post_init__(self):
@@ -125,14 +124,17 @@ class ProtocolConfig:
             raise DimensionError("cutoffs must be (system, resource, ancilla)")
         if self.max_attempts_per_factor < 1:
             raise ValueError("max_attempts_per_factor must be >= 1")
+        if self.purity_tol <= 0.0:
+            raise ValueError("purity_tol must be > 0")
         if self.gamma > 0.0:
             gl_mag = (self.gamma / int(self.n)) ** (1.0 / 3.0)
-            weak = (1.0 - self.transmittance) * self.alpha1**2 * (1.0 + gl_mag * self.x_support) ** 2
+            weak = (1.0 - self.transmittance) * self.alpha1**2 * (1.0 + gl_mag * X_SUPPORT) ** 2
             if weak > 0.1:
+                # level 1 is this method, level 2 the generated __init__
                 warnings.warn(
                     f"weak-subtraction parameter (1-T)*alpha1^2*(1+|gamma_l|*x)^2 = "
                     f"{weak:.3f} exceeds 0.1; the tapped beam is not single-photon dominated",
-                    stacklevel=2,
+                    stacklevel=3,
                 )
 
 
@@ -164,28 +166,12 @@ class TrialLog:
         return sum(f.attempts for f in self.factors)
 
     @property
-    def wall_time(self) -> float:
-        return float(self.total_attempts)
-
-    @property
     def success(self) -> bool:
         return all(f.success for f in self.factors)
 
 
 # ---------------------------------------------------------------------------
 # cached building blocks (all cached values are immutable)
-
-
-@lru_cache(maxsize=32)
-def _x_eigh(cutoff: int):
-    x = quadrature_x(cutoff).matrix
-    w, v = np.linalg.eigh(x)
-    return w, v
-
-
-@lru_cache(maxsize=32)
-def _displacement_factory(cutoff: int) -> DisplacementFactory:
-    return DisplacementFactory(cutoff)
 
 
 @lru_cache(maxsize=64)
@@ -203,35 +189,17 @@ def _povm0_diag(eta: float, nu: float, cutoff: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
-    m = _displacement_factory(cutoff).gate(alpha)
+    m = displacement_factory(cutoff).gate(alpha)
     m.flags.writeable = False
     return m
 
 
-@lru_cache(maxsize=64)
-def _qnd_gates(beta: complex, kick: float, sys_c: int, res_c: int) -> np.ndarray:
-    """Per-x̂_S-eigenvalue resource displacements e^{i·kick·λ}D(βλ), stacked."""
-    w, _ = _x_eigh(sys_c)
-    gates = _displacement_factory(res_c).gates_batch(beta * w)
-    gates *= np.exp(1j * kick * w)[:, None, None]
-    gates.flags.writeable = False
-    return gates
-
-
 def _apply_qnd_compensated(state: FockState, beta: complex, base_amplitude: float) -> FockState:
-    """Apply exp[(βâ†_R−β*â_R)x̂_S] with its momentum-kick compensation.
-
-    Works in the x̂_S eigenbasis, where the gate is a direct sum of resource
-    displacements D(βλ) and the compensation is a scalar phase per λ.
-    Equivalent to qnd_gate + momentum_shift_gate to machine precision.
-    """
-    sys_c, res_c = state.cutoffs[0], state.cutoffs[1]
-    w, v = _x_eigh(sys_c)
-    kick = qnd_compensation_kick(beta, base_amplitude)
-    gates = _qnd_gates(complex(beta), float(kick), sys_c, res_c)
-    psi_x = v.conj().T @ state.amplitudes.reshape(sys_c, res_c)
-    out = np.einsum("jab,jb->ja", gates, psi_x)
-    return FockState((v @ out).reshape(-1), state.cutoffs, normalized=False)
+    """Apply exp[(βâ†_R−β*â_R)x̂_S] with its momentum-kick compensation for a
+    resource of real base amplitude A, so |x⟩|A⟩ → |x⟩|A + βx⟩ exactly."""
+    return apply_x_conditioned_displacement(
+        state, beta, qnd_compensation_kick(beta, base_amplitude)
+    )
 
 
 # ---------------------------------------------------------------------------

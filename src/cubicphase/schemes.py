@@ -22,7 +22,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import DegenerateOutcomeError, DimensionError
-from .gaussian import squeeze_gate
+from .gaussian import apply_x_conditioned_displacement, squeeze_gate, x_eigh
 from .hilbert import FockOperator, FockState, apply, quadrature_x, tensor, vacuum
 
 
@@ -132,23 +132,6 @@ def _feed_forward(q: float, gamma: float, cutoff: int) -> FockOperator:
     return FockOperator(expm(gen), (int(cutoff),), unitary_hint=True)
 
 
-def _apply_qnd_prime(state: FockState) -> FockState:
-    """Fast exp(i x̂_S p̂_R) on a two-mode state.
-
-    In the x̂_S eigenbasis the gate is a resource momentum boost per
-    eigenvalue, e^{iλp̂_R} = D(−λ/√2); equal to qnd_prime_gate to machine
-    precision but without the full two-mode exponential.
-    """
-    from .gaussian import DisplacementFactory
-
-    sys_c, res_c = state.cutoffs
-    w, v = np.linalg.eigh(quadrature_x(sys_c).matrix)
-    gates = DisplacementFactory(res_c).gates_batch(-w / np.sqrt(2.0))
-    psi_x = v.conj().T @ state.amplitudes.reshape(sys_c, res_c)
-    out = np.einsum("jab,jb->ja", gates, psi_x)
-    return FockState((v @ out).reshape(-1), state.cutoffs, normalized=False)
-
-
 def marek_gate(
     input_state: FockState,
     r_width: float,
@@ -169,10 +152,10 @@ def marek_gate(
         raise DimensionError("input must be a single-mode state on the system cutoff")
     resource = marek_resource_state(r_width, gamma, res_c, max_loss=max_loss)
     two = tensor(input_state if input_state.normalized else input_state.normalize(), resource)
-    two = _apply_qnd_prime(two).normalize()
+    # exp(i x̂_S p̂_R): a resource momentum boost e^{iλp̂_R} = D(−λ/√2) per x̂_S eigenvalue λ
+    two = apply_x_conditioned_displacement(two, -1.0 / math.sqrt(2.0)).normalize()
 
-    xr = quadrature_x(res_c).matrix
-    evals, evecs = np.linalg.eigh(xr)
+    evals, evecs = x_eigh(res_c)
     amp = two.amplitudes.reshape(sys_c, res_c) @ evecs  # columns: homodyne bins
     probs = np.einsum("ij,ij->j", amp.conj(), amp).real
     probs = np.maximum(probs, 0.0)

@@ -6,6 +6,23 @@ import pytest
 from cubicphase.cli import main, parse_config, run
 
 
+# one out-of-bounds value per bounded config key
+INVALID_VALUES = {
+    "gamma": "-2",
+    "N": "0",
+    "alpha1": "0",
+    "transmittance": "1.5",
+    "eta": "1.5",
+    "dark_rate_hz": "-1",
+    "window_s": "0",
+    "cutoff": "3",
+    "ensemble": "0",
+    "seed": "-1",
+    "max_attempts": "0",
+    "purity_tol": "0",
+}
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
@@ -95,20 +112,20 @@ class TestRun:
 
     def test_simulate_runs(self, tmp_path):
         out = tmp_path / "sim.csv"
-        # fast honest configuration: strong resource, small cutoffs
-        cfg = parse_config(
-            None,
-            {
-                "out": str(out), "ensemble": 3, "gamma": 0.001, "alpha1": 3.3,
-                "transmittance": 0.9734, "cutoff": 10, "eta": 1.0,
-                "dark_rate_hz": 0.0, "max_attempts": 200, "input_alpha": 0.0,
-                "purity_tol": 1e-2,
-            },
-        )
         import warnings
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
+            # fast honest configuration: strong resource, small cutoffs
+            cfg = parse_config(
+                None,
+                {
+                    "out": str(out), "ensemble": 3, "gamma": 0.001, "alpha1": 3.3,
+                    "transmittance": 0.9734, "cutoff": 10, "eta": 1.0,
+                    "dark_rate_hz": 0.0, "max_attempts": 200, "input_alpha": 0.0,
+                    "purity_tol": 1e-2,
+                },
+            )
             code = run("simulate", cfg)
         assert code == 0
         rows = read_csv(out)
@@ -141,17 +158,17 @@ class TestDeterminism:
         outs = []
         for i in range(2):
             out = tmp_path / f"sim-{i}.csv"
-            cfg = parse_config(
-                None,
-                {
-                    "out": str(out), "seed": 5, "ensemble": 2, "gamma": 0.001,
-                    "alpha1": 3.3, "transmittance": 0.9734, "cutoff": 10,
-                    "eta": 1.0, "dark_rate_hz": 0.0, "max_attempts": 200,
-                    "input_alpha": 0.0, "purity_tol": 1e-2,
-                },
-            )
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)
+                cfg = parse_config(
+                    None,
+                    {
+                        "out": str(out), "seed": 5, "ensemble": 2, "gamma": 0.001,
+                        "alpha1": 3.3, "transmittance": 0.9734, "cutoff": 10,
+                        "eta": 1.0, "dark_rate_hz": 0.0, "max_attempts": 200,
+                        "input_alpha": 0.0, "purity_tol": 1e-2,
+                    },
+                )
                 run("simulate", cfg)
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
@@ -163,9 +180,10 @@ class TestMain:
         assert main(["check-identities", "--cutoff", "24", "--out", "ids.csv"]) == 0
         assert Path(tmp_path, "ids.csv").exists()
 
-    def test_validation_exit_one(self, capsys):
-        assert main(["check-identities", "--gamma", "-2"]) == 1
-        assert "gamma" in capsys.readouterr().err
+    @pytest.mark.parametrize("key, value", list(INVALID_VALUES.items()), ids=list(INVALID_VALUES))
+    def test_validation_exit_one(self, key, value, capsys):
+        assert main(["check-identities", "--" + key.replace("_", "-"), value]) == 1
+        assert key in capsys.readouterr().err
 
     def test_missing_config_file_exit_one(self):
         assert main(["check-identities", "--config", "/nonexistent/p.cfg"]) == 1

@@ -7,6 +7,7 @@ from scipy.linalg import expm
 from cubicphase.errors import CutoffError
 from cubicphase.gaussian import (
     DisplacementFactory,
+    apply_x_conditioned_displacement,
     beamsplitter_gate,
     displacement_gate,
     momentum_shift_gate,
@@ -232,15 +233,21 @@ class TestMomentumShift:
         p_after = expectation(quadrature_p(30), out).real
         assert p_after - p_before == pytest.approx(0.7, abs=1e-8)
 
-    def test_qnd_phase_compensation_closes(self):
-        # compensated coupling sends |ψ⟩|0⟩ to ∫ψ(x)|x⟩|α₁(1+γ_l x)⟩ with no
-        # leftover momentum kick: verified against expm composition
-        from cubicphase.protocol import _apply_qnd_compensated
-
+    @pytest.mark.parametrize("case", ["compensated", "marek"])
+    def test_qnd_phase_compensation_closes(self, case):
+        # the x̂-eigenbasis fast path against expm compositions.  compensated:
+        # |ψ⟩|A⟩ → ∫ψ(x)|x⟩|A + βx⟩ with no leftover momentum kick.  marek:
+        # β = −1/√2 with no kick is exp(i x̂_S p̂_R) of the resource-state scheme
         sys_c, res_c = 16, 14
-        beta, base = 0.1 + 0.22j, 0.4
+        base = 0.4
         inp = tensor(coherent(0.3, sys_c), coherent(base, res_c))
-        fast = _apply_qnd_compensated(inp, beta, base)
-        ref = apply(qnd_gate(beta, (sys_c, res_c)), inp)
-        ref = apply(momentum_shift_gate(qnd_compensation_kick(beta, base), sys_c), ref, modes=(0,))
+        if case == "compensated":
+            beta = 0.1 + 0.22j
+            kick = qnd_compensation_kick(beta, base)
+            ref = apply(qnd_gate(beta, (sys_c, res_c)), inp)
+            ref = apply(momentum_shift_gate(kick, sys_c), ref, modes=(0,))
+        else:
+            beta, kick = -1.0 / math.sqrt(2.0), 0.0
+            ref = apply(qnd_prime_gate((sys_c, res_c)), inp)
+        fast = apply_x_conditioned_displacement(inp, beta, kick)
         assert np.abs(fast.amplitudes - ref.amplitudes).max() < 1e-10
