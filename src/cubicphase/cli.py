@@ -22,7 +22,7 @@ import numpy as np
 from . import analysis, cubic, schemes
 from .errors import NumericalDegradationError
 from .hilbert import coherent_truncation_loss, quadrature_x
-from .protocol import DetectorModel, ProtocolConfig
+from .protocol import DetectorModel, ProtocolConfig, check_bounds, protocol_bounds
 
 SUBCOMMANDS = ("simulate", "sweep-variance", "error-ensemble", "compare-schemes", "check-identities")
 
@@ -45,16 +45,16 @@ class RunConfig:
     out: str = ""
 
     def validate(self) -> None:
-        """Check the keys only the CLI reads; ProtocolConfig and DetectorModel
-        check the physics keys."""
-        checks = [
+        """Apply ProtocolConfig's and DetectorModel's rules without building a
+        ProtocolConfig, whose weak-subtraction warning concerns simulate only."""
+        check_bounds([
             ("cutoff", self.cutoff >= 4, ">= 4"),
             ("ensemble", self.ensemble >= 1, ">= 1"),
             ("seed", self.seed >= 0, ">= 0"),
-        ]
-        for key, ok, rule in checks:
-            if not ok:
-                raise ValueError(f"config key '{key}' violates constraint ({rule})")
+            *protocol_bounds(self.gamma, self.n, self.alpha1, self.transmittance,
+                             self.max_attempts, self.purity_tol),
+        ])
+        self.detector()
 
     def detector(self) -> DetectorModel:
         return DetectorModel(eta=self.eta, dark_rate_hz=self.dark_rate_hz, window_s=self.window_s)
@@ -107,7 +107,6 @@ def parse_config(path: str | None, overrides: dict | None = None) -> RunConfig:
         values[field_name] = conv(val)
     cfg = RunConfig(**values)
     cfg.validate()
-    _protocol_config(cfg)  # validates the physics keys
     return cfg
 
 
@@ -147,23 +146,17 @@ def _resource_cutoff(alpha1: float) -> int:
     return c
 
 
-def _protocol_config(cfg: RunConfig, res_c: int = 12) -> ProtocolConfig:
-    """The protocol parameters of ``cfg``.  Every caller builds it here, so the
-    weak-subtraction warning has one source line and prints once per process."""
-    return ProtocolConfig(
+def _run_simulate(cfg: RunConfig, out: str) -> None:
+    pconf = ProtocolConfig(
         gamma=cfg.gamma,
         n=cfg.n,
         alpha1=cfg.alpha1,
         transmittance=cfg.transmittance,
-        cutoffs=(cfg.cutoff, res_c, 4),
+        cutoffs=(cfg.cutoff, max(12, _resource_cutoff(cfg.alpha1)), 4),
         max_attempts_per_factor=cfg.max_attempts,
         detector=cfg.detector(),
         purity_tol=cfg.purity_tol,
     )
-
-
-def _run_simulate(cfg: RunConfig, out: str) -> None:
-    pconf = _protocol_config(cfg, max(12, _resource_cutoff(cfg.alpha1)))
     results = analysis.run_ensemble(
         pconf,
         [cfg.input_alpha] * cfg.ensemble,

@@ -50,6 +50,26 @@ from .hilbert import (
 )
 
 
+def check_bounds(rules) -> None:
+    """Raise ValueError naming the first config key whose rule fails.  Each
+    rule states what must hold, so a NaN value fails it."""
+    for key, ok, rule in rules:
+        if not ok:
+            raise ValueError(f"config key '{key}' violates constraint ({rule})")
+
+
+def protocol_bounds(gamma, n, alpha1, transmittance, max_attempts, purity_tol) -> list:
+    """The rules on the ProtocolConfig parameters, named by their config keys."""
+    return [
+        ("gamma", gamma >= 0.0, ">= 0"),
+        ("N", int(n) >= 1, ">= 1"),
+        ("alpha1", alpha1 > 0.0, "> 0"),
+        ("transmittance", 0.0 < transmittance <= 1.0, "in (0, 1]"),
+        ("max_attempts", max_attempts >= 1, ">= 1"),
+        ("purity_tol", purity_tol > 0.0, "> 0"),
+    ]
+
+
 @dataclass(frozen=True)
 class DetectorModel:
     """Click/no-click detector: efficiency η, dark rate, and gating window.
@@ -63,12 +83,11 @@ class DetectorModel:
     window_s: float = 1e-10
 
     def __post_init__(self):
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta {self.eta} outside [0, 1]")
-        if self.dark_rate_hz < 0.0:
-            raise ValueError("dark_rate_hz must be >= 0")
-        if self.window_s <= 0.0:
-            raise ValueError("window_s must be > 0")
+        check_bounds([
+            ("eta", 0.0 <= self.eta <= 1.0, "in [0, 1]"),
+            ("dark_rate_hz", self.dark_rate_hz >= 0.0, ">= 0"),
+            ("window_s", self.window_s > 0.0, "> 0"),
+        ])
 
     @property
     def nu(self) -> float:
@@ -98,7 +117,9 @@ class ProtocolConfig:
 
     cutoffs = (system, resource, ancilla).  A weak-subtraction parameter
     (1−T)·α₁²·(1+|γ_l|·X_SUPPORT)² above 0.1 voids the single-photon
-    approximation of the tapped beam and draws a warning.
+    approximation of the tapped beam and draws a warning.  Invalid values
+    raise ValueError naming the config key (``max_attempts`` for
+    ``max_attempts_per_factor``).
     """
 
     gamma: float = 0.03
@@ -111,21 +132,11 @@ class ProtocolConfig:
     purity_tol: float = 1e-4
 
     def __post_init__(self):
-        if self.gamma < 0.0:
-            raise ValueError("gamma must be >= 0")
-        if int(self.n) < 1:
-            raise ValueError("N must be >= 1")
-        if self.alpha1 <= 0.0:
-            raise ValueError("alpha1 must be > 0")
-        if not 0.0 < self.transmittance <= 1.0:
-            raise ValueError("transmittance must lie in (0, 1]")
+        check_bounds(protocol_bounds(self.gamma, self.n, self.alpha1, self.transmittance,
+                                     self.max_attempts_per_factor, self.purity_tol))
         self.cutoffs = tuple(int(c) for c in self.cutoffs)
         if len(self.cutoffs) != 3:
             raise DimensionError("cutoffs must be (system, resource, ancilla)")
-        if self.max_attempts_per_factor < 1:
-            raise ValueError("max_attempts_per_factor must be >= 1")
-        if self.purity_tol <= 0.0:
-            raise ValueError("purity_tol must be > 0")
         if self.gamma > 0.0:
             gl_mag = (self.gamma / int(self.n)) ** (1.0 / 3.0)
             weak = (1.0 - self.transmittance) * self.alpha1**2 * (1.0 + gl_mag * X_SUPPORT) ** 2

@@ -21,6 +21,10 @@ INVALID_VALUES = {
     "max_attempts": "0",
     "purity_tol": "0",
 }
+# every bounded float key must also reject NaN, which argparse accepts
+NAN_KEYS = ("gamma", "alpha1", "transmittance", "eta", "dark_rate_hz", "window_s", "purity_tol")
+INVALID_CASES = list(INVALID_VALUES.items()) + [(key, "nan") for key in NAN_KEYS]
+INVALID_IDS = list(INVALID_VALUES) + [f"{key}-nan" for key in NAN_KEYS]
 
 
 def read_csv(path):
@@ -61,6 +65,14 @@ class TestParseConfig:
     def test_constraint_violation_names_key(self):
         with pytest.raises(ValueError, match="gamma"):
             parse_config(None, {"gamma": -1.0})
+
+    def test_no_weak_subtraction_warning(self):
+        # the warning concerns the simulate subcommand, not config parsing
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            parse_config(None, {"alpha1": 2.0, "transmittance": 0.8})
 
     def test_type_error_names_key(self, tmp_path):
         f = tmp_path / "run.cfg"
@@ -112,20 +124,20 @@ class TestRun:
 
     def test_simulate_runs(self, tmp_path):
         out = tmp_path / "sim.csv"
+        # fast honest configuration: strong resource, small cutoffs
+        cfg = parse_config(
+            None,
+            {
+                "out": str(out), "ensemble": 3, "gamma": 0.001, "alpha1": 3.3,
+                "transmittance": 0.9734, "cutoff": 10, "eta": 1.0,
+                "dark_rate_hz": 0.0, "max_attempts": 200, "input_alpha": 0.0,
+                "purity_tol": 1e-2,
+            },
+        )
         import warnings
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            # fast honest configuration: strong resource, small cutoffs
-            cfg = parse_config(
-                None,
-                {
-                    "out": str(out), "ensemble": 3, "gamma": 0.001, "alpha1": 3.3,
-                    "transmittance": 0.9734, "cutoff": 10, "eta": 1.0,
-                    "dark_rate_hz": 0.0, "max_attempts": 200, "input_alpha": 0.0,
-                    "purity_tol": 1e-2,
-                },
-            )
             code = run("simulate", cfg)
         assert code == 0
         rows = read_csv(out)
@@ -158,17 +170,17 @@ class TestDeterminism:
         outs = []
         for i in range(2):
             out = tmp_path / f"sim-{i}.csv"
+            cfg = parse_config(
+                None,
+                {
+                    "out": str(out), "seed": 5, "ensemble": 2, "gamma": 0.001,
+                    "alpha1": 3.3, "transmittance": 0.9734, "cutoff": 10,
+                    "eta": 1.0, "dark_rate_hz": 0.0, "max_attempts": 200,
+                    "input_alpha": 0.0, "purity_tol": 1e-2,
+                },
+            )
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)
-                cfg = parse_config(
-                    None,
-                    {
-                        "out": str(out), "seed": 5, "ensemble": 2, "gamma": 0.001,
-                        "alpha1": 3.3, "transmittance": 0.9734, "cutoff": 10,
-                        "eta": 1.0, "dark_rate_hz": 0.0, "max_attempts": 200,
-                        "input_alpha": 0.0, "purity_tol": 1e-2,
-                    },
-                )
                 run("simulate", cfg)
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
@@ -180,10 +192,10 @@ class TestMain:
         assert main(["check-identities", "--cutoff", "24", "--out", "ids.csv"]) == 0
         assert Path(tmp_path, "ids.csv").exists()
 
-    @pytest.mark.parametrize("key, value", list(INVALID_VALUES.items()), ids=list(INVALID_VALUES))
+    @pytest.mark.parametrize("key, value", INVALID_CASES, ids=INVALID_IDS)
     def test_validation_exit_one(self, key, value, capsys):
         assert main(["check-identities", "--" + key.replace("_", "-"), value]) == 1
-        assert key in capsys.readouterr().err
+        assert f"config key '{key}'" in capsys.readouterr().err
 
     def test_missing_config_file_exit_one(self):
         assert main(["check-identities", "--config", "/nonexistent/p.cfg"]) == 1

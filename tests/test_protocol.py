@@ -405,6 +405,15 @@ class TestConfigValidation:
             ProtocolConfig(gamma=0.03, n=1, alpha1=2.0, transmittance=0.8)
         assert record[0].filename == __file__  # points at the caller
 
+    @pytest.mark.parametrize(
+        "cls, key",
+        [(ProtocolConfig, k) for k in ("gamma", "alpha1", "transmittance", "purity_tol")]
+        + [(DetectorModel, k) for k in ("eta", "dark_rate_hz", "window_s")],
+    )
+    def test_nan_rejected(self, cls, key):
+        with pytest.raises(ValueError, match=f"config key '{key}'"):
+            cls(**{key: float("nan")})
+
     def test_record_invariant(self):
         with pytest.raises(ValueError):
             FactorRecord(0, 0, 3, [False, False, False], 1.0, True, 0.1)
