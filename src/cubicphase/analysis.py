@@ -10,7 +10,9 @@ gate is the scalar random variable
 where each factor independently comes out as (1+γ_l x) (correct), 1 (a dark
 count fired before the subtraction succeeded), or (1+γ_l x)² (a click was
 missed, so one extra subtraction was applied).  With 3N factors the event
-space has 3^{3N} outcomes and is enumerated exactly when small enough.
+space has 3^{3N} outcomes.  The factors are independent, so its exact mean
+and variance follow from each factor's own; the "enumerate" method computes
+them that way whenever the event space is small enough to enumerate.
 """
 
 from __future__ import annotations
@@ -78,8 +80,10 @@ def error_operator_stats(
 ) -> list[ErrorStatRow]:
     """Mean and standard deviation of A(x) over detector-error realizations.
 
-    method: "enumerate" (exact, 3^{3N} outcomes), "monte_carlo", or "auto"
-    (enumerate when the event space is within ``enumeration_limit``).
+    method: "enumerate" (exact over the 3^{3N} outcomes), "monte_carlo", or
+    "auto" (enumerate when the event space is within ``enumeration_limit``).
+    The exact method uses independence: E[Πf] = ΠE[f] and E|Πf|² = ΠE|f|²,
+    with the variance of the product accumulated without cancellation.
     """
     if method not in ("auto", "enumerate", "monte_carlo"):
         raise ValueError(f"unknown method '{method}'")
@@ -101,19 +105,15 @@ def error_operator_stats(
         ideal = cmath.exp(1j * spec.gamma * x**3)
         values = _factor_values(x, dec.gamma_l) * int(spec.n)
         if method == "enumerate":
-            mean = 0.0 + 0.0j
-            mean_sq = 0.0
-            for events in itertools.product(range(3), repeat=n_factors):
-                p = 1.0
-                amp = 1.0 + 0.0j
-                for f, e in zip(values, events):
-                    p *= probs[e]
-                    amp *= f[e]
-                a = amp - ideal
-                mean += p * a
-                mean_sq += p * abs(a) ** 2
-            std = math.sqrt(max(0.0, mean_sq - abs(mean) ** 2))
-            rows.append(ErrorStatRow(x, mean, std, "enumerate"))
+            # Var Πf = Π(|μ_i|² + v_i) − Π|μ_i|², built factor by factor from
+            # nonnegative terms so it stays exact near zero
+            mean, var = 1.0 + 0.0j, 0.0
+            for f in values:
+                mu = sum(p * v for p, v in zip(probs, f))
+                v_f = sum(p * abs(v - mu) ** 2 for p, v in zip(probs, f))
+                var = abs(mu) ** 2 * var + v_f * (abs(mean) ** 2 + var)
+                mean *= mu
+            rows.append(ErrorStatRow(x, mean - ideal, math.sqrt(var), "enumerate"))
         else:
             events = rng.choice(3, size=(spec.mc_samples, n_factors), p=probs)
             amp = np.ones(spec.mc_samples, dtype=complex)

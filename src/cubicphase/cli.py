@@ -16,12 +16,13 @@ import argparse
 import csv
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import analysis, cubic, schemes
 from .errors import NumericalDegradationError
-from .hilbert import coherent_truncation_loss, quadrature_x
+from .hilbert import quadrature_x
 from .protocol import DetectorModel, ProtocolConfig, check_bounds, protocol_bounds
 
 SUBCOMMANDS = ("simulate", "sweep-variance", "error-ensemble", "compare-schemes", "check-identities")
@@ -138,21 +139,13 @@ def _rng_for_run(seed: int, run_index: int) -> np.random.Generator:
 # subcommand bodies
 
 
-def _resource_cutoff(alpha1: float) -> int:
-    """Smallest resource dimension holding the coupled coherent amplitude."""
-    c = 8
-    while coherent_truncation_loss(1.4 * alpha1, c) >= 1e-8 and c < 64:
-        c += 2
-    return c
-
-
 def _run_simulate(cfg: RunConfig, out: str) -> None:
     pconf = ProtocolConfig(
         gamma=cfg.gamma,
         n=cfg.n,
         alpha1=cfg.alpha1,
         transmittance=cfg.transmittance,
-        cutoffs=(cfg.cutoff, max(12, _resource_cutoff(cfg.alpha1)), 4),
+        cutoffs=(cfg.cutoff, 4),
         max_attempts_per_factor=cfg.max_attempts,
         detector=cfg.detector(),
         purity_tol=cfg.purity_tol,
@@ -246,7 +239,10 @@ def run(subcommand: str, cfg: RunConfig) -> int:
     return 0
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared; parse_args
+    returns a fresh namespace on every call, so no flag carries over."""
     parser = argparse.ArgumentParser(
         prog="cubicphase",
         description="Repeat-until-success cubic phase gate simulator",

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import sqrtm
 
 from .errors import CutoffError, DimensionError
 
@@ -387,17 +386,28 @@ def expectation(op: FockOperator, state: FockState) -> complex:
     return complex(np.vdot(a, op.matrix @ a) / np.vdot(a, a))
 
 
+def _psd_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the Hermitian part of a PSD matrix m.  Eigenvalues within
+    rounding of zero are set to zero: their square roots (~1e-8) would swamp
+    the result."""
+    w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
+    floor = w.size * np.finfo(float).eps * np.abs(w).max()
+    return np.where(w > floor, w, 0.0), v
+
+
 def state_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Uhlmann fidelity (Tr√(√ρ σ √ρ))² between density matrices.
 
-    Reference oracle for the tests; the simulator keeps pure states and uses
+    Both square roots come from eigendecompositions of positive semidefinite
+    matrices, so rank-deficient (e.g. pure) inputs are exact.  Reference
+    oracle for the tests; the simulator keeps pure states and uses
     ``fidelity`` instead.
     """
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
-    sq = sqrtm(rho)
-    inner = sqrtm(sq @ sigma @ sq)
-    val = np.trace(inner).real
+    w, v = _psd_eigh(rho)
+    sq = (v * np.sqrt(w)) @ v.conj().T
+    val = float(np.sqrt(_psd_eigh(sq @ sigma @ sq)[0]).sum())
     return float(min(1.0, max(0.0, val * val)))
 
 

@@ -11,10 +11,21 @@ One factor of the decomposition is realized as
                β₂ = −T^{M/2}α₁γ_l (again compensated) returns the resource to
                a product coherent state, which is traced out.
 
-The surviving system state is proportional to (1 + γ_l x̂)|ψ⟩.  All
-measurement back-action is simulated exactly on the truncated space; the
-measured-out mode must leave the rest nearly pure (checked, tolerance
-``purity_tol``) before it is replaced by its dominant pure component.
+Every operator here is a function of x̂_S and a beamsplitter keeps a coherent
+state coherent, so during a factor the joint state is exactly
+
+    Σ_λ c(λ) |λ⟩_S |T^{k/2} α₁(1+γ_l λ)⟩_R
+
+over the eigenvectors |λ⟩ of the truncated x̂_S.  ``rus_factor`` runs on the
+label amplitudes c(λ) alone: coupling and decoupling leave them unchanged,
+attempt k meets the coherent ancilla |B_k(λ)⟩ with
+B_k(λ) = −√(1−T)·T^{k/2}·α₁(1+γ_l λ), and only the measurement of that
+ancilla reweights the labels.  The surviving system state is proportional to
+(1 + γ_l x̂)|ψ⟩.  The traced-out ancilla must leave the rest nearly pure
+(checked, tolerance ``purity_tol``) before it is replaced by its dominant pure
+component.  ``couple_resource``, ``subtraction_attempt`` and
+``_attempt_kernel`` are the same steps on a truncated Fock resource; the tests
+keep them as the reference the label engine is compared against.
 """
 
 from __future__ import annotations
@@ -39,12 +50,12 @@ from .gaussian import (
     beamsplitter_gate,
     displacement_factory,
     qnd_compensation_kick,
+    x_eigh,
 )
 from .hilbert import (
     FockOperator,
     FockState,
     coherent_truncation_loss,
-    dominant_pure_component,
     tensor,
     vacuum,
 )
@@ -115,7 +126,8 @@ X_SUPPORT = 4.0
 class ProtocolConfig:
     """Parameters of the full repeat-until-success gate.
 
-    cutoffs = (system, resource, ancilla).  A weak-subtraction parameter
+    cutoffs = (system, ancilla); the resource is never truncated, because
+    the engine carries it as a coherent amplitude.  A weak-subtraction parameter
     (1−T)·α₁²·(1+|γ_l|·X_SUPPORT)² above 0.1 voids the single-photon
     approximation of the tapped beam and draws a warning.  Invalid values
     raise ValueError naming the config key (``max_attempts`` for
@@ -126,7 +138,7 @@ class ProtocolConfig:
     n: int = 1
     alpha1: float = 0.2
     transmittance: float = 0.99
-    cutoffs: tuple[int, int, int] = (30, 25, 4)
+    cutoffs: tuple[int, int] = (30, 4)
     max_attempts_per_factor: int = 10_000
     detector: DetectorModel = field(default_factory=DetectorModel)
     purity_tol: float = 1e-4
@@ -135,8 +147,8 @@ class ProtocolConfig:
         check_bounds(protocol_bounds(self.gamma, self.n, self.alpha1, self.transmittance,
                                      self.max_attempts_per_factor, self.purity_tol))
         self.cutoffs = tuple(int(c) for c in self.cutoffs)
-        if len(self.cutoffs) != 3:
-            raise DimensionError("cutoffs must be (system, resource, ancilla)")
+        if len(self.cutoffs) != 2:
+            raise DimensionError("cutoffs must be (system, ancilla)")
         if self.gamma > 0.0:
             gl_mag = (self.gamma / int(self.n)) ** (1.0 / 3.0)
             weak = (1.0 - self.transmittance) * self.alpha1**2 * (1.0 + gl_mag * X_SUPPORT) ** 2
@@ -222,6 +234,8 @@ def couple_resource(state: FockState, alpha1: float, gamma_l: complex, cutoffs) 
 
     Output: ∫ψ(x)|x⟩|α₁(1+γ_l x)⟩_R on cutoffs = (system, resource).  The
     x-dependent displacement phase is compensated so the map is exact.
+    Fock reference for the tests; ``rus_factor`` leaves the label amplitudes
+    unchanged instead, which is what this map does in the x̂_S eigenbasis.
     """
     sys_c, res_c = (int(c) for c in cutoffs)
     if state.cutoffs != (sys_c,):
@@ -286,11 +300,32 @@ def one_photon_reduce(state: FockState, resource_mode: int = 1) -> FockState:
     return FockState(out.reshape(-1) / nrm, state.cutoffs)
 
 
+def _trace_ancilla(flat: np.ndarray, purity_tol: float) -> np.ndarray:
+    """Trace the measured ancilla (columns of ``flat``) out of the rest (rows).
+
+    The Gram matrix flat†flat must have purity within ``purity_tol`` of 1;
+    its dominant eigenvector picks the kept pure component of the rest,
+    returned normalized.
+    """
+    gram = flat.conj().T @ flat
+    tr = gram.trace().real
+    w, v = np.linalg.eigh(gram)
+    purity = float((w @ w).real / tr**2)
+    if 1.0 - purity > purity_tol:
+        raise NumericalDegradationError(
+            f"post-measurement purity deficit {1.0 - purity:.2e} exceeds {purity_tol:.1e}"
+        )
+    lead = flat @ v[:, -1]
+    return lead / np.linalg.norm(lead)
+
+
 def _attempt_kernel(mat, bs, pi0, rng, purity_tol):
     """One subtraction attempt on a raw (rest_dims, res) amplitude matrix.
 
     Returns (post-attempt matrix, clicked, p_no_click, p_click).  The ancilla
     is created, mixed, measured, and traced entirely inside this kernel.
+    Fock reference for the tests; ``rus_factor`` measures the coherent
+    ancilla in label space with ``_measure_ancilla``.
     """
     rest, res_c = mat.shape
     anc_c = pi0.size
@@ -310,19 +345,7 @@ def _attempt_kernel(mat, bs, pi0, rng, purity_tol):
         raise DegenerateOutcomeError("no-click branch has zero probability")
     kraus = np.sqrt(np.maximum(0.0, 1.0 - pi0)) if clicked else np.sqrt(pi0)
     psi3 *= kraus[None, None, :]
-
-    # trace out the ancilla; the remainder must stay (nearly) pure
-    flat = psi3.reshape(rest * res_c, anc_c)
-    gram = flat.conj().T @ flat
-    tr = gram.trace().real
-    w, v = np.linalg.eigh(gram)
-    purity = float((w @ w).real / tr**2)
-    if 1.0 - purity > purity_tol:
-        raise NumericalDegradationError(
-            f"post-measurement purity deficit {1.0 - purity:.2e} exceeds {purity_tol:.1e}"
-        )
-    lead = flat @ v[:, -1]
-    lead /= np.linalg.norm(lead)
+    lead = _trace_ancilla(psi3.reshape(rest * res_c, anc_c), purity_tol)
     return lead.reshape(rest, res_c), clicked, p_no_click, p_click
 
 
@@ -344,7 +367,9 @@ def subtraction_attempt(
 
     Returns (post-attempt state on the original modes, "click"/"no_click",
     (p_no_click, p_click)).  Raises NumericalDegradationError when the traced
-    ancilla leaves the rest mixed beyond ``purity_tol``.
+    ancilla leaves the rest mixed beyond ``purity_tol``.  Fock reference for
+    the tests, through the same ``_attempt_kernel``; ``rus_factor`` does not
+    call it.
     """
     if not 0 <= resource_mode < state.n_modes:
         raise DimensionError(f"resource mode {resource_mode} not in state")
@@ -371,6 +396,49 @@ def subtraction_attempt(
     )
 
 
+def _ancilla_amplitudes(b: np.ndarray, anc_c: int) -> np.ndarray:
+    """Fock amplitudes e^{−|B|²/2}B^m/√m!, m < anc_c, of the coherent ancilla
+    |B(λ)⟩, one row per label."""
+    steps = np.empty((b.size, anc_c), dtype=complex)
+    steps[:, 0] = np.exp(-0.5 * np.abs(b) ** 2)
+    steps[:, 1:] = b[:, None] / np.sqrt(np.arange(1, anc_c))
+    return np.cumprod(steps, axis=1)
+
+
+def _measure_ancilla(c: np.ndarray, b: np.ndarray, kraus: np.ndarray, purity_tol: float) -> np.ndarray:
+    """New label amplitudes after the outcome with diagonal Kraus ``kraus``
+    (√Π) on the coherent ancilla |B(λ)⟩, which is then traced out.  The Gram
+    matrix is Σ_λ|c_λ|² ā_m a_m′ with a_m(λ) = √Π_m b_m(λ)."""
+    return _trace_ancilla(c[:, None] * _ancilla_amplitudes(b, kraus.size) * kraus, purity_tol)
+
+
+def _first_click_pure(q, intensity, nu, transmittance, max_attempts, u):
+    """(M, F(1)) for an ideal-efficiency detector, M = None if no click.
+
+    With η = 1 the no-click branch keeps only the ancilla vacuum, so it is
+    rank one and the click CDF after k attempts has the closed form
+
+        F(k) = Σ_λ q_λ (1 − exp(−νk − |B₀(λ)|² Σ_{j<k} T^j)),
+
+    where |B₀|² Σ_{j<k} T^j = |α₁(1+γ_l λ)|² (1 − T^k) = ``intensity``·(1 − T^k).
+    M is the first k with u < F(k), searched in blocks of growing length.
+    """
+    log_t = math.log(transmittance)
+    start, size = 1, 16
+    first_p = None
+    while start <= max_attempts:
+        ks = np.arange(start, min(start + size, max_attempts + 1))[:, None]
+        cdf = -np.expm1(-nu * ks + intensity * np.expm1(ks * log_t)) @ q
+        if first_p is None:
+            first_p = float(cdf[0])
+        hit = np.flatnonzero(u < cdf)
+        if hit.size:
+            return start + int(hit[0]), first_p
+        start += size
+        size = min(2 * size, 4096)
+    return None, first_p
+
+
 def rus_factor(
     state: FockState,
     gamma_l: complex,
@@ -381,55 +449,70 @@ def rus_factor(
 ) -> tuple[FockState, FactorRecord]:
     """Apply one normalized (1 + γ_l x̂) factor by repeat-until-success subtraction.
 
-    Loops subtraction attempts until a click, then decouples and discards the
-    resource.  Raises FactorFailure (state and record attached) once
+    Runs on the label amplitudes c(λ) = ⟨λ|ψ⟩ in the x̂_S eigenbasis (see the
+    module docstring).  One uniform u is drawn per factor; the click attempt
+    M is the first k with u < F(k), F the click CDF, whose increments are the
+    closed-form p_click = Σ_λ|c_λ|²(1 − e^{−ν−η|B_k(λ)|²}).  With η = 1 the
+    no-click branch is pure and M follows from F in closed form; otherwise
+    every attempt applies its no-click outcome in turn.  The click outcome
+    then reweights the labels once more, and decoupling returns V @ c.
+    Raises FactorFailure (state and record attached) once
     ``max_attempts_per_factor`` is exhausted.
     """
     if gamma_l == 0:
         return state, FactorRecord(factor_index, repetition, 0, [], 1.0, True, 0.0)
 
-    sys_c, res_c, anc_c = config.cutoffs
+    sys_c, anc_c = config.cutoffs
+    if state.cutoffs != (sys_c,):
+        raise DimensionError(f"rus_factor expects a single-mode state of cutoff {sys_c}")
     T = config.transmittance
-    two = couple_resource(state, config.alpha1, gamma_l, (sys_c, res_c)).normalize()
-    mat = two.amplitudes.reshape(sys_c, res_c)
+    eta, nu = config.detector.eta, config.detector.nu
+    w, v = x_eigh(sys_c)
+    c = v.conj().T @ state.amplitudes
+    c /= np.linalg.norm(c)
+    amp = config.alpha1 * (1.0 + gamma_l * w)  # resource amplitude before attempt 1
+    intensity = np.abs(amp) ** 2
+    b0 = -math.sqrt(1.0 - T) * amp  # ancilla amplitude B₀(λ)
+    pi0 = _povm0_diag(eta, nu, anc_c)
+    click_kraus = np.sqrt(np.maximum(0.0, 1.0 - pi0))
+    u = rng.random()
 
-    bs = _beamsplitter(float(T), res_c, int(anc_c))
-    pi0 = _povm0_diag(config.detector.eta, config.detector.nu, int(anc_c))
+    if eta == 1.0:
+        clicked_at, first_p = _first_click_pure(
+            np.abs(c) ** 2, intensity, nu, T, config.max_attempts_per_factor, u
+        )
+        misses = config.max_attempts_per_factor if clicked_at is None else clicked_at - 1
+        # the no-click Kraus factors e^{−|B_j|²/2}, j < misses, multiplied out
+        c = c * np.exp(0.5 * intensity * np.expm1(misses * math.log(T)))
+        c /= np.linalg.norm(c)
+    else:
+        no_click_kraus = np.sqrt(pi0)
+        tap = eta * (1.0 - T) * intensity  # η|B_k|² = tap·T^k
+        clicked_at, first_p, cdf = None, None, 0.0
+        for k in range(config.max_attempts_per_factor):
+            p_click = float(np.abs(c) ** 2 @ -np.expm1(-nu - tap * T**k))
+            if first_p is None:
+                first_p = p_click
+            cdf += (1.0 - cdf) * p_click
+            if u < cdf:
+                clicked_at = k + 1
+                break
+            c = _measure_ancilla(c, b0 * T ** (k / 2.0), no_click_kraus, config.purity_tol)
 
-    outcomes: list[bool] = []
-    first_p = None
-    clicked = False
-    for _ in range(config.max_attempts_per_factor):
-        mat, clicked, p0, p1 = _attempt_kernel(mat, bs, pi0, rng, config.purity_tol)
-        if first_p is None:
-            first_p = p1
-        outcomes.append(clicked)
-        if clicked:
-            break
-
-    attempts = len(outcomes)
-    attenuation = T ** (attempts / 2.0)
+    clicked = clicked_at is not None
+    attempts = clicked_at if clicked else config.max_attempts_per_factor
+    outcomes = [False] * (attempts - 1) + [clicked]
     record = FactorRecord(
-        factor_index, repetition, attempts, outcomes, attenuation, clicked, first_p or 0.0
+        factor_index, repetition, attempts, outcomes, T ** (attempts / 2.0), clicked, first_p
     )
     if not clicked:
         raise FactorFailure(
             f"factor l={factor_index} saw no click in {attempts} attempts",
-            state=FockState(mat.reshape(-1), (sys_c, res_c)),
+            state=FockState(v @ c, (sys_c,)),
             record=record,
         )
-
-    base = attenuation * config.alpha1
-    two = _apply_qnd_compensated(
-        FockState(mat.reshape(-1), (sys_c, res_c)), -base * gamma_l, base
-    ).normalize()
-    out, purity = dominant_pure_component(two, keep=(0,))
-    if 1.0 - purity > config.purity_tol:
-        raise NumericalDegradationError(
-            f"resource decoupling left purity deficit {1.0 - purity:.2e} "
-            f"(tolerance {config.purity_tol:.1e})"
-        )
-    return out, record
+    c = _measure_ancilla(c, b0 * T ** ((attempts - 1) / 2.0), click_kraus, config.purity_tol)
+    return FockState(v @ c, (sys_c,)), record
 
 
 def full_gate(

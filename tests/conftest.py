@@ -15,8 +15,10 @@ def rng():
 class ForcedOutcomeRng:
     """Stand-in for a Generator that forces measurement branches.
 
-    random() returns 0.0 to force the u < p_click branch (a click whenever
-    p_click > 0), or a value just below 1 to force no-click.
+    random() returns 0.0 to force a click at the first attempt whose click
+    probability is positive, or a value just below 1 to force no-click.
+    ``rus_factor`` draws once per factor and clicks once u < F, the click
+    CDF; the Fock reference ``subtraction_attempt`` draws once per attempt.
     """
 
     def __init__(self, value: float = 0.0):

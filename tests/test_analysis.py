@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import warnings
 
@@ -24,6 +25,26 @@ from cubicphase.cubic import gamma_factors
 from cubicphase.protocol import IDEAL_DETECTOR, DetectorModel, ProtocolConfig
 
 REALISTIC_DETECTOR = DetectorModel(eta=0.9, dark_rate_hz=100.0, window_s=1e-10)
+
+
+def enumerated_error_stats(spec):
+    """(x, E[A(x)], std A(x)) by summing all 3^{3N} detector-event outcomes."""
+    probs = event_probabilities(spec)
+    gl = gamma_factors(spec.gamma, spec.n).gamma_l
+    rows = []
+    for x in spec.x_grid:
+        ideal = cmath.exp(1j * spec.gamma * x**3)
+        values = [(1.0 + g * x, 1.0 + 0.0j, (1.0 + g * x) ** 2) for g in gl] * spec.n
+        mean, mean_sq = 0.0 + 0.0j, 0.0
+        for events in itertools.product(range(3), repeat=3 * spec.n):
+            p, amp = 1.0, 1.0 + 0.0j
+            for f, e in zip(values, events):
+                p *= probs[e]
+                amp *= f[e]
+            mean += p * (amp - ideal)
+            mean_sq += p * abs(amp - ideal) ** 2
+        rows.append((x, mean, math.sqrt(max(0.0, mean_sq - abs(mean) ** 2))))
+    return rows
 
 
 class TestEventModel:
@@ -74,6 +95,21 @@ class TestErrorOperatorStats:
         )
         assert abs(probe[0].mean) * 10 < abs(probe[1].mean)
         assert all(a <= b + 1e-15 for a, b in zip(stds, stds[1:]))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize(
+        "detector",
+        [REALISTIC_DETECTOR, DetectorModel(eta=0.7, dark_rate_hz=1e6, window_s=1e-9)],
+        ids=["realistic", "noisy"],
+    )
+    def test_closed_form_matches_brute_force(self, n, detector):
+        spec = ErrorEnsembleSpec(gamma=0.03, n=n, detector=detector)
+        rows = error_operator_stats(spec, method="enumerate")
+        assert all(r.method == "enumerate" for r in rows)
+        for row, (x, mean, std) in zip(rows, enumerated_error_stats(spec)):
+            assert row.x == x
+            assert abs(row.mean - mean) <= 1e-13
+            assert abs(row.stddev - std) <= 1e-13
 
     def test_monte_carlo_agrees_with_enumeration(self, rng):
         spec = ErrorEnsembleSpec(detector=REALISTIC_DETECTOR, x_grid=(1.0,), mc_samples=40_000)
@@ -152,7 +188,7 @@ def report():
         warnings.simplefilter("ignore", UserWarning)
         cfg = ProtocolConfig(
             gamma=0.001, n=1, alpha1=3.3, transmittance=0.9734,
-            cutoffs=(14, 40, 6), detector=IDEAL_DETECTOR,
+            cutoffs=(14, 6), detector=IDEAL_DETECTOR,
             max_attempts_per_factor=500, purity_tol=3e-2,
         )
     rng = np.random.default_rng(np.random.SeedSequence(2024))
@@ -190,7 +226,7 @@ class TestGateFidelityReport:
         for n in (1, 3):
             cfg = ProtocolConfig(
                 gamma=0.03, n=n, alpha1=0.2, transmittance=0.99,
-                cutoffs=(30, 25, 4), detector=IDEAL_DETECTOR,
+                cutoffs=(30, 4), detector=IDEAL_DETECTOR,
             )
             rep = gate_fidelity_report(cfg, 2, force_click, input_alphas=(0.3,))
             fids[n] = rep.mean_fidelity_ideal

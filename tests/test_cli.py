@@ -197,6 +197,15 @@ class TestMain:
         assert main(["check-identities", "--" + key.replace("_", "-"), value]) == 1
         assert f"config key '{key}'" in capsys.readouterr().err
 
+    def test_successive_calls_do_not_share_flags(self, tmp_path, monkeypatch):
+        # main builds its parser once per process; a flag given to one call
+        # must not reach the next
+        monkeypatch.chdir(tmp_path)
+        assert main(["check-identities", "--cutoff", "24", "--out", "a.csv"]) == 0
+        assert main(["check-identities", "--out", "b.csv"]) == 0
+        assert {r[3] for r in read_csv(tmp_path / "a.csv")[1:]} == {"24"}
+        assert {r[3] for r in read_csv(tmp_path / "b.csv")[1:]} == {"30"}
+
     def test_missing_config_file_exit_one(self):
         assert main(["check-identities", "--config", "/nonexistent/p.cfg"]) == 1
 

@@ -194,6 +194,14 @@ class TestScalarDiagnostics:
         f_dm = state_fidelity(a.density_matrix(), b.density_matrix())
         assert f_dm == pytest.approx(fidelity(a, b), abs=1e-6)
 
+    def test_state_fidelity_pure_is_overlap(self):
+        # rank-one inputs: (Tr√(√ρ σ √ρ))² must equal |⟨a|b⟩|²
+        rng = np.random.default_rng(3)
+        a, b = rng.normal(size=(2, 12)) + 1j * rng.normal(size=(2, 12))
+        a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
+        f_dm = state_fidelity(np.outer(a, a.conj()), np.outer(b, b.conj()))
+        assert abs(f_dm - abs(np.vdot(a, b)) ** 2) <= 1e-12
+
 
 class TestDominantPureComponent:
     def test_product_state_exact(self):

@@ -13,8 +13,10 @@ from cubicphase.errors import (
     NumericalDegradationError,
 )
 from cubicphase.hilbert import (
+    FockState,
     apply,
     coherent,
+    dominant_pure_component,
     fidelity,
     number_state,
     partial_trace,
@@ -28,6 +30,10 @@ from cubicphase.protocol import (
     FactorRecord,
     ProtocolConfig,
     TrialLog,
+    _apply_qnd_compensated,
+    _attempt_kernel,
+    _beamsplitter,
+    _povm0_diag,
     couple_resource,
     detector_povm,
     full_gate,
@@ -39,8 +45,48 @@ from cubicphase.protocol import (
 
 WEAK_CONFIG = dict(
     gamma=0.03, n=1, alpha1=0.2, transmittance=0.99,
-    cutoffs=(30, 25, 4), detector=IDEAL_DETECTOR,
+    cutoffs=(30, 4), detector=IDEAL_DETECTOR,
 )
+
+
+def fock_rus_factor(state, gamma_l, config, res_c, rng):
+    """Reference factor on a truncated Fock resource of dimension ``res_c``.
+
+    Couples with ``couple_resource``, runs ``_attempt_kernel`` once per
+    attempt with one ``rng.random()`` each, decouples with the compensated
+    QND gate and keeps the dominant pure system component.  Returns the
+    output state and the click probability of every attempt run.
+    """
+    sys_c, anc_c = config.cutoffs
+    T, det = config.transmittance, config.detector
+    two = couple_resource(state, config.alpha1, gamma_l, (sys_c, res_c)).normalize()
+    mat = two.amplitudes.reshape(sys_c, res_c)
+    bs = _beamsplitter(float(T), res_c, anc_c)
+    pi0 = _povm0_diag(det.eta, det.nu, anc_c)
+    p_clicks = []
+    for _ in range(config.max_attempts_per_factor):
+        mat, clicked, _, p1 = _attempt_kernel(mat, bs, pi0, rng, config.purity_tol)
+        p_clicks.append(p1)
+        if clicked:
+            break
+    assert clicked, "reference factor saw no click"
+    base = T ** (len(p_clicks) / 2.0) * config.alpha1
+    two = _apply_qnd_compensated(
+        FockState(mat.reshape(-1), (sys_c, res_c)), -base * gamma_l, base
+    ).normalize()
+    out, purity = dominant_pure_component(two, keep=(0,))
+    assert 1.0 - purity <= config.purity_tol
+    return out, p_clicks
+
+
+class OutcomeSequenceRng:
+    """random() returns the given values in turn."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self) -> float:
+        return self.values.pop(0)
 
 
 def strong_stats_config(**kw):
@@ -50,7 +96,7 @@ def strong_stats_config(**kw):
         warnings.simplefilter("ignore", UserWarning)
         base = dict(
             gamma=0.001, n=1, alpha1=3.3, transmittance=0.9734,
-            cutoffs=(8, 40, 6), detector=IDEAL_DETECTOR,
+            cutoffs=(8, 6), detector=IDEAL_DETECTOR,
             max_attempts_per_factor=500, purity_tol=3e-2,
         )
         base.update(kw)
@@ -184,6 +230,7 @@ class TestSubtractionAttempt:
         target = tensor(vacuum([4]), coherent(math.sqrt(T) * zeta, 25))
         assert fidelity(out, target) > 1 - 1e-6
 
+    @pytest.mark.filterwarnings("error::scipy.linalg.LinAlgWarning")
     def test_no_click_invariance_of_system(self, force_no_click):
         # the system reduced state survives a failed attempt
         psi = coherent(0.3, 30)
@@ -274,7 +321,7 @@ class TestRusFactor:
             rus_factor(psi, gl, cfg, force_no_click)
         assert exc.value.record.attempts == 5
         assert not exc.value.record.success
-        assert exc.value.state is not None
+        assert exc.value.state.cutoffs == (30,)
 
     def test_mean_attempts_matches_quadrature_oracle(self):
         cfg = strong_stats_config()
@@ -299,7 +346,7 @@ class TestRusFactor:
         detector = DetectorModel(eta=1.0, dark_rate_hz=-math.log(1 - p), window_s=1.0)
         cfg = ProtocolConfig(
             gamma=0.01, n=1, alpha1=0.5, transmittance=1.0,
-            cutoffs=(4, 10, 3), detector=detector, max_attempts_per_factor=400,
+            cutoffs=(4, 3), detector=detector, max_attempts_per_factor=400,
         )
         gl = gamma_factors(cfg.gamma, 1).gamma_l[0]
         v = vacuum([4])
@@ -332,7 +379,7 @@ class TestRusFactor:
         detector = DetectorModel(eta=1.0, dark_rate_hz=0.1, window_s=1.0)
         cfg = ProtocolConfig(
             gamma=0.03, n=1, alpha1=0.2, transmittance=1.0,
-            cutoffs=(30, 25, 4), detector=detector,
+            cutoffs=(30, 4), detector=detector,
         )
         psi = coherent(0.3, 30)
         gl = gamma_factors(0.03, 1).gamma_l[0]
@@ -364,6 +411,61 @@ class TestRusFactor:
             target = apply(factor_operator(gl, 30), psi).normalize()
             fids.append(fidelity(out, target))
         assert fids[0] <= fids[1] <= fids[2]
+
+
+class TestLabelEngineAgainstFock:
+    """rus_factor against the Fock reference factor, forced to click at M."""
+
+    CASES = {
+        # (system, resource, ancilla) cutoffs and the config they run at
+        "strong": ((8, 40, 8), dict(gamma=0.001, alpha1=3.3, transmittance=0.9734,
+                                    purity_tol=3e-2)),
+        "defaults": ((30, 25, 4), dict()),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("detector", [IDEAL_DETECTOR, DetectorModel()], ids=["ideal", "default"])
+    @pytest.mark.parametrize("l", [0, 1, 2])
+    @pytest.mark.parametrize("m", [1, 6])
+    def test_forced_click_matches_fock_reference(self, case, detector, l, m):
+        (sys_c, res_c, anc_c), kw = self.CASES[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            cfg = ProtocolConfig(cutoffs=(sys_c, anc_c), detector=detector, **kw)
+        gl = gamma_factors(cfg.gamma, cfg.n).gamma_l[l]
+        psi = coherent(0.3, sys_c)
+        ref, p_clicks = fock_rus_factor(
+            psi, gl, cfg, res_c, OutcomeSequenceRng([1.0 - 1e-15] * (m - 1) + [0.0])
+        )
+        assert len(p_clicks) == m
+        # one uniform inside [F(M−1), F(M)) of the reference's click CDF
+        survive = np.cumprod([1.0] + [1.0 - p for p in p_clicks])
+        u = 1.0 - 0.5 * (survive[-2] + survive[-1])
+        out, rec = rus_factor(psi, gl, cfg, OutcomeSequenceRng([u]), factor_index=l)
+        assert rec.attempts == m and rec.success
+        assert rec.outcomes == [False] * (m - 1) + [True]
+        assert 1.0 - fidelity(out, ref) <= 1e-9
+        assert rec.first_click_prob == pytest.approx(p_clicks[0], rel=1e-7)
+
+    def test_skip_ahead_matches_stepping(self):
+        # η = 1 takes the closed-form click CDF, η = 1 − 1e-12 steps attempt by
+        # attempt; on one grid of u both must pick the same M and state
+        psi = coherent(0.3, 8)
+        gl = gamma_factors(0.001, 1).gamma_l[0]
+        configs = [
+            strong_stats_config(detector=DetectorModel(eta=eta, dark_rate_hz=1e6, window_s=1e-9))
+            for eta in (1.0, 1.0 - 1e-12)
+        ]
+        ms = set()
+        for u in np.linspace(0.0, 0.999, 25):
+            (out_a, rec_a), (out_b, rec_b) = (
+                rus_factor(psi, gl, cfg, OutcomeSequenceRng([u])) for cfg in configs
+            )
+            assert rec_a.attempts == rec_b.attempts
+            assert rec_a.first_click_prob == pytest.approx(rec_b.first_click_prob, rel=1e-9)
+            assert 1.0 - fidelity(out_a, out_b) <= 1e-9
+            ms.add(rec_a.attempts)
+        assert len(ms) > 10
 
 
 class TestFullGate:
@@ -413,6 +515,10 @@ class TestConfigValidation:
     def test_nan_rejected(self, cls, key):
         with pytest.raises(ValueError, match=f"config key '{key}'"):
             cls(**{key: float("nan")})
+
+    def test_cutoffs_are_system_and_ancilla(self):
+        with pytest.raises(ValueError, match="system, ancilla"):
+            ProtocolConfig(cutoffs=(30, 25, 4))
 
     def test_record_invariant(self):
         with pytest.raises(ValueError):
