@@ -18,9 +18,9 @@ them that way whenever the event space is small enough to enumerate.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -224,18 +224,23 @@ class GateFidelityReport:
 DEFAULT_INPUT_ALPHAS = (0.3, 0.15 + 0.15j, 0.0, -0.2 + 0.1j)
 
 
+@lru_cache(maxsize=8)
+def _gate_targets(gamma: float, n: int, cutoff: int) -> tuple:
+    """(U_N, ideal cubic gate) on the truncated space; the matrices are read-only."""
+    return u_n_operator(gamma, n, cutoff), ideal_cubic_gate(gamma, cutoff)
+
+
 def run_ensemble(config: ProtocolConfig, alphas, rngs) -> list[tuple[RunResult, TrialLog]]:
     """Run the full gate once per (coherent input α, generator) pair.
 
     Each run's output is scored by fidelity against the normalized U_N target
     and the ideal cubic gate applied to its input (against the input itself
     when γ = 0).  A run whose factor exhausts its attempt budget is a failure
-    and carries no fidelity.  Seeding stays with the caller: ``rngs`` may
-    yield one generator per run or the same generator repeatedly.
+    and carries no fidelity.  Seeding stays with the caller, which gives
+    each run its own generator.
     """
-    sys_c = config.cutoffs[0]
-    un = u_n_operator(config.gamma, config.n, sys_c) if config.gamma > 0 else None
-    ideal = ideal_cubic_gate(config.gamma, sys_c) if config.gamma > 0 else None
+    sys_c = config.cutoff
+    un, ideal = _gate_targets(config.gamma, config.n, sys_c) if config.gamma > 0 else (None, None)
     results = []
     for alpha, rng in zip(alphas, rngs):
         inp = coherent(alpha, sys_c)
@@ -266,10 +271,10 @@ def gate_fidelity_report(
     ideal cubic gate, plus attempt statistics compared with 3N/p where p is
     the exact first-attempt click probability returned by the POVM sampling.
     Runs whose factor exhausts its attempt budget count as failures and carry
-    no fidelity.  All runs draw from the one generator ``rng``.
+    no fidelity.  Each run draws from its own child of ``rng`` (``rng.spawn``).
     """
     alphas = (complex(input_alphas[i % len(input_alphas)]) for i in range(int(ensemble_size)))
-    results = run_ensemble(config, alphas, itertools.repeat(rng))
+    results = run_ensemble(config, alphas, rng.spawn(int(ensemble_size)))
     runs = tuple(r for r, _ in results)
     done = [(r, log) for r, log in results if r.success]
     first_ps = [f.first_click_prob for _, log in done for f in log.factors if f.attempts > 0]

@@ -3,7 +3,7 @@
 Config files are ``key=value`` lines (``#`` starts a comment); command-line
 flags override file values.  Identical (config, seed) pairs produce
 byte-identical CSV output.  Exit codes: 0 success, 1 validation error,
-2 numerical-degradation error.
+2 numerical-degradation error or an outcome of zero probability.
 
 Per-run RNG streams derive from the master seed as
 ``default_rng(SeedSequence(seed, spawn_key=(run_index,)))`` so ensemble
@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import analysis, cubic, schemes
-from .errors import NumericalDegradationError
+from .errors import DegenerateOutcomeError, NumericalDegradationError
 from .hilbert import quadrature_x
 from .protocol import DetectorModel, ProtocolConfig, check_bounds, protocol_bounds
 
@@ -52,8 +52,9 @@ class RunConfig:
             ("cutoff", self.cutoff >= 4, ">= 4"),
             ("ensemble", self.ensemble >= 1, ">= 1"),
             ("seed", self.seed >= 0, ">= 0"),
+            ("purity_tol", self.purity_tol > 0.0, "> 0"),
             *protocol_bounds(self.gamma, self.n, self.alpha1, self.transmittance,
-                             self.max_attempts, self.purity_tol),
+                             self.max_attempts),
         ])
         self.detector()
 
@@ -75,7 +76,7 @@ _KEYS = {
     "seed": ("seed", int),
     "input_alpha": ("input_alpha", float),
     "max_attempts": ("max_attempts", int),
-    "purity_tol": ("purity_tol", float),
+    "purity_tol": ("purity_tol", float),  # validated but unread: every trajectory is pure
     "out": ("out", str),
 }
 
@@ -145,10 +146,9 @@ def _run_simulate(cfg: RunConfig, out: str) -> None:
         n=cfg.n,
         alpha1=cfg.alpha1,
         transmittance=cfg.transmittance,
-        cutoffs=(cfg.cutoff, 4),
+        cutoff=cfg.cutoff,
         max_attempts_per_factor=cfg.max_attempts,
         detector=cfg.detector(),
-        purity_tol=cfg.purity_tol,
     )
     results = analysis.run_ensemble(
         pconf,
@@ -263,7 +263,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except NumericalDegradationError as exc:
+    except (NumericalDegradationError, DegenerateOutcomeError) as exc:
         print(f"numerical degradation: {exc}", file=sys.stderr)
         return 2
 

@@ -18,14 +18,14 @@ state coherent, so during a factor the joint state is exactly
 
 over the eigenvectors |λ⟩ of the truncated x̂_S.  ``rus_factor`` runs on the
 label amplitudes c(λ) alone: coupling and decoupling leave them unchanged,
-attempt k meets the coherent ancilla |B_k(λ)⟩ with
-B_k(λ) = −√(1−T)·T^{k/2}·α₁(1+γ_l λ), and only the measurement of that
-ancilla reweights the labels.  The surviving system state is proportional to
-(1 + γ_l x̂)|ψ⟩.  The traced-out ancilla must leave the rest nearly pure
-(checked, tolerance ``purity_tol``) before it is replaced by its dominant pure
-component.  ``couple_resource``, ``subtraction_attempt`` and
-``_attempt_kernel`` are the same steps on a truncated Fock resource; the tests
-keep them as the reference the label engine is compared against.
+and attempt k meets the coherent ancilla |B_k(λ)⟩ with
+B_k(λ) = −√(1−T)·T^{(k−1)/2}·α₁(1+γ_l λ).  As ⟨m|B_k(λ)⟩ ∝
+e^{−|B_k(λ)|²/2}(1+γ_l λ)^m, an ancilla seen or lost with m photons only
+reweights c(λ), so unravelling the detector by photon number (Dalibard,
+Castin & Mølmer, PRL 68, 580 (1992)) keeps every trajectory pure and their
+average the exact channel.  ``couple_resource``, ``subtraction_attempt`` and
+``_attempt_kernel`` are the same steps on a truncated Fock resource and
+ancilla, kept as the reference the tests compare the label engine against.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ def check_bounds(rules) -> None:
             raise ValueError(f"config key '{key}' violates constraint ({rule})")
 
 
-def protocol_bounds(gamma, n, alpha1, transmittance, max_attempts, purity_tol) -> list:
+def protocol_bounds(gamma, n, alpha1, transmittance, max_attempts) -> list:
     """The rules on the ProtocolConfig parameters, named by their config keys."""
     return [
         ("gamma", gamma >= 0.0, ">= 0"),
@@ -77,7 +77,6 @@ def protocol_bounds(gamma, n, alpha1, transmittance, max_attempts, purity_tol) -
         ("alpha1", alpha1 > 0.0, "> 0"),
         ("transmittance", 0.0 < transmittance <= 1.0, "in (0, 1]"),
         ("max_attempts", max_attempts >= 1, ">= 1"),
-        ("purity_tol", purity_tol > 0.0, "> 0"),
     ]
 
 
@@ -126,29 +125,25 @@ X_SUPPORT = 4.0
 class ProtocolConfig:
     """Parameters of the full repeat-until-success gate.
 
-    cutoffs = (system, ancilla); the resource is never truncated, because
-    the engine carries it as a coherent amplitude.  A weak-subtraction parameter
-    (1−T)·α₁²·(1+|γ_l|·X_SUPPORT)² above 0.1 voids the single-photon
-    approximation of the tapped beam and draws a warning.  Invalid values
-    raise ValueError naming the config key (``max_attempts`` for
-    ``max_attempts_per_factor``).
+    ``cutoff`` is the system Fock cutoff, the only truncation.  A
+    weak-subtraction parameter (1−T)·α₁²·(1+|γ_l|·X_SUPPORT)² above 0.1 makes
+    multi-photon heralds, which apply (1 + γ_l x̂) more than once, common and
+    draws a warning.  Invalid values raise ValueError naming the config key
+    (``max_attempts`` for ``max_attempts_per_factor``).
     """
 
     gamma: float = 0.03
     n: int = 1
     alpha1: float = 0.2
     transmittance: float = 0.99
-    cutoffs: tuple[int, int] = (30, 4)
+    cutoff: int = 30
     max_attempts_per_factor: int = 10_000
     detector: DetectorModel = field(default_factory=DetectorModel)
-    purity_tol: float = 1e-4
 
     def __post_init__(self):
         check_bounds(protocol_bounds(self.gamma, self.n, self.alpha1, self.transmittance,
-                                     self.max_attempts_per_factor, self.purity_tol))
-        self.cutoffs = tuple(int(c) for c in self.cutoffs)
-        if len(self.cutoffs) != 2:
-            raise DimensionError("cutoffs must be (system, ancilla)")
+                                     self.max_attempts_per_factor))
+        self.cutoff = int(self.cutoff)
         if self.gamma > 0.0:
             gl_mag = (self.gamma / int(self.n)) ** (1.0 / 3.0)
             weak = (1.0 - self.transmittance) * self.alpha1**2 * (1.0 + gl_mag * X_SUPPORT) ** 2
@@ -324,8 +319,8 @@ def _attempt_kernel(mat, bs, pi0, rng, purity_tol):
 
     Returns (post-attempt matrix, clicked, p_no_click, p_click).  The ancilla
     is created, mixed, measured, and traced entirely inside this kernel.
-    Fock reference for the tests; ``rus_factor`` measures the coherent
-    ancilla in label space with ``_measure_ancilla``.
+    Fock reference for the tests; ``rus_factor`` unravels the coherent
+    ancilla by photon number instead.
     """
     rest, res_c = mat.shape
     anc_c = pi0.size
@@ -396,33 +391,11 @@ def subtraction_attempt(
     )
 
 
-def _ancilla_amplitudes(b: np.ndarray, anc_c: int) -> np.ndarray:
-    """Fock amplitudes e^{−|B|²/2}B^m/√m!, m < anc_c, of the coherent ancilla
-    |B(λ)⟩, one row per label."""
-    steps = np.empty((b.size, anc_c), dtype=complex)
-    steps[:, 0] = np.exp(-0.5 * np.abs(b) ** 2)
-    steps[:, 1:] = b[:, None] / np.sqrt(np.arange(1, anc_c))
-    return np.cumprod(steps, axis=1)
-
-
-def _measure_ancilla(c: np.ndarray, b: np.ndarray, kraus: np.ndarray, purity_tol: float) -> np.ndarray:
-    """New label amplitudes after the outcome with diagonal Kraus ``kraus``
-    (√Π) on the coherent ancilla |B(λ)⟩, which is then traced out.  The Gram
-    matrix is Σ_λ|c_λ|² ā_m a_m′ with a_m(λ) = √Π_m b_m(λ)."""
-    return _trace_ancilla(c[:, None] * _ancilla_amplitudes(b, kraus.size) * kraus, purity_tol)
-
-
-def _first_click_pure(q, intensity, nu, transmittance, max_attempts, u):
-    """(M, F(1)) for an ideal-efficiency detector, M = None if no click.
-
-    With η = 1 the no-click branch keeps only the ancilla vacuum, so it is
-    rank one and the click CDF after k attempts has the closed form
-
-        F(k) = Σ_λ q_λ (1 − exp(−νk − |B₀(λ)|² Σ_{j<k} T^j)),
-
-    where |B₀|² Σ_{j<k} T^j = |α₁(1+γ_l λ)|² (1 − T^k) = ``intensity``·(1 − T^k).
-    M is the first k with u < F(k), searched in blocks of growing length.
-    """
+def _first_click(q, intensity, nu, transmittance, max_attempts, u):
+    """(M, F(1)), M = None if no click: M is the first k with u < F(k), the
+    click CDF F(k) = Σ_λ q_λ (1 − exp(−νk − ``intensity``_λ (1 − T^k))) with
+    ``intensity`` = η|α₁(1+γ_l λ)|² (no dark count and no tapped photon seen),
+    searched in blocks of growing length."""
     log_t = math.log(transmittance)
     start, size = 1, 16
     first_p = None
@@ -439,6 +412,37 @@ def _first_click_pure(q, intensity, nu, transmittance, max_attempts, u):
     return None, first_p
 
 
+def _inverse_cdf(log_weights: np.ndarray, u: float) -> int:
+    """The first index whose cumulative weight exceeds u times the total, for
+    weights given as logarithms and shifted by their largest, so that weights
+    which would each underflow still draw exactly."""
+    top = log_weights.max()
+    if not np.isfinite(top):
+        raise DegenerateOutcomeError("every outcome of the draw has zero probability")
+    cdf = np.cumsum(np.exp(log_weights - top))
+    # u·total rounds up to the total only for u within an ulp of 1
+    return min(int(np.searchsorted(cdf, u * cdf[-1], side="right")), cdf.size - 1)
+
+
+def _photon_count(mean: float, u: float, nu: float | None = None) -> int:
+    """A Poisson(mean) photon number by inverse CDF of the uniform u, with
+    weights mean^d/d! relative to e^{−mean} up to 12√mean + 40 past the mean
+    (the tail beyond holds < 1e-25).  With ``nu`` it is the number detected at
+    a click: d = 0 needs a dark count and weighs 1 − e^{−ν}, and the order
+    1, 0, 2, 3, … makes u = 0 the single-photon herald."""
+    if mean <= 0.0:
+        return 0  # the only outcome of positive weight
+    k = np.arange(int(mean + 12.0 * math.sqrt(mean)) + 40)
+    log_w = k * math.log(mean) - np.concatenate(([0.0], np.cumsum(np.log(k[1:]))))
+    if nu is None:
+        return _inverse_cdf(log_w, u)
+    with np.errstate(divide="ignore"):
+        log_w[0] = np.log(-np.expm1(-nu))
+    log_w[0], log_w[1] = log_w[1], log_w[0]
+    k = _inverse_cdf(log_w, u)
+    return 1 - k if k < 2 else k
+
+
 def rus_factor(
     state: FockState,
     gamma_l: complex,
@@ -449,58 +453,50 @@ def rus_factor(
 ) -> tuple[FockState, FactorRecord]:
     """Apply one normalized (1 + γ_l x̂) factor by repeat-until-success subtraction.
 
-    Runs on the label amplitudes c(λ) = ⟨λ|ψ⟩ in the x̂_S eigenbasis (see the
-    module docstring).  One uniform u is drawn per factor; the click attempt
-    M is the first k with u < F(k), F the click CDF, whose increments are the
-    closed-form p_click = Σ_λ|c_λ|²(1 − e^{−ν−η|B_k(λ)|²}).  With η = 1 the
-    no-click branch is pure and M follows from F in closed form; otherwise
-    every attempt applies its no-click outcome in turn.  The click outcome
-    then reweights the labels once more, and decoupling returns V @ c.
-    Raises FactorFailure (state and record attached) once
-    ``max_attempts_per_factor`` is exhausted.
+    One exact trajectory on c(λ) = ⟨λ|ψ⟩, with I_λ = |α₁(1+γ_l λ)|² and
+    μ_λ = I_λ(1−T)T^{M−1}.  Four ``rng.random()`` draws pick the click attempt
+    M, a label λ* ∝ q_λ·e^{−ηI_λ(1−T^{M−1})}·(1 − e^{−ν−ημ_λ}), the photons
+    lost over M attempts ~ Poisson((1−η)I_λ*(1−T^M)) and those detected at
+    the click (mean ημ_λ*); given λ* these are exact, so K = lost + detected
+    is too.  Returns V @ c_λ·e^{−½I_λ(1−T^M)}·(1+γ_l λ)^K, normalized.  Raises
+    FactorFailure (state and record attached) after ``max_attempts_per_factor``
+    attempts without a click; that state skips the detected photons.
     """
     if gamma_l == 0:
         return state, FactorRecord(factor_index, repetition, 0, [], 1.0, True, 0.0)
 
-    sys_c, anc_c = config.cutoffs
+    sys_c = config.cutoff
     if state.cutoffs != (sys_c,):
         raise DimensionError(f"rus_factor expects a single-mode state of cutoff {sys_c}")
     T = config.transmittance
     eta, nu = config.detector.eta, config.detector.nu
+    log_t = math.log(T)
     w, v = x_eigh(sys_c)
     c = v.conj().T @ state.amplitudes
     c /= np.linalg.norm(c)
-    amp = config.alpha1 * (1.0 + gamma_l * w)  # resource amplitude before attempt 1
-    intensity = np.abs(amp) ** 2
-    b0 = -math.sqrt(1.0 - T) * amp  # ancilla amplitude B₀(λ)
-    pi0 = _povm0_diag(eta, nu, anc_c)
-    click_kraus = np.sqrt(np.maximum(0.0, 1.0 - pi0))
-    u = rng.random()
+    intensity = np.abs(config.alpha1 * (1.0 + gamma_l * w)) ** 2
 
-    if eta == 1.0:
-        clicked_at, first_p = _first_click_pure(
-            np.abs(c) ** 2, intensity, nu, T, config.max_attempts_per_factor, u
-        )
-        misses = config.max_attempts_per_factor if clicked_at is None else clicked_at - 1
-        # the no-click Kraus factors e^{−|B_j|²/2}, j < misses, multiplied out
-        c = c * np.exp(0.5 * intensity * np.expm1(misses * math.log(T)))
-        c /= np.linalg.norm(c)
-    else:
-        no_click_kraus = np.sqrt(pi0)
-        tap = eta * (1.0 - T) * intensity  # η|B_k|² = tap·T^k
-        clicked_at, first_p, cdf = None, None, 0.0
-        for k in range(config.max_attempts_per_factor):
-            p_click = float(np.abs(c) ** 2 @ -np.expm1(-nu - tap * T**k))
-            if first_p is None:
-                first_p = p_click
-            cdf += (1.0 - cdf) * p_click
-            if u < cdf:
-                clicked_at = k + 1
-                break
-            c = _measure_ancilla(c, b0 * T ** (k / 2.0), no_click_kraus, config.purity_tol)
-
+    clicked_at, first_p = _first_click(
+        np.abs(c) ** 2, eta * intensity, nu, T, config.max_attempts_per_factor, rng.random()
+    )
     clicked = clicked_at is not None
     attempts = clicked_at if clicked else config.max_attempts_per_factor
+    misses = attempts - 1 if clicked else attempts
+    tapped = intensity * (1.0 - T) * T ** (attempts - 1)
+    with np.errstate(divide="ignore"):  # a label of zero amplitude has log-weight −inf
+        log_c = np.log(c)
+        log_w = 2.0 * log_c.real + eta * intensity * np.expm1(misses * log_t)
+        if clicked:
+            log_w += np.log(-np.expm1(-nu - eta * tapped))
+    star = _inverse_cdf(log_w, rng.random())
+    lost = -(1.0 - eta) * intensity[star] * math.expm1(attempts * log_t)
+    photons = _photon_count(lost, rng.random())
+    if clicked:
+        photons += _photon_count(eta * tapped[star], rng.random(), nu)
+
+    log_c += photons * np.log1p(gamma_l * w) + 0.5 * intensity * np.expm1(attempts * log_t)
+    c = np.exp(log_c - log_c.real.max())
+    out = FockState(v @ (c / np.linalg.norm(c)), (sys_c,))
     outcomes = [False] * (attempts - 1) + [clicked]
     record = FactorRecord(
         factor_index, repetition, attempts, outcomes, T ** (attempts / 2.0), clicked, first_p
@@ -508,11 +504,10 @@ def rus_factor(
     if not clicked:
         raise FactorFailure(
             f"factor l={factor_index} saw no click in {attempts} attempts",
-            state=FockState(v @ c, (sys_c,)),
+            state=out,
             record=record,
         )
-    c = _measure_ancilla(c, b0 * T ** ((attempts - 1) / 2.0), click_kraus, config.purity_tol)
-    return FockState(v @ c, (sys_c,)), record
+    return out, record
 
 
 def full_gate(

@@ -17,8 +17,11 @@ class ForcedOutcomeRng:
 
     random() returns 0.0 to force a click at the first attempt whose click
     probability is positive, or a value just below 1 to force no-click.
-    ``rus_factor`` draws once per factor and clicks once u < F, the click
-    CDF; the Fock reference ``subtraction_attempt`` draws once per attempt.
+    ``rus_factor`` clicks once its first draw u is below F, the click CDF;
+    its later draws pick the unobserved photon numbers, and 0.0 there gives
+    one detected photon and none lost.  The Fock reference
+    ``subtraction_attempt`` draws once per attempt.  spawn() hands the same
+    stand-in to every run of an ensemble.
     """
 
     def __init__(self, value: float = 0.0):
@@ -26,6 +29,9 @@ class ForcedOutcomeRng:
 
     def random(self) -> float:
         return self.value
+
+    def spawn(self, n: int) -> list:
+        return [self] * n
 
 
 @pytest.fixture

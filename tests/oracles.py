@@ -35,8 +35,10 @@ def factor_attempt_stats(
     """Exact attempt statistics of one subtraction factor by 1-D quadrature.
 
     Returns (p_first, mean_attempts_given_click, click_mass, post_density)
-    where post_density is the click-weighted position density multiplied by
-    the applied |1+γ_l x|² factor (input to the next factor's oracle).
+    where post_density is the click-weighted position density, the input to
+    the next factor's oracle.  Every operator of the factor is a function of
+    x̂, so that density is the prior times the likelihood of a click; the
+    click probability already carries the |1+γ_l x|² of the subtraction.
     """
     zeta2 = np.abs(1.0 + gamma_l * xs) ** 2 * alpha1**2
     surv = np.array(density, dtype=float)
@@ -57,8 +59,7 @@ def factor_attempt_stats(
         surv = surv * pn
         if pc < 1e-16 * total0 and m > 50:
             break
-    post = clicked_density * np.abs(1.0 + gamma_l * xs) ** 2
-    return float(p_first), float(mean / mass), float(mass / total0), post
+    return float(p_first), float(mean / mass), float(mass / total0), clicked_density
 
 
 def gate_total_attempts(

@@ -113,7 +113,7 @@ def test_criterion_2_convergence_slope():
 def test_criterion_3_protocol_correctness():
     cfg = ProtocolConfig(
         gamma=0.03, n=1, alpha1=0.2, transmittance=0.99,
-        cutoffs=(30, 4), detector=IDEAL_DETECTOR,
+        cutoff=30, detector=IDEAL_DETECTOR,
     )
     psi = coherent(0.3, 30)
     dec = gamma_factors(0.03, 1)
@@ -138,8 +138,8 @@ def stats_config():
         warnings.simplefilter("ignore", UserWarning)
         return ProtocolConfig(
             gamma=0.001, n=2, alpha1=3.3, transmittance=0.9734,
-            cutoffs=(8, 6), detector=IDEAL_DETECTOR,
-            max_attempts_per_factor=500, purity_tol=3e-2,
+            cutoff=8, detector=IDEAL_DETECTOR,
+            max_attempts_per_factor=500,
         )
 
 

@@ -188,8 +188,8 @@ def report():
         warnings.simplefilter("ignore", UserWarning)
         cfg = ProtocolConfig(
             gamma=0.001, n=1, alpha1=3.3, transmittance=0.9734,
-            cutoffs=(14, 6), detector=IDEAL_DETECTOR,
-            max_attempts_per_factor=500, purity_tol=3e-2,
+            cutoff=14, detector=IDEAL_DETECTOR,
+            max_attempts_per_factor=500,
         )
     rng = np.random.default_rng(np.random.SeedSequence(2024))
     return cfg, gate_fidelity_report(cfg, 300, rng, input_alphas=(0.3,))
@@ -210,11 +210,18 @@ class TestGateFidelityReport:
         )
         assert rep.mean_total_attempts == pytest.approx(oracle_total, rel=0.10)
 
-    def test_naive_ratio_within_ten_percent(self, report):
-        # mean total attempts vs 3N/p_first: attenuation drift keeps this a
-        # little above 1 but inside the ±10% window
-        _, rep = report
-        assert 0.9 < rep.attempts_ratio < 1.1
+    def test_naive_ratio_matches_oracle_ratio(self, report):
+        # mean total attempts vs 3N/p_first: attenuation drift keeps this
+        # ratio near 1.1, so compare it with the oracle's ratio within four
+        # standard errors of the sample
+        cfg, rep = report
+        gl = gamma_factors(cfg.gamma, cfg.n).gamma_l
+        oracle_total = gate_total_attempts(
+            0.3, cfg.alpha1, cfg.transmittance, [gl[2], gl[1], gl[0]]
+        )
+        totals = [r.total_attempts for r in rep.runs if r.success]
+        se = np.std(totals, ddof=1) / math.sqrt(len(totals)) / rep.predicted_attempts
+        assert abs(rep.attempts_ratio - oracle_total / rep.predicted_attempts) < 4 * se
 
     def test_failures_counted(self, report):
         _, rep = report
@@ -226,7 +233,7 @@ class TestGateFidelityReport:
         for n in (1, 3):
             cfg = ProtocolConfig(
                 gamma=0.03, n=n, alpha1=0.2, transmittance=0.99,
-                cutoffs=(30, 4), detector=IDEAL_DETECTOR,
+                cutoff=30, detector=IDEAL_DETECTOR,
             )
             rep = gate_fidelity_report(cfg, 2, force_click, input_alphas=(0.3,))
             fids[n] = rep.mean_fidelity_ideal

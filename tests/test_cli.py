@@ -209,21 +209,45 @@ class TestMain:
     def test_missing_config_file_exit_one(self):
         assert main(["check-identities", "--config", "/nonexistent/p.cfg"]) == 1
 
-    def test_degradation_exit_two(self, tmp_path, monkeypatch):
-        # strong-resource run at the default (weak-regime) purity tolerance:
-        # the click branch carries real multi-photon mixing and trips the guard
-        import warnings
-
+    def test_strong_tap_at_default_purity_tol_exits_zero(self, tmp_path, monkeypatch):
+        # strong-resource run at the default purity_tol: the click branch
+        # carries real multi-photon events, and every trajectory stays pure
         monkeypatch.chdir(tmp_path)
         f = tmp_path / "strong.cfg"
         f.write_text(
             "gamma=0.001\nalpha1=3.3\ntransmittance=0.9734\ncutoff=10\n"
             "eta=1.0\ndark_rate_hz=0.0\nensemble=1\nmax_attempts=200\ninput_alpha=0.0\n"
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
+        with pytest.warns(UserWarning, match="weak-subtraction"):
             code = main(["simulate", "--config", str(f), "--out", "sim.csv"])
-        assert code == 2
+        assert code == 0
+        assert read_csv(tmp_path / "sim.csv")[1][1] == "1"
+
+    @pytest.mark.parametrize("argv", [
+        # the README recipe for quick successful runs
+        ["--alpha1", "3.3", "--transmittance", "0.9734", "--seed", "0"],
+        # e^{−I/2} and (1+γ_l λ)^K under- and overflow double precision here
+        ["--alpha1", "60", "--transmittance", "0.5", "--eta", "1", "--dark-rate-hz", "0",
+         "--cutoff", "8", "--max-attempts", "50", "--purity-tol", "0.9"],
+    ], ids=["readme-recipe", "alpha1-60"])
+    def test_strong_simulate_exits_zero(self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.warns(UserWarning, match="weak-subtraction"):
+            assert main(["simulate", *argv, "--out", "sim.csv"]) == 0
+        rows = read_csv(tmp_path / "sim.csv")[1:]
+        assert rows and all(r[1] == "1" for r in rows)
+
+    def test_zero_probability_outcome_exits_two(self, tmp_path, monkeypatch, capsys):
+        from cubicphase import analysis
+        from cubicphase.errors import DegenerateOutcomeError
+
+        def degenerate(*args):
+            raise DegenerateOutcomeError("every outcome of the draw has zero probability")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(analysis, "run_ensemble", degenerate)
+        assert main(["simulate", "--out", "sim.csv"]) == 2
+        assert "zero probability" in capsys.readouterr().err
 
     def test_config_file_plus_flags(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
