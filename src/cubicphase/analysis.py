@@ -26,8 +26,9 @@ import numpy as np
 
 from .cubic import gamma_factors, ideal_cubic_gate, u_n_operator
 from .errors import FactorFailure
+from .gaussian import x_eigh
 from .hilbert import FockState, apply, coherent, expectation, fidelity, quadrature_p, quadrature_x
-from .protocol import DetectorModel, ProtocolConfig, TrialLog, full_gate
+from .protocol import DetectorModel, ProtocolConfig, TrialLog, check_headroom, full_gate
 
 
 @dataclass
@@ -226,8 +227,14 @@ DEFAULT_INPUT_ALPHAS = (0.3, 0.15 + 0.15j, 0.0, -0.2 + 0.1j)
 
 @lru_cache(maxsize=8)
 def _gate_targets(gamma: float, n: int, cutoff: int) -> tuple:
-    """(U_N, ideal cubic gate) on the truncated space; the matrices are read-only."""
-    return u_n_operator(gamma, n, cutoff), ideal_cubic_gate(gamma, cutoff)
+    """(U_N, ideal cubic gate) as diagonals in the x̂ eigenbasis, read-only.  As
+    x̂³ = V·diag(λ³)·V† on the truncated space, U_N = V·diag((1 + iγλ³/N)^N)·V†
+    and e^{iγx̂³} = V·diag(e^{iγλ³})·V† (dense: u_n_operator, ideal_cubic_gate)."""
+    w, _ = x_eigh(cutoff)
+    targets = ((1.0 + 1j * (gamma / n) * w**3) ** n, np.exp(1j * gamma * w**3))
+    for t in targets:
+        t.flags.writeable = False
+    return targets
 
 
 def run_ensemble(config: ProtocolConfig, alphas, rngs) -> list[tuple[RunResult, TrialLog]]:
@@ -235,12 +242,14 @@ def run_ensemble(config: ProtocolConfig, alphas, rngs) -> list[tuple[RunResult, 
 
     Each run's output is scored by fidelity against the normalized U_N target
     and the ideal cubic gate applied to its input (against the input itself
-    when γ = 0).  A run whose factor exhausts its attempt budget is a failure
-    and carries no fidelity.  Seeding stays with the caller, which gives
-    each run its own generator.
+    when γ = 0), scored on label amplitudes in the x̂ eigenbasis, where both
+    targets are diagonal.  The U_N target must pass ``check_headroom``.  A run
+    whose factor exhausts its attempt budget is a failure and carries no
+    fidelity.  Seeding stays with the caller, which gives each run its own
+    generator.
     """
     sys_c = config.cutoff
-    un, ideal = _gate_targets(config.gamma, config.n, sys_c) if config.gamma > 0 else (None, None)
+    _, v = x_eigh(sys_c)
     results = []
     for alpha, rng in zip(alphas, rngs):
         inp = coherent(alpha, sys_c)
@@ -250,11 +259,13 @@ def run_ensemble(config: ProtocolConfig, alphas, rngs) -> list[tuple[RunResult, 
             log = err.log if err.log is not None else TrialLog()
             results.append((RunResult(alpha, False, log.total_attempts, None, None), log))
             continue
-        if un is None:
-            f_un = f_id = fidelity(out, inp)
+        if config.gamma > 0:
+            c_in, c_out = v.conj().T @ inp.amplitudes, v.conj().T @ out.amplitudes
+            un, ideal = (t * c_in for t in _gate_targets(config.gamma, config.n, sys_c))
+            check_headroom(v @ un, f"the U_N target of input {alpha}")
+            f_un, f_id = (abs(np.vdot(c_out, t)) ** 2 / np.vdot(t, t).real for t in (un, ideal))
         else:
-            f_un = fidelity(out, apply(un, inp).normalize())
-            f_id = fidelity(out, apply(ideal, inp).normalize())
+            f_un = f_id = fidelity(out, inp)
         results.append((RunResult(alpha, True, log.total_attempts, f_un, f_id), log))
     return results
 

@@ -19,10 +19,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import DimensionError
-from .hilbert import FockOperator, interior_block, quadrature_p, quadrature_x
+from .hilbert import FockOperator, expm, interior_block, quadrature_p, quadrature_x
 
 
 @dataclass(frozen=True)

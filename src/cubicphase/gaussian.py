@@ -26,7 +26,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import CutoffError, DimensionError
 from .hilbert import (
@@ -34,6 +33,7 @@ from .hilbert import (
     FockState,
     annihilation,
     coherent_truncation_loss,
+    expm,
     quadrature_p,
     quadrature_x,
     tensor,

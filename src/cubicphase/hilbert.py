@@ -45,6 +45,12 @@ class QuadratureConvention:
 CONVENTION = QuadratureConvention()
 
 
+def expm(m: np.ndarray) -> np.ndarray:
+    """e^m by scipy, imported on first use: only the dense references load it."""
+    from scipy.linalg import expm as scipy_expm
+    return scipy_expm(m)
+
+
 def _as_cutoffs(cutoffs) -> tuple[int, ...]:
     if isinstance(cutoffs, (int, np.integer)):
         cutoffs = (int(cutoffs),)

@@ -16,16 +16,20 @@ state coherent, so during a factor the joint state is exactly
 
     Σ_λ c(λ) |λ⟩_S |T^{k/2} α₁(1+γ_l λ)⟩_R
 
-over the eigenvectors |λ⟩ of the truncated x̂_S.  ``rus_factor`` runs on the
-label amplitudes c(λ) alone: coupling and decoupling leave them unchanged,
-and attempt k meets the coherent ancilla |B_k(λ)⟩ with
+over the eigenvectors |λ⟩ of the truncated x̂_S.  ``full_gate`` runs all 3N
+factors on the label amplitudes c(λ) alone, from c = V†ψ to V @ c, and
+``rus_factor`` is its one-factor form.  Coupling and decoupling leave c(λ)
+unchanged, and attempt k meets the coherent ancilla |B_k(λ)⟩ with
 B_k(λ) = −√(1−T)·T^{(k−1)/2}·α₁(1+γ_l λ).  As ⟨m|B_k(λ)⟩ ∝
 e^{−|B_k(λ)|²/2}(1+γ_l λ)^m, an ancilla seen or lost with m photons only
 reweights c(λ), so unravelling the detector by photon number (Dalibard,
 Castin & Mølmer, PRL 68, 580 (1992)) keeps every trajectory pure and their
-average the exact channel.  ``couple_resource``, ``subtraction_attempt`` and
-``_attempt_kernel`` are the same steps on a truncated Fock resource and
-ancilla, kept as the reference the tests compare the label engine against.
+average the exact channel.  The system cutoff is then the only truncation,
+and ``full_gate`` checks it: its output may hold at most HEADROOM_BOUND of
+its probability in the top two Fock levels.  ``couple_resource``,
+``subtraction_attempt`` and ``_attempt_kernel`` are the same steps on a
+truncated Fock resource and ancilla, kept as the reference the tests
+compare the label engine against.
 """
 
 from __future__ import annotations
@@ -404,9 +408,9 @@ def _first_click(q, intensity, nu, transmittance, max_attempts, u):
         cdf = -np.expm1(-nu * ks + intensity * np.expm1(ks * log_t)) @ q
         if first_p is None:
             first_p = float(cdf[0])
-        hit = np.flatnonzero(u < cdf)
-        if hit.size:
-            return start + int(hit[0]), first_p
+        hit = u < cdf
+        if hit.any():
+            return start + int(hit.argmax()), first_p
         start += size
         size = min(2 * size, 4096)
     return None, first_p
@@ -417,11 +421,16 @@ def _inverse_cdf(log_weights: np.ndarray, u: float) -> int:
     weights given as logarithms and shifted by their largest, so that weights
     which would each underflow still draw exactly."""
     top = log_weights.max()
-    if not np.isfinite(top):
+    if not math.isfinite(top):
         raise DegenerateOutcomeError("every outcome of the draw has zero probability")
-    cdf = np.cumsum(np.exp(log_weights - top))
+    cdf = np.exp(log_weights - top).cumsum()
     # u·total rounds up to the total only for u within an ulp of 1
-    return min(int(np.searchsorted(cdf, u * cdf[-1], side="right")), cdf.size - 1)
+    return min(int(cdf.searchsorted(u * cdf[-1], side="right")), cdf.size - 1)
+
+
+# log d! for d below its size, grown by doubling; its entries never change, so
+# the draws do not depend on how far earlier calls grew it
+_log_factorials = np.zeros(1)
 
 
 def _photon_count(mean: float, u: float, nu: float | None = None) -> int:
@@ -430,17 +439,83 @@ def _photon_count(mean: float, u: float, nu: float | None = None) -> int:
     (the tail beyond holds < 1e-25).  With ``nu`` it is the number detected at
     a click: d = 0 needs a dark count and weighs 1 − e^{−ν}, and the order
     1, 0, 2, 3, … makes u = 0 the single-photon herald."""
+    global _log_factorials
     if mean <= 0.0:
         return 0  # the only outcome of positive weight
-    k = np.arange(int(mean + 12.0 * math.sqrt(mean)) + 40)
-    log_w = k * math.log(mean) - np.concatenate(([0.0], np.cumsum(np.log(k[1:]))))
+    size = int(mean + 12.0 * math.sqrt(mean)) + 40
+    if _log_factorials.size < size:
+        k = np.arange(1, max(size, 2 * _log_factorials.size))
+        _log_factorials = np.concatenate(([0.0], np.cumsum(np.log(k))))
+    log_w = np.arange(size) * math.log(mean) - _log_factorials[:size]
     if nu is None:
         return _inverse_cdf(log_w, u)
-    with np.errstate(divide="ignore"):
-        log_w[0] = np.log(-np.expm1(-nu))
+    log_w[0] = math.log(-math.expm1(-nu)) if nu > 0.0 else -math.inf
     log_w[0], log_w[1] = log_w[1], log_w[0]
     k = _inverse_cdf(log_w, u)
     return 1 - k if k < 2 else k
+
+
+@lru_cache(maxsize=64)
+def _factor_tables(gamma_l: complex, alpha1: float, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """I_λ = |α₁(1+γ_l λ)|² and log(1+γ_l λ) over the labels λ, read-only."""
+    w, _ = x_eigh(cutoff)
+    tables = np.abs(alpha1 * (1.0 + gamma_l * w)) ** 2, np.log1p(gamma_l * w)
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
+def _run_factors(state: FockState, factors, config: ProtocolConfig, rng, log: TrialLog) -> FockState:
+    """Apply the (γ_l, l, repetition) ``factors`` in turn to c(λ) = ⟨λ|ψ⟩, each
+    as one exact trajectory, appending their records to ``log``; returns V @ c.
+
+    With I_λ = |α₁(1+γ_l λ)|² and μ_λ = I_λ(1−T)T^{M−1}, four ``rng.random()``
+    draws pick the click attempt M, a label λ* ∝ |c_λ|²·e^{−ηI_λ(1−T^{M−1})}·
+    (1 − e^{−ν−ημ_λ}), the photons lost over M attempts ~ Poisson((1−η)I_λ*(1−T^M))
+    and those detected at the click (mean ημ_λ*); given λ* these are exact, so
+    K = lost + detected is too, and c_λ becomes c_λ·e^{−½I_λ(1−T^M)}·(1+γ_l λ)^K,
+    normalized.  Raises FactorFailure (state, record and log attached) after
+    ``max_attempts_per_factor`` attempts without a click; that state skips
+    the detected photons.
+    """
+    if state.cutoffs != (config.cutoff,):
+        raise DimensionError(f"expected a single-mode state of cutoff {config.cutoff}")
+    T = config.transmittance
+    eta, nu = config.detector.eta, config.detector.nu
+    log_t = math.log(T)
+    _, v = x_eigh(config.cutoff)
+    c = v.conj().T @ state.amplitudes
+    c /= math.sqrt(np.vdot(c, c).real)
+    for gamma_l, factor_index, repetition in factors:
+        intensity, log_factor = _factor_tables(complex(gamma_l), float(config.alpha1), c.size)
+        clicked_at, first_p = _first_click(
+            np.abs(c) ** 2, eta * intensity, nu, T, config.max_attempts_per_factor, rng.random()
+        )
+        clicked = clicked_at is not None
+        attempts = clicked_at if clicked else config.max_attempts_per_factor
+        misses = attempts - 1 if clicked else attempts
+        tapped = intensity * (1.0 - T) * T ** (attempts - 1)
+        with np.errstate(divide="ignore"):  # a label of zero amplitude has log-weight −inf
+            log_c = np.log(c)
+            log_w = 2.0 * log_c.real + eta * intensity * np.expm1(misses * log_t)
+            if clicked:
+                log_w += np.log(-np.expm1(-nu - eta * tapped))
+        star = _inverse_cdf(log_w, rng.random())
+        lost = -(1.0 - eta) * intensity[star] * math.expm1(attempts * log_t)
+        photons = _photon_count(lost, rng.random())
+        if clicked:
+            photons += _photon_count(eta * tapped[star], rng.random(), nu)
+
+        log_c += photons * log_factor + 0.5 * intensity * np.expm1(attempts * log_t)
+        c = np.exp(log_c - log_c.real.max())
+        c /= math.sqrt(np.vdot(c, c).real)
+        log.factors.append(FactorRecord(factor_index, repetition, attempts,
+                                        [False] * (attempts - 1) + [clicked],
+                                        T ** (attempts / 2.0), clicked, first_p))
+        if not clicked:
+            raise FactorFailure(f"factor l={factor_index} saw no click in {attempts} attempts",
+                                FockState(v @ c, state.cutoffs), log.factors[-1], log)
+    return FockState(v @ c, state.cutoffs)
 
 
 def rus_factor(
@@ -451,63 +526,31 @@ def rus_factor(
     factor_index: int = 0,
     repetition: int = 0,
 ) -> tuple[FockState, FactorRecord]:
-    """Apply one normalized (1 + γ_l x̂) factor by repeat-until-success subtraction.
-
-    One exact trajectory on c(λ) = ⟨λ|ψ⟩, with I_λ = |α₁(1+γ_l λ)|² and
-    μ_λ = I_λ(1−T)T^{M−1}.  Four ``rng.random()`` draws pick the click attempt
-    M, a label λ* ∝ q_λ·e^{−ηI_λ(1−T^{M−1})}·(1 − e^{−ν−ημ_λ}), the photons
-    lost over M attempts ~ Poisson((1−η)I_λ*(1−T^M)) and those detected at
-    the click (mean ημ_λ*); given λ* these are exact, so K = lost + detected
-    is too.  Returns V @ c_λ·e^{−½I_λ(1−T^M)}·(1+γ_l λ)^K, normalized.  Raises
-    FactorFailure (state and record attached) after ``max_attempts_per_factor``
-    attempts without a click; that state skips the detected photons.
-    """
+    """Apply one normalized (1 + γ_l x̂) factor by repeat-until-success
+    subtraction: ``full_gate``'s label engine (``_run_factors``) on one factor,
+    without the headroom check.  Returns the state and the factor's record,
+    or raises FactorFailure as the engine does."""
     if gamma_l == 0:
         return state, FactorRecord(factor_index, repetition, 0, [], 1.0, True, 0.0)
+    log = TrialLog()
+    return _run_factors(state, [(gamma_l, factor_index, repetition)], config, rng, log), log.factors[0]
 
-    sys_c = config.cutoff
-    if state.cutoffs != (sys_c,):
-        raise DimensionError(f"rus_factor expects a single-mode state of cutoff {sys_c}")
-    T = config.transmittance
-    eta, nu = config.detector.eta, config.detector.nu
-    log_t = math.log(T)
-    w, v = x_eigh(sys_c)
-    c = v.conj().T @ state.amplitudes
-    c /= np.linalg.norm(c)
-    intensity = np.abs(config.alpha1 * (1.0 + gamma_l * w)) ** 2
 
-    clicked_at, first_p = _first_click(
-        np.abs(c) ** 2, eta * intensity, nu, T, config.max_attempts_per_factor, rng.random()
-    )
-    clicked = clicked_at is not None
-    attempts = clicked_at if clicked else config.max_attempts_per_factor
-    misses = attempts - 1 if clicked else attempts
-    tapped = intensity * (1.0 - T) * T ** (attempts - 1)
-    with np.errstate(divide="ignore"):  # a label of zero amplitude has log-weight −inf
-        log_c = np.log(c)
-        log_w = 2.0 * log_c.real + eta * intensity * np.expm1(misses * log_t)
-        if clicked:
-            log_w += np.log(-np.expm1(-nu - eta * tapped))
-    star = _inverse_cdf(log_w, rng.random())
-    lost = -(1.0 - eta) * intensity[star] * math.expm1(attempts * log_t)
-    photons = _photon_count(lost, rng.random())
-    if clicked:
-        photons += _photon_count(eta * tapped[star], rng.random(), nu)
+# the largest share of a state's probability that may sit in its top two Fock
+# levels, the bound couple_resource puts on the resource
+HEADROOM_BOUND = 1e-6
 
-    log_c += photons * np.log1p(gamma_l * w) + 0.5 * intensity * np.expm1(attempts * log_t)
-    c = np.exp(log_c - log_c.real.max())
-    out = FockState(v @ (c / np.linalg.norm(c)), (sys_c,))
-    outcomes = [False] * (attempts - 1) + [clicked]
-    record = FactorRecord(
-        factor_index, repetition, attempts, outcomes, T ** (attempts / 2.0), clicked, first_p
-    )
-    if not clicked:
-        raise FactorFailure(
-            f"factor l={factor_index} saw no click in {attempts} attempts",
-            state=out,
-            record=record,
+
+def check_headroom(amplitudes: np.ndarray, where: str) -> None:
+    """Raise NumericalDegradationError when the state with these Fock
+    amplitudes holds more than HEADROOM_BOUND of its probability in its top
+    two levels; ``where`` names the state in the message."""
+    mass = float(np.sum(np.abs(amplitudes[-2:]) ** 2) / np.vdot(amplitudes, amplitudes).real)
+    if mass > HEADROOM_BOUND:
+        raise NumericalDegradationError(
+            f"truncation headroom: {where} holds {mass:.2e} of its probability in the top two "
+            f"Fock levels of cutoff {amplitudes.size}, above the bound {HEADROOM_BOUND:.0e}"
         )
-    return out, record
 
 
 def full_gate(
@@ -516,23 +559,24 @@ def full_gate(
     """Apply the full N-step approximant: factors l = 2, 1, 0, repeated N times.
 
     The factors commute (all are functions of x̂); right-to-left order is kept
-    for reproducibility.  γ = 0 degenerates to the identity with an empty log.
+    for reproducibility.  All 3N run on the label amplitudes c = V†ψ, and V @ c
+    is formed once.  γ = 0 degenerates to the identity with an empty log.  The
+    output, or the state of a FactorFailure, must pass ``check_headroom``.
     """
     log = TrialLog()
     if config.gamma == 0.0:
         return state, log
     dec = gamma_factors(config.gamma, config.n)
-    current = state
-    for rep in range(int(config.n)):
-        for l in (2, 1, 0):
-            try:
-                current, rec = rus_factor(
-                    current, dec.gamma_l[l], config, rng, factor_index=l, repetition=rep
-                )
-            except FactorFailure as err:
-                if err.record is not None:
-                    log.factors.append(err.record)
-                err.log = log
-                raise
-            log.factors.append(rec)
-    return current, log
+    factors = [(dec.gamma_l[l], l, rep) for rep in range(int(config.n)) for l in (2, 1, 0)]
+    try:
+        out = _run_factors(state, factors, config, rng, log)
+    except FactorFailure as err:
+        check_headroom(err.state.amplitudes, f"the failure state {_after(err.record)}")
+        raise
+    check_headroom(out.amplitudes, f"the gate output {_after(log.factors[-1])}")
+    return out, log
+
+
+def _after(record: FactorRecord) -> str:
+    return (f"after factor l={record.factor_index}, repetition {record.repetition}, "
+            f"attempt {record.attempts}")

@@ -19,11 +19,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import DegenerateOutcomeError, DimensionError
 from .gaussian import apply_x_conditioned_displacement, squeeze_gate, x_eigh
-from .hilbert import FockOperator, FockState, apply, quadrature_x, tensor, vacuum
+from .hilbert import FockOperator, FockState, apply, expm, quadrature_x, tensor, vacuum
 
 
 # ---------------------------------------------------------------------------

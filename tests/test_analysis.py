@@ -12,17 +12,21 @@ from oracles import (
     ideal_gate_p_mean,
     ideal_gate_p_variance,
 )
+from cubicphase import analysis
 from cubicphase.analysis import (
     ErrorEnsembleSpec,
     GateFidelityReport,
     MomentSweepSpec,
+    _gate_targets,
     error_operator_stats,
     event_probabilities,
     gate_fidelity_report,
     variance_sweep,
 )
-from cubicphase.cubic import gamma_factors
-from cubicphase.protocol import IDEAL_DETECTOR, DetectorModel, ProtocolConfig
+from cubicphase.cubic import gamma_factors, ideal_cubic_gate, u_n_operator
+from cubicphase.errors import NumericalDegradationError
+from cubicphase.gaussian import x_eigh
+from cubicphase.protocol import IDEAL_DETECTOR, DetectorModel, ProtocolConfig, TrialLog
 
 REALISTIC_DETECTOR = DetectorModel(eta=0.9, dark_rate_hz=100.0, window_s=1e-10)
 
@@ -238,3 +242,22 @@ class TestGateFidelityReport:
             rep = gate_fidelity_report(cfg, 2, force_click, input_alphas=(0.3,))
             fids[n] = rep.mean_fidelity_ideal
         assert fids[3] > fids[1]
+
+
+class TestGateTargets:
+    @pytest.mark.parametrize("gamma, n, cutoff", [(0.001, 2, 8), (0.03, 1, 30), (0.05, 3, 40)])
+    def test_label_targets_match_dense_reference(self, gamma, n, cutoff):
+        _, v = x_eigh(cutoff)
+        un, ideal = _gate_targets(gamma, n, cutoff)
+        for diag, dense in ((un, u_n_operator(gamma, n, cutoff)),
+                            (ideal, ideal_cubic_gate(gamma, cutoff))):
+            assert np.abs((v * diag) @ v.conj().T - dense.matrix).max() <= 1e-11
+
+    def test_target_headroom_checked(self, monkeypatch):
+        # x̂³ lifts the input's upper Fock levels against the cutoff.  The gate
+        # is replaced by the identity, whose output passes the check.
+        monkeypatch.setattr(analysis, "full_gate", lambda state, config, rng: (state, TrialLog()))
+        cfg = ProtocolConfig(gamma=0.05, n=1, cutoff=12, detector=IDEAL_DETECTOR)
+        with pytest.raises(NumericalDegradationError,
+                           match=r"the U_N target of input 1\.0 holds \S+ of its probability"):
+            analysis.run_ensemble(cfg, [1.0], [None])

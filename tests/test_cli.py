@@ -1,4 +1,8 @@
 import csv
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -226,16 +230,30 @@ class TestMain:
     @pytest.mark.parametrize("argv", [
         # the README recipe for quick successful runs
         ["--alpha1", "3.3", "--transmittance", "0.9734", "--seed", "0"],
-        # e^{−I/2} and (1+γ_l λ)^K under- and overflow double precision here
-        ["--alpha1", "60", "--transmittance", "0.5", "--eta", "1", "--dark-rate-hz", "0",
-         "--cutoff", "8", "--max-attempts", "50", "--purity-tol", "0.9"],
-    ], ids=["readme-recipe", "alpha1-60"])
+    ], ids=["readme-recipe"])
     def test_strong_simulate_exits_zero(self, argv, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         with pytest.warns(UserWarning, match="weak-subtraction"):
             assert main(["simulate", *argv, "--out", "sim.csv"]) == 0
         rows = read_csv(tmp_path / "sim.csv")[1:]
         assert rows and all(r[1] == "1" for r in rows)
+
+    def test_strong_simulate_beyond_cutoff_exits_two(self, tmp_path, monkeypatch, capsys):
+        # e^{−I/2} and (1+γ_l λ)^K under- and overflow double precision here,
+        # which once exited 1 with "amplitudes contain NaN/Inf".  The output
+        # is computed, but the strong envelope squeezes it in x̂ beyond every
+        # cutoff from 8 to 64, so the headroom check refuses it.
+        monkeypatch.chdir(tmp_path)
+        argv = ["--alpha1", "60", "--transmittance", "0.5", "--eta", "1", "--dark-rate-hz", "0",
+                "--cutoff", "8", "--max-attempts", "50", "--purity-tol", "0.9"]
+        with pytest.warns(UserWarning, match="weak-subtraction"):
+            assert main(["simulate", *argv, "--out", "sim.csv"]) == 2
+        err = capsys.readouterr().err
+        assert re.search(
+            r"truncation headroom: the gate output after factor l=\d, repetition \d+, "
+            r"attempt \d+ holds \S+ of its probability in the top two Fock levels of "
+            r"cutoff 8, above the bound 1e-06", err), err
+        assert "NaN" not in err
 
     def test_zero_probability_outcome_exits_two(self, tmp_path, monkeypatch, capsys):
         from cubicphase import analysis
@@ -254,3 +272,25 @@ class TestMain:
         f = tmp_path / "c.cfg"
         f.write_text("cutoff=24\nseed=3\n")
         assert main(["check-identities", "--config", str(f), "--out", "x.csv"]) == 0
+
+
+def test_simulate_leaves_scipy_unloaded(tmp_path):
+    # a fresh interpreter: the test session itself has imported scipy
+    script = (
+        "import sys\n"
+        "from cubicphase import cli\n"
+        "assert cli.main(['simulate', '--ensemble', '2', '--max-attempts', '50',\n"
+        "                 '--out', sys.argv[1]]) == 0\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
+        "from cubicphase.cubic import ideal_cubic_gate\n"
+        "assert ideal_cubic_gate(0.03, 12).matrix.shape == (12, 12)\n"
+        "assert 'scipy.linalg' in sys.modules\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "sim.csv")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert len(read_csv(tmp_path / "sim.csv")) == 3

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -26,6 +27,7 @@ from cubicphase.hilbert import (
     vacuum,
 )
 from cubicphase.protocol import (
+    HEADROOM_BOUND,
     IDEAL_DETECTOR,
     DetectorModel,
     FactorRecord,
@@ -639,16 +641,18 @@ class TestFullGate:
 
     def test_total_attempts_match_oracle_at_strong_gamma(self):
         # at γ = 0.1 the weight |1+γ_l x|² varies enough across the input that
-        # an oracle counting it twice misses the mean by ~11 standard errors
+        # an oracle counting it twice misses the mean by ~11 standard errors.
+        # The strong tap squeezes the state in x̂: at cutoff 16 one output in
+        # six fails the truncation-headroom check, at cutoff 30 none does.
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             cfg = ProtocolConfig(
-                gamma=0.1, n=1, alpha1=3.3, transmittance=0.9734, cutoff=16,
+                gamma=0.1, n=1, alpha1=3.3, transmittance=0.9734, cutoff=30,
                 detector=IDEAL_DETECTOR, max_attempts_per_factor=500,
             )
         gl = gamma_factors(cfg.gamma, cfg.n).gamma_l
         expected = gate_total_attempts(0.0, cfg.alpha1, cfg.transmittance, [gl[2], gl[1], gl[0]])
-        v = vacuum([16])
+        v = vacuum([30])
         totals = []
         for i in range(3000):
             rng = np.random.default_rng(np.random.SeedSequence(7, spawn_key=(i,)))
@@ -667,6 +671,97 @@ class TestFullGate:
         assert len(log.factors) == 6
         target = apply(u_n_operator(0.03, 2, 30), psi).normalize()
         assert fidelity(out, target) > 0.98
+
+
+def chained_rus_factors(state, config, rng):
+    """The gate as a chain of ``rus_factor`` calls over l = 2, 1, 0, N times.
+    Returns (state, records, success); a failure returns its own state."""
+    dec = gamma_factors(config.gamma, config.n)
+    records = []
+    for rep in range(config.n):
+        for l in (2, 1, 0):
+            try:
+                state, rec = rus_factor(state, dec.gamma_l[l], config, rng, l, rep)
+            except FactorFailure as err:
+                return err.state, records + [err.record], False
+            records.append(rec)
+    return state, records, True
+
+
+class TestOneEngine:
+    """``full_gate`` runs the whole gate on label amplitudes; chaining
+    ``rus_factor`` converts to and from the Fock basis around every factor.
+    Both must draw the same trajectory from equally seeded generators."""
+
+    CASES = {
+        # criterion-4 physics, and a lossy detector with dark counts whose
+        # 60-attempt budget runs out in about one run in twelve
+        "rus_herald": (dict(gamma=0.001, n=2, alpha1=3.3, transmittance=0.9734, cutoff=8,
+                            max_attempts_per_factor=500, detector=IDEAL_DETECTOR), 0.0),
+        "lossy": (dict(gamma=0.05, alpha1=2.0, transmittance=0.95, cutoff=20,
+                       max_attempts_per_factor=60,
+                       detector=DetectorModel(eta=0.7, dark_rate_hz=0.02, window_s=1.0)),
+                  0.3 + 0.2j),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_full_gate_matches_chained_factors(self, case):
+        kw, alpha = self.CASES[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            cfg = ProtocolConfig(**kw)
+        psi = coherent(alpha, cfg.cutoff)
+        failures = 0
+        for i in range(60):
+            seed = np.random.SeedSequence(17, spawn_key=(i,))
+            ref, ref_records, ok = chained_rus_factors(
+                psi, cfg, np.random.default_rng(seed))
+            try:
+                out, log = full_gate(psi, cfg, np.random.default_rng(seed))
+            except FactorFailure as err:
+                assert not ok
+                assert err.record is err.log.factors[-1]
+                out, log = err.state, err.log
+                failures += 1
+            else:
+                assert ok
+            assert len(log.factors) == len(ref_records)
+            for got, want in zip(log.factors, ref_records):
+                assert got.first_click_prob == pytest.approx(want.first_click_prob, rel=1e-12)
+                assert got == dataclasses.replace(want, first_click_prob=got.first_click_prob)
+            assert np.abs(out.amplitudes - ref.amplitudes).max() <= 1e-12
+        assert failures > 0 if case == "lossy" else failures == 0
+
+
+class TestHeadroom:
+    def test_rus_herald_outputs_pass(self):
+        # the outputs of the criterion-4 physics hold at most a few 1e-8 of
+        # their probability in the top two Fock levels, far below the bound
+        cfg = strong_stats_config(n=2)
+        worst = 0.0
+        for i in range(300):
+            rng = np.random.default_rng(np.random.SeedSequence(3, spawn_key=(i,)))
+            out, _ = full_gate(vacuum([8]), cfg, rng)
+            worst = max(worst, float(np.sum(np.abs(out.amplitudes[-2:]) ** 2)))
+        assert worst < 0.1 * HEADROOM_BOUND
+
+    def test_output_names_factor_and_attempt(self, force_click):
+        # α₁ = 60 squeezes the state in x̂ beyond the cutoff
+        cfg = strong_stats_config(alpha1=60.0, transmittance=0.5, max_attempts_per_factor=50)
+        with pytest.raises(NumericalDegradationError,
+                           match=r"the gate output after factor l=0, repetition 0, attempt 1 "
+                                 r"holds \S+ of its probability in the top two Fock levels of "
+                                 r"cutoff 8, above the bound 1e-06"):
+            full_gate(coherent(0.3, 8), cfg, force_click)
+
+    def test_failure_state_checked(self):
+        # a blind detector never clicks; the no-click envelope and the lost
+        # photons narrow the state in x̂ beyond the cutoff
+        cfg = strong_stats_config(alpha1=60.0, transmittance=0.5, max_attempts_per_factor=5,
+                                  detector=DetectorModel(eta=0.0, dark_rate_hz=0.0))
+        with pytest.raises(NumericalDegradationError,
+                           match=r"the failure state after factor l=2, repetition 0, attempt 5"):
+            full_gate(coherent(0.3, 8), cfg, np.random.default_rng(1))
 
 
 class TestConfigValidation:
