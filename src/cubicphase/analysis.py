@@ -24,10 +24,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cubic import gamma_factors, ideal_cubic_gate, u_n_operator
+from .cubic import gamma_factors
 from .errors import FactorFailure
 from .gaussian import x_eigh
-from .hilbert import FockState, apply, coherent, expectation, fidelity, quadrature_p, quadrature_x
+from .hilbert import coherent, fidelity, quadrature_p
 from .protocol import DetectorModel, ProtocolConfig, TrialLog, check_headroom, full_gate
 
 
@@ -158,42 +158,35 @@ class SweepRow:
     mean_p_by_n: dict
 
 
-def _moments(state: FockState, x, p):
-    mx = expectation(x, state).real
-    mp_ = expectation(p, state).real
-    p2 = expectation(p @ p, state).real
-    return mx, mp_, p2 - mp_**2
-
-
 def variance_sweep(spec: MomentSweepSpec) -> list[SweepRow]:
-    """σ_p² after U_N and after the ideal gate, per Re(α) grid point."""
+    """σ_p² after U_N and after the ideal gate, per Re(α) grid point.
+
+    Both gates are diagonal in the x̂ eigenbasis (``_gate_targets``), so every
+    output is a stack of label amplitudes: slice 0 holds the ideal gate's
+    outputs and slice 1 + i those of U_N for n_list[i], one column per Re(α).
+    One V @ maps the stack to Fock and one p̂ matmul follows; each moment is a
+    column reduction, with ⟨p̂²⟩ = ‖p̂ψ‖².  Each slice is its own matmul, so a
+    column's values do not depend on how many N are swept.
+    """
     c = int(spec.cutoff)
-    x = quadrature_x(c)
-    p = quadrature_p(c)
-    if spec.gamma == 0.0:
-        ideal = None
-        uns = {n: None for n in spec.n_list}
-    else:
-        ideal = ideal_cubic_gate(spec.gamma, c)
-        uns = {int(n): u_n_operator(spec.gamma, n, c) for n in spec.n_list}
+    w, v = x_eigh(c)
+    n_list = [int(n) for n in spec.n_list]
+    inputs = np.stack([coherent(complex(re_a, spec.im_alpha), c).amplitudes
+                       for re_a in spec.re_alpha_grid], axis=1)
+    diags = [_gate_targets(spec.gamma, 1, c)[1]] + [_gate_targets(spec.gamma, n, c)[0] for n in n_list]
+    labels = np.stack(diags)[:, :, None] * (v.conj().T @ inputs)
+    labels /= np.linalg.norm(labels, axis=1, keepdims=True)
+    psi = v @ labels
+    p_psi = quadrature_p(c).matrix @ psi
+    mean_x = (w[:, None] * np.abs(labels) ** 2).sum(axis=1)
+    mean_p = (psi.conj() * p_psi).real.sum(axis=1)
+    var_p = (np.abs(p_psi) ** 2).sum(axis=1) - mean_p**2
     rows = []
-    for re_a in spec.re_alpha_grid:
-        alpha = complex(re_a, spec.im_alpha)
-        inp = coherent(alpha, c)
-        if ideal is None:
-            mx, mp_, s2 = _moments(inp, x, p)
-            rows.append(SweepRow(float(re_a), s2, {int(n): s2 for n in spec.n_list},
-                                 mx, mp_, {int(n): mx for n in spec.n_list},
-                                 {int(n): mp_ for n in spec.n_list}))
-            continue
-        out_ideal = apply(ideal, inp).normalize()
-        mxi, mpi, s2i = _moments(out_ideal, x, p)
-        by_n, mx_n, mp_n = {}, {}, {}
-        for n, un in uns.items():
-            out = apply(un, inp).normalize()
-            mx, mp_, s2 = _moments(out, x, p)
-            by_n[n], mx_n[n], mp_n[n] = s2, mx, mp_
-        rows.append(SweepRow(float(re_a), s2i, by_n, mxi, mpi, mx_n, mp_n))
+    for j, re_a in enumerate(spec.re_alpha_grid):
+        by_n, mx_n, mp_n = ({n: float(m[1 + i, j]) for i, n in enumerate(n_list)}
+                            for m in (var_p, mean_x, mean_p))
+        rows.append(SweepRow(float(re_a), float(var_p[0, j]), by_n,
+                             float(mean_x[0, j]), float(mean_p[0, j]), mx_n, mp_n))
     return rows
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DegenerateOutcomeError, DimensionError
 from .gaussian import apply_x_conditioned_displacement, squeeze_gate, x_eigh
-from .hilbert import FockOperator, FockState, apply, expm, quadrature_x, tensor, vacuum
+from .hilbert import FockOperator, FockState, apply, quadrature_x, tensor, vacuum
 
 
 # ---------------------------------------------------------------------------
@@ -124,11 +124,11 @@ def marek_frame_coefficients(state: FockState, r_width: float,
 
 
 def _feed_forward(q: float, gamma: float, cutoff: int) -> FockOperator:
-    """U_FF = exp[−iγq³ − 3iγ(x̂+q)x̂q] as a function of the truncated x̂."""
-    x = quadrature_x(cutoff).matrix
-    x2 = x @ x
-    gen = -1j * gamma * (q**3 * np.eye(int(cutoff)) + 3.0 * q * (x2 + q * x))
-    return FockOperator(expm(gen), (int(cutoff),), unitary_hint=True)
+    """U_FF = exp[−iγq³ − 3iγ(x̂+q)x̂q] as a function of the truncated x̂:
+    V·diag(e^{−iγ(q³ + 3q(λ² + qλ))})·V† in the x̂ eigenbasis."""
+    w, v = x_eigh(cutoff)
+    phase = np.exp(-1j * gamma * (q**3 + 3.0 * q * (w**2 + q * w)))
+    return FockOperator((v * phase) @ v.conj().T, (int(cutoff),), unitary_hint=True)
 
 
 def marek_gate(

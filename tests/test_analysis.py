@@ -26,6 +26,7 @@ from cubicphase.analysis import (
 from cubicphase.cubic import gamma_factors, ideal_cubic_gate, u_n_operator
 from cubicphase.errors import NumericalDegradationError
 from cubicphase.gaussian import x_eigh
+from cubicphase.hilbert import apply, coherent, expectation, quadrature_p, quadrature_x
 from cubicphase.protocol import IDEAL_DETECTOR, DetectorModel, ProtocolConfig, TrialLog
 
 REALISTIC_DETECTOR = DetectorModel(eta=0.9, dark_rate_hz=100.0, window_s=1e-10)
@@ -48,6 +49,22 @@ def enumerated_error_stats(spec):
             mean += p * (amp - ideal)
             mean_sq += p * abs(amp - ideal) ** 2
         rows.append((x, mean, math.sqrt(max(0.0, mean_sq - abs(mean) ** 2))))
+    return rows
+
+
+def dense_sweep_moments(spec):
+    """Per Re(α): (⟨x̂⟩, ⟨p̂⟩, σ_p²) after the dense ideal gate, then after the
+    dense U_N for each N, each output a normalized ``apply`` of the operator."""
+    c = spec.cutoff
+    x, p = quadrature_x(c), quadrature_p(c)
+    p2 = p @ p
+    gates = [ideal_cubic_gate(spec.gamma, c)] + [u_n_operator(spec.gamma, n, c) for n in spec.n_list]
+    rows = []
+    for re_a in spec.re_alpha_grid:
+        inp = coherent(complex(re_a, spec.im_alpha), c)
+        outs = [apply(g, inp).normalize() for g in gates]
+        rows.append([(expectation(x, o).real, expectation(p, o).real,
+                      expectation(p2, o).real - expectation(p, o).real ** 2) for o in outs])
     return rows
 
 
@@ -170,6 +187,15 @@ class TestVarianceSweep:
             assert abs(row.mean_x_by_n[7] - row.mean_x_ideal) <= (
                 abs(row.mean_x_by_n[1] - row.mean_x_ideal) / 3 + 1e-9
             )
+
+    @pytest.mark.parametrize("cutoff", [30, 40])
+    def test_matches_dense_reference(self, cutoff):
+        # relative 1e-10; the absolute floor covers the ⟨x̂⟩ ≈ 0 of Re(α) = 0
+        spec = MomentSweepSpec(n_list=(1, 3, 5, 7), cutoff=cutoff)
+        for row, dense in zip(variance_sweep(spec), dense_sweep_moments(spec), strict=True):
+            got = [(row.mean_x_ideal, row.mean_p_ideal, row.ideal)] + [
+                (row.mean_x_by_n[n], row.mean_p_by_n[n], row.by_n[n]) for n in spec.n_list]
+            assert np.array(got) == pytest.approx(np.array(dense), rel=1e-10, abs=1e-14)
 
     def test_ideal_column_invariant_under_n_list(self):
         a = variance_sweep(MomentSweepSpec(n_list=(1, 3), re_alpha_grid=(0.5,)))

@@ -274,13 +274,24 @@ class TestMain:
         assert main(["check-identities", "--config", str(f), "--out", "x.csv"]) == 0
 
 
-def test_simulate_leaves_scipy_unloaded(tmp_path):
+# per subcommand: extra flags and the CSV line count, header included
+SCIPY_FREE_RUNS = {
+    "simulate": (["--ensemble", "2", "--max-attempts", "50"], 3),
+    "sweep-variance": ([], 8),
+    "error-ensemble": ([], 7),
+    "compare-schemes": ([], 7),
+    "check-identities": ([], 8),
+}
+
+
+@pytest.mark.parametrize("subcommand", list(SCIPY_FREE_RUNS))
+def test_subcommand_leaves_scipy_unloaded(tmp_path, subcommand):
     # a fresh interpreter: the test session itself has imported scipy
+    flags, lines = SCIPY_FREE_RUNS[subcommand]
     script = (
         "import sys\n"
         "from cubicphase import cli\n"
-        "assert cli.main(['simulate', '--ensemble', '2', '--max-attempts', '50',\n"
-        "                 '--out', sys.argv[1]]) == 0\n"
+        "assert cli.main(sys.argv[1:]) == 0\n"
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "assert not loaded, loaded\n"
         "from cubicphase.cubic import ideal_cubic_gate\n"
@@ -290,7 +301,8 @@ def test_simulate_leaves_scipy_unloaded(tmp_path):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "sim.csv")],
+    out = tmp_path / "out.csv"
+    proc = subprocess.run([sys.executable, "-c", script, subcommand, *flags, "--out", str(out)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert len(read_csv(tmp_path / "sim.csv")) == 3
+    assert len(read_csv(out)) == lines

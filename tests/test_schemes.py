@@ -5,8 +5,8 @@ import numpy.linalg as la
 import pytest
 
 from cubicphase.errors import DegenerateOutcomeError
-from cubicphase.hilbert import FockState, apply, coherent, fidelity, quadrature_x, vacuum
-from cubicphase.gaussian import squeeze_gate
+from cubicphase.hilbert import FockState, apply, coherent, expm, fidelity, quadrature_x, vacuum
+from cubicphase.gaussian import squeeze_gate, x_eigh
 from cubicphase.schemes import (
     GkpStateSpec,
     gkp_cubic_state,
@@ -120,6 +120,17 @@ class TestMarekGate:
 
         u = _feed_forward(0.0, 0.03, 20)
         assert np.abs(u.matrix - np.eye(20)).max() < 1e-12
+
+    # q = 0, an interior homodyne bin and both extreme bins of cutoff 40
+    @pytest.mark.parametrize("bin_index", [None, 23, 0, -1])
+    def test_feed_forward_matches_expm_of_generator(self, bin_index):
+        from cubicphase.schemes import _feed_forward
+
+        c, gamma = 40, 0.03
+        q = 0.0 if bin_index is None else float(x_eigh(c)[0][bin_index])
+        x = quadrature_x(c).matrix
+        gen = -1j * gamma * (q**3 * np.eye(c) + 3.0 * q * (x @ x + q * x))
+        assert np.abs(_feed_forward(q, gamma, c).matrix - expm(gen)).max() <= 1e-12
 
     def test_gamma_zero_fidelity_grows_with_r(self, rng):
         # pure Gaussian smearing: wider resource disturbs the input less
