@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .hilbert import FockOperator, expm, interior_block, quadrature_p, quadrature_x
+from .hilbert import FockOperator, annihilation, expm, interior_block, quadrature_x
 
 
 @dataclass(frozen=True)
@@ -124,32 +124,53 @@ class IdentityReport:
     rhs_matrix: np.ndarray
 
 
-def _fit_report(name, lhs, rhs, cutoff, margin) -> IdentityReport:
+def power_table(m: np.ndarray, k: int) -> list[np.ndarray]:
+    """[I, m, m², …, m^k] by repeated matmul."""
+    table = [np.eye(len(m), dtype=m.dtype), m]
+    for _ in range(k - 1):
+        table.append(table[-1] @ m)
+    return table
+
+
+def _real_quadratures(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """x̂ and P = (â − â†)/√2 as real matrices; p̂ = −iP."""
+    a = annihilation(cutoff).matrix.real
+    return (a + a.T) / math.sqrt(2.0), (a - a.T) / math.sqrt(2.0)
+
+
+def _comm(u, v):
+    return u @ v - v @ u
+
+
+def _fit_report(name, lhs, rhs, cutoff, margin, phase: complex = 1.0) -> IdentityReport:
+    """Fit rhs ≈ c·lhs on real matrices that equal the operators up to the
+    common unit factor ``phase``.  The fit does not see a common phase; the
+    returned matrices carry it."""
     lb = interior_block(lhs, (cutoff,), margin)
     rb = interior_block(rhs, (cutoff,), margin)
-    c = float((np.vdot(lb, rb) / np.vdot(lb, lb)).real)
+    c = float(np.vdot(lb, rb) / np.vdot(lb, lb))
     residual = float(np.abs(rb - c * lb).max())
-    return IdentityReport(name, int(cutoff), int(margin), c, residual, lhs, rhs)
+    phase = complex(phase)
+    return IdentityReport(name, int(cutoff), int(margin), c, residual, phase * lhs, phase * rhs)
 
 
 def monomial_identity_report(m: int, cutoff: int, margin: int | None = None) -> IdentityReport:
     """Fit c in c·x̂^m ≈ (−2/(3(m−1)))·[x̂^{m−1}, [x̂³, p̂²]].
 
     The constant is reported, not asserted: under this package's [x̂,p̂] = i
-    convention the construction evaluates to 4·x̂^m.
+    convention the construction evaluates to 4·x̂^m.  Computed in real
+    arithmetic: p̂² = −P².
     """
     m = int(m)
     if m < 4:
         raise ValueError("monomial identity requires m >= 4")
     if margin is None:
         margin = max(5, m + 2)
-    x = quadrature_x(cutoff).matrix
-    p = quadrature_p(cutoff).matrix
-    mp = np.linalg.matrix_power
-    inner = mp(x, 3) @ mp(p, 2) - mp(p, 2) @ mp(x, 3)
-    xm1 = mp(x, m - 1)
-    rhs = (-2.0 / (3.0 * (m - 1))) * (xm1 @ inner - inner @ xm1)
-    return _fit_report(f"monomial_m{m}", mp(x, m), rhs, cutoff, margin)
+    x, P = _real_quadratures(cutoff)
+    xs = power_table(x, m)
+    inner = _comm(P @ P, xs[3])  # [x̂³, p̂²] = −[x̂³, P²]
+    rhs = (-2.0 / (3.0 * (m - 1))) * _comm(xs[m - 1], inner)
+    return _fit_report(f"monomial_m{m}", xs[m], rhs, cutoff, margin)
 
 
 def polynomial_identity_report(m: int, n: int, cutoff: int,
@@ -162,21 +183,20 @@ def polynomial_identity_report(m: int, n: int, cutoff: int,
     Evaluates to 2·LHS under this convention for the small (m, n) exercised
     here; for n ≥ 2 with m ≥ 2 the construction additionally carries a scalar
     (identity) remainder which inflates the reported residual.
+
+    Computed in real arithmetic: with p̂ = −iP every term of both sides
+    carries the factor (−i)ⁿ, which the fit does not see.
     """
     m, n = int(m), int(n)
     if m < 1 or n < 1:
         raise ValueError("polynomial identity requires m, n >= 1")
     if margin is None:
         margin = max(5, m + n + 3)
-    x = quadrature_x(cutoff).matrix
-    p = quadrature_p(cutoff).matrix
-    mp = np.linalg.matrix_power
-
-    def comm(u, v):
-        return u @ v - v @ u
-
-    lhs = mp(x, m) @ mp(p, n) + mp(p, n) @ mp(x, m)
-    rhs = (-4j / ((n + 1) * (m + 1))) * comm(mp(x, m + 1), mp(p, n + 1))
+    x, P = _real_quadratures(cutoff)
+    xs, ps = power_table(x, m + 1), power_table(P, n + 1)
+    lhs = xs[m] @ ps[n] + ps[n] @ xs[m]
+    # −4i·(−i)^{n+1} = −4·(−i)ⁿ
+    rhs = (-4.0 / ((n + 1) * (m + 1))) * _comm(xs[m + 1], ps[n + 1])
     for k in range(1, n):
-        rhs = rhs - (1.0 / (n + 1)) * comm(mp(p, n - k), comm(mp(x, m), mp(p, k)))
-    return _fit_report(f"polynomial_m{m}_n{n}", lhs, rhs, cutoff, margin)
+        rhs = rhs - (1.0 / (n + 1)) * _comm(ps[n - k], _comm(xs[m], ps[k]))
+    return _fit_report(f"polynomial_m{m}_n{n}", lhs, rhs, cutoff, margin, phase=(-1j) ** n)

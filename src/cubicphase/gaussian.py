@@ -4,8 +4,9 @@ All gates are exact matrix exponentials of the truncated generator
 (scipy's scaling-and-squaring), so unitarity holds on the interior block and
 degrades only at the truncation boundary.  The simulator's fast paths,
 DisplacementFactory and apply_x_conditioned_displacement, are cached spectral
-constructions equal to them to machine precision; the dense gates stay as the
-reference oracles the tests compare against.
+constructions equal to them to machine precision, and squeezed_vacuum is
+S(r)|0⟩ in closed form; the dense gates stay as the reference oracles the
+tests compare against.
 
 Conventions fixed here:
 
@@ -142,41 +143,41 @@ def qnd_prime_gate(cutoffs, system_mode: int = 0, resource_mode: int = 1,
 
 
 def squeezed_vacuum_truncation_loss(r_width: float, cutoff: int) -> float:
-    """Tail mass of the r-width squeezed vacuum above the cutoff."""
-    s = -0.5 * math.log(float(r_width))
-    t = math.tanh(abs(s))
-    if t == 0.0:
-        return 0.0
-    # |c_{2k}|^2 = (2k)! / (2^k k!)^2 * t^{2k} / cosh|s|
-    kmax = int(cutoff) // 2
-    term = 1.0 / math.cosh(abs(s))
-    kept = 0.0
-    k = 0
-    while True:
-        if 2 * k >= cutoff:
-            break
-        kept += term
-        k += 1
-        term *= t * t * (2 * k - 1) / (2 * k)
-        if k > 10 * kmax + 100:
-            break
-    return float(max(0.0, 1.0 - kept))
+    """Tail mass of the r-width squeezed vacuum above the cutoff: 1 − Σ|c_{2k}|²."""
+    amp = squeezed_vacuum(r_width, cutoff, max_loss=math.inf).amplitudes.real
+    return float(max(0.0, 1.0 - amp @ amp))
+
+
+def squeezed_vacuum(r_width: float, cutoff: int, max_loss: float = 1e-8) -> FockState:
+    """S(r)|0⟩ in closed form: c_{2k} = (−tanh s)^k √((2k)!)/(2^k k!)/√cosh s with
+    s = −½ ln r.  The amplitudes below the cutoff are exact, not renormalized."""
+    r = float(r_width)
+    if r <= 0.0:
+        raise ValueError(f"squeeze width {r} must be positive")
+    s = -0.5 * math.log(r)
+    k = np.arange(1, (int(cutoff) + 1) // 2)
+    # c_{2k}/c_{2k−2} = −tanh s·√((2k−1)/(2k)); odd levels are empty
+    steps = np.concatenate(([1.0 / math.sqrt(math.cosh(s))],
+                            -math.tanh(s) * np.sqrt((2 * k - 1) / (2 * k))))
+    amp = np.zeros(int(cutoff))
+    amp[::2] = np.cumprod(steps)
+    loss = max(0.0, 1.0 - amp @ amp)
+    if loss >= max_loss:
+        raise CutoffError(
+            f"squeezed vacuum (r={r:g}) loses {loss:.2e} probability at cutoff {cutoff}"
+        )
+    return FockState(amp, (int(cutoff),), normalized=False)
 
 
 def squeeze_gate(r_width: float, cutoff: int, max_loss: float = 1e-8) -> FockOperator:
     """Single-mode squeezer whose vacuum image has ⟨x̂²⟩ = r_width/2.
 
-    Internally S = exp[s(â² − â†²)/2] with s = −½ ln r_width.
+    Internally S = exp[s(â² − â†²)/2] with s = −½ ln r_width.  Reference
+    oracle for the tests and the squeezed frame; the Marek resource uses
+    ``squeezed_vacuum`` instead.
     """
-    r = float(r_width)
-    if r <= 0.0:
-        raise ValueError(f"squeeze width {r} must be positive")
-    loss = squeezed_vacuum_truncation_loss(r, cutoff)
-    if loss >= max_loss:
-        raise CutoffError(
-            f"squeezed vacuum (r={r:g}) loses {loss:.2e} probability at cutoff {cutoff}"
-        )
-    s = -0.5 * math.log(r)
+    squeezed_vacuum(r_width, cutoff, max_loss)  # the width and truncation checks
+    s = -0.5 * math.log(float(r_width))
     a = annihilation(cutoff).matrix
     gen = 0.5 * s * (a @ a - a.conj().T @ a.conj().T)
     return FockOperator(expm(gen), (int(cutoff),), unitary_hint=True)

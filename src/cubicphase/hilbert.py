@@ -200,10 +200,9 @@ def coherent(alpha: complex, cutoff: int, max_loss: float = COHERENT_LOSS_TOL) -
             f"coherent(|α|={abs(alpha):.3g}) loses {loss:.2e} probability at cutoff "
             f"{cutoff} (tolerance {max_loss:.1e})"
         )
-    amp = np.zeros(cutoff, dtype=complex)
-    amp[0] = np.exp(-abs(alpha) ** 2 / 2.0)
-    for n in range(1, cutoff):
-        amp[n] = amp[n - 1] * alpha / math.sqrt(n)
+    # amplitude n is the product e^{−|α|²/2}·Π_{k≤n} α/√k
+    amp = np.cumprod(np.concatenate(([math.exp(-abs(alpha) ** 2 / 2.0)],
+                                     alpha / np.sqrt(np.arange(1, cutoff)))))
     amp /= np.linalg.norm(amp)
     return FockState(amp, (cutoff,))
 
@@ -213,10 +212,7 @@ def annihilation(cutoff: int) -> FockOperator:
     cutoff = int(cutoff)
     if cutoff < 2:
         raise DimensionError("cutoff must be at least 2")
-    m = np.zeros((cutoff, cutoff), dtype=complex)
-    for n in range(1, cutoff):
-        m[n - 1, n] = math.sqrt(n)
-    return FockOperator(m, (cutoff,))
+    return FockOperator(np.diag(np.sqrt(np.arange(1, cutoff)), 1), (cutoff,))
 
 
 def creation(cutoff: int) -> FockOperator:
@@ -432,10 +428,15 @@ def interior_mask(cutoffs, margin: int) -> np.ndarray:
 
 
 def interior_block(matrix: np.ndarray, cutoffs, margin: int) -> np.ndarray:
+    """Sub-matrix on the basis states of ``interior_mask``; a view for one mode."""
+    cutoffs = _as_cutoffs(cutoffs)
+    m = np.asarray(matrix)
+    keep = cutoffs[0] - int(margin)
+    if len(cutoffs) == 1 and keep > 0:
+        return m[:keep, :keep]
     mask = interior_mask(cutoffs, margin)
     if not mask.any():
         raise DimensionError(f"margin {margin} leaves no interior block")
-    m = np.asarray(matrix)
     return m[np.ix_(mask, mask)]
 
 

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateOutcomeError, DimensionError
-from .gaussian import apply_x_conditioned_displacement, squeeze_gate, x_eigh
-from .hilbert import FockOperator, FockState, apply, quadrature_x, tensor, vacuum
+from .gaussian import apply_x_conditioned_displacement, squeeze_gate, squeezed_vacuum, x_eigh
+from .hilbert import FockOperator, FockState, apply, quadrature_x, tensor
 
 
 # ---------------------------------------------------------------------------
@@ -106,11 +106,9 @@ def marek_resource_state(r_width: float, gamma: float, cutoff: int,
     """Normalized (I + iγx̂³)·S(r)|0⟩."""
     if gamma < 0.0:
         raise ValueError("gamma must be >= 0")
-    sq = squeeze_gate(r_width, cutoff, max_loss=max_loss)
-    base = apply(sq, vacuum((int(cutoff),)))
-    x = quadrature_x(cutoff).matrix
-    op = np.eye(int(cutoff), dtype=complex) + 1j * float(gamma) * np.linalg.matrix_power(x, 3)
-    amp = op @ base.amplitudes
+    base = squeezed_vacuum(r_width, cutoff, max_loss=max_loss).amplitudes.real
+    x = quadrature_x(cutoff).matrix.real
+    amp = base + 1j * float(gamma) * (x @ (x @ (x @ base)))
     return FockState(amp / np.linalg.norm(amp), (int(cutoff),))
 
 

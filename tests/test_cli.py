@@ -306,3 +306,24 @@ def test_subcommand_leaves_scipy_unloaded(tmp_path, subcommand):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert len(read_csv(out)) == lines
+
+
+def test_marek_shot_leaves_scipy_unloaded():
+    # a fresh interpreter: the squeezed resource is built in closed form
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from cubicphase import schemes\n"
+        "from cubicphase.hilbert import coherent\n"
+        "state, q, applied = schemes.marek_gate(coherent(0.3, 30), 1.5, 0.03,\n"
+        "                                       np.random.default_rng(7), (30, 40))\n"
+        "assert abs(state.norm() - 1.0) < 1e-9\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -16,6 +16,7 @@ from cubicphase.cubic import (
 )
 from cubicphase.hilbert import (
     FockOperator,
+    interior_block,
     interior_max_norm,
     quadrature_p,
     quadrature_x,
@@ -150,6 +151,49 @@ class TestCommutatorApprox:
         bad = FockOperator(np.triu(np.ones((c, c))), (c,))
         with pytest.raises(ValueError):
             commutator_approx_residual(x, bad, 0.1)
+
+
+def complex_route(name, cutoff, margin):
+    """The reports' constructions in complex Fock matrices, p̂ = (â − â†)/(i√2):
+    (lhs, rhs, fitted constant, residual)."""
+    x, p = quadrature_x(cutoff).matrix, quadrature_p(cutoff).matrix
+    mp = np.linalg.matrix_power
+
+    def comm(u, v):
+        return u @ v - v @ u
+
+    if name[0] == "monomial":
+        m = name[1]
+        lhs = mp(x, m)
+        rhs = (-2.0 / (3.0 * (m - 1))) * comm(mp(x, m - 1), comm(mp(x, 3), mp(p, 2)))
+    else:
+        m, n = name[1:]
+        lhs = mp(x, m) @ mp(p, n) + mp(p, n) @ mp(x, m)
+        rhs = (-4j / ((n + 1) * (m + 1))) * comm(mp(x, m + 1), mp(p, n + 1))
+        for k in range(1, n):
+            rhs = rhs - (1.0 / (n + 1)) * comm(mp(p, n - k), comm(mp(x, m), mp(p, k)))
+    lb = interior_block(lhs, (cutoff,), margin)
+    rb = interior_block(rhs, (cutoff,), margin)
+    c = float((np.vdot(lb, rb) / np.vdot(lb, lb)).real)
+    return lhs, rhs, c, float(np.abs(rb - c * lb).max())
+
+
+class TestRealArithmeticReports:
+    # the reports run on real x̂ and P = i p̂; the complex route is the reference
+    @pytest.mark.parametrize("cutoff", [24, 40, 80])
+    @pytest.mark.parametrize(
+        "name", [("monomial", 4), ("monomial", 5), ("polynomial", 1, 1),
+                 ("polynomial", 2, 1), ("polynomial", 1, 2)])
+    def test_matches_complex_route(self, name, cutoff):
+        if name[0] == "monomial":
+            rep = monomial_identity_report(name[1], cutoff)
+        else:
+            rep = polynomial_identity_report(*name[1:], cutoff)
+        lhs, rhs, c, residual = complex_route(name, cutoff, rep.margin)
+        assert abs(rep.fitted_constant - c) < 1e-12
+        assert np.abs(rep.lhs_matrix - lhs).max() < 1e-12 * np.abs(lhs).max()
+        assert np.abs(rep.rhs_matrix - rhs).max() < 1e-12 * np.abs(rhs).max()
+        assert rep.residual < 1e-6 and residual < 1e-6
 
 
 class TestMonomialIdentity:

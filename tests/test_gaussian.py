@@ -15,6 +15,7 @@ from cubicphase.gaussian import (
     qnd_gate,
     qnd_prime_gate,
     squeeze_gate,
+    squeezed_vacuum,
     squeezed_vacuum_truncation_loss,
 )
 from cubicphase.hilbert import (
@@ -204,6 +205,35 @@ class TestSqueeze:
         # r = 16 squeezed vacuum carries a small but real tail at cutoff 40
         loss = squeezed_vacuum_truncation_loss(16.0, 40)
         assert 1e-4 < loss < 1e-2
+
+
+class TestSqueezedVacuum:
+    @pytest.mark.parametrize("r", [0.25, 1.5, 2.0, 4.0])
+    def test_matches_untruncated_gate(self, r):
+        # the closed form is exact below the cutoff; the vacuum column of the
+        # cutoff-40 expm is off by up to 7e-6 at r = 4, that of cutoff 160 is not
+        ref = squeeze_gate(r, 160).matrix[:40, 0]
+        assert np.abs(squeezed_vacuum(r, 40).amplitudes - ref).max() < 1e-13
+
+    @pytest.mark.parametrize("r,cutoff", [(1.0, 10), (0.25, 40), (1.5, 40), (4.0, 40),
+                                          (4.0, 41), (16.0, 40), (16.0, 7)])
+    def test_truncation_loss_matches_series(self, r, cutoff):
+        # 1 − Σ_{2k<cutoff} |c_{2k}|² by the term recurrence
+        # |c_{2k+2}|²/|c_{2k}|² = tanh²s·(2k+1)/(2k+2)
+        s = -0.5 * math.log(r)
+        t2, term, kept = math.tanh(s) ** 2, 1.0 / math.cosh(s), 0.0
+        for k in range((cutoff + 1) // 2):
+            kept += term
+            term *= t2 * (2 * k + 1) / (2 * k + 2)
+        want = max(0.0, 1.0 - kept)
+        assert squeezed_vacuum_truncation_loss(r, cutoff) == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("make", [squeeze_gate, squeezed_vacuum])
+    def test_rejects_like_squeeze_gate(self, make):
+        with pytest.raises(CutoffError, match="squeezed vacuum"):
+            make(64.0, 30)
+        with pytest.raises(ValueError, match="must be positive"):
+            make(-1.0, 20)
 
 
 class TestUnitarityHints:

@@ -15,6 +15,8 @@ from cubicphase.hilbert import (
     expectation,
     fidelity,
     identity,
+    interior_block,
+    interior_mask,
     interior_max_norm,
     number_state,
     partial_trace,
@@ -64,6 +66,18 @@ class TestCoherent:
         with pytest.raises(CutoffError):
             coherent(3.0, 10)
 
+    @pytest.mark.parametrize("alpha,cutoff", [(0.3, 30), (1.5 - 0.7j, 40), (3.0, 120)])
+    def test_matches_loop_recurrence(self, alpha, cutoff):
+        ref = np.zeros(cutoff, dtype=complex)
+        ref[0] = math.exp(-abs(alpha) ** 2 / 2.0)
+        for n in range(1, cutoff):
+            ref[n] = ref[n - 1] * alpha / math.sqrt(n)
+        ref /= np.linalg.norm(ref)
+        dev = np.abs(coherent(alpha, cutoff).amplitudes - ref)
+        assert dev.max() <= 1e-15  # relative to the unit norm
+        # level n is a product of n + 1 rounded factors in either route
+        assert np.all(dev <= (np.arange(cutoff) + 2) * np.finfo(float).eps * np.abs(ref))
+
     def test_mean_photon_number(self):
         from cubicphase.hilbert import number_op
 
@@ -89,6 +103,24 @@ class TestQuadratures:
     def test_hermitian_exactly(self):
         for op in (quadrature_x(12), quadrature_p(12)):
             assert np.array_equal(op.matrix, op.matrix.conj().T)
+
+
+class TestInteriorBlock:
+    def test_single_mode_matches_mask_route(self):
+        c = 12
+        m = np.arange(c * c, dtype=float).reshape(c, c)
+        for margin in range(-2, c):
+            mask = interior_mask((c,), margin)
+            assert np.array_equal(interior_block(m, (c,), margin), m[np.ix_(mask, mask)])
+            assert np.array_equal(interior_block(m, c, margin), m[np.ix_(mask, mask)])
+        for margin in (c, c + 3):
+            with pytest.raises(DimensionError):
+                interior_block(m, (c,), margin)
+
+    def test_two_modes_keep_every_low_pair(self):
+        m = np.arange(36.0).reshape(6, 6)
+        block = interior_block(m, (3, 2), 1)
+        assert np.array_equal(block, m[np.ix_([0, 2], [0, 2])])
 
 
 class TestTensorAndApply:
