@@ -191,20 +191,20 @@ COHERENT_LOSS_TOL = 1e-8
 def coherent(alpha: complex, cutoff: int, max_loss: float = COHERENT_LOSS_TOL) -> FockState:
     """Coherent state |α⟩ with amplitudes e^{−|α|²/2} αⁿ/√(n!), renormalized.
 
-    Raises CutoffError when the truncated tail exceeds ``max_loss``.
+    Raises CutoffError when the truncated tail, 1 − Σ|amplitude|², reaches ``max_loss``.
     """
     cutoff = int(cutoff)
-    loss = coherent_truncation_loss(alpha, cutoff)
+    # amplitude n is the product e^{−|α|²/2}·Π_{k≤n} α/√k
+    amp = np.cumprod(np.concatenate(([math.exp(-abs(alpha) ** 2 / 2.0)],
+                                     alpha / np.sqrt(np.arange(1, cutoff)))))
+    norm = np.linalg.norm(amp)
+    loss = max(0.0, 1.0 - norm * norm)
     if loss >= max_loss:
         raise CutoffError(
             f"coherent(|α|={abs(alpha):.3g}) loses {loss:.2e} probability at cutoff "
             f"{cutoff} (tolerance {max_loss:.1e})"
         )
-    # amplitude n is the product e^{−|α|²/2}·Π_{k≤n} α/√k
-    amp = np.cumprod(np.concatenate(([math.exp(-abs(alpha) ** 2 / 2.0)],
-                                     alpha / np.sqrt(np.arange(1, cutoff)))))
-    amp /= np.linalg.norm(amp)
-    return FockState(amp, (cutoff,))
+    return FockState(amp / norm, (cutoff,))
 
 
 def annihilation(cutoff: int) -> FockOperator:

@@ -17,9 +17,9 @@ state coherent, so during a factor the joint state is exactly
     Σ_λ c(λ) |λ⟩_S |T^{k/2} α₁(1+γ_l λ)⟩_R
 
 over the eigenvectors |λ⟩ of the truncated x̂_S.  ``full_gate`` runs all 3N
-factors on the label amplitudes c(λ) alone, from c = V†ψ to V @ c, and
-``rus_factor`` is its one-factor form.  Coupling and decoupling leave c(λ)
-unchanged, and attempt k meets the coherent ancilla |B_k(λ)⟩ with
+factors on the label amplitudes alone, carrying log c(λ) from c = V†ψ to
+V @ c, and ``rus_factor`` is its one-factor form.  Coupling and decoupling
+leave c(λ) unchanged, and attempt k meets the coherent ancilla |B_k(λ)⟩,
 B_k(λ) = −√(1−T)·T^{(k−1)/2}·α₁(1+γ_l λ).  As ⟨m|B_k(λ)⟩ ∝
 e^{−|B_k(λ)|²/2}(1+γ_l λ)^m, an ancilla seen or lost with m photons only
 reweights c(λ), so unravelling the detector by photon number (Dalibard,
@@ -395,25 +395,34 @@ def subtraction_attempt(
     )
 
 
-def _first_click(q, intensity, nu, transmittance, max_attempts, u):
-    """(M, F(1)), M = None if no click: M is the first k with u < F(k), the
-    click CDF F(k) = Σ_λ q_λ (1 − exp(−νk − ``intensity``_λ (1 − T^k))) with
-    ``intensity`` = η|α₁(1+γ_l λ)|² (no dark count and no tapped photon seen),
-    searched in blocks of growing length."""
-    log_t = math.log(transmittance)
-    start, size = 1, 16
-    first_p = None
+def _cdf_rows(ks, intensity, nu, log_t):
+    return -np.expm1(-nu * ks + intensity * np.expm1(ks * log_t))
+
+
+def _first_click(q, table, intensity, nu, log_t, max_attempts, u):
+    """(M, F(1)), M = None if no click: M is the first k ≤ ``max_attempts``
+    with u < F(k), the click CDF F(k) = Σ_λ q_λ (1 − exp(−νk − ``intensity``_λ
+    (1 − T^k))) with ``intensity`` = η|α₁(1+γ_l λ)|² (no dark count and no
+    tapped photon seen).  ``table`` @ q gives F(1…16) and F(max_attempts); a
+    later click is searched for in blocks of growing length.  The block sums
+    F(max_attempts) in another order: if the table's says a click comes and
+    no block finds one, it comes at ``max_attempts``."""
+    cdf = table @ q
+    first_p = float(cdf[0])
+    hit = u < cdf[:16]
+    if hit.any():
+        return 1 + int(hit.argmax()), first_p
+    if not u < cdf[-1]:
+        return None, first_p
+    start, size = 17, 32
     while start <= max_attempts:
         ks = np.arange(start, min(start + size, max_attempts + 1))[:, None]
-        cdf = -np.expm1(-nu * ks + intensity * np.expm1(ks * log_t)) @ q
-        if first_p is None:
-            first_p = float(cdf[0])
-        hit = u < cdf
+        hit = u < _cdf_rows(ks, intensity, nu, log_t) @ q
         if hit.any():
             return start + int(hit.argmax()), first_p
         start += size
         size = min(2 * size, 4096)
-    return None, first_p
+    return max_attempts, first_p
 
 
 def _inverse_cdf(log_weights: np.ndarray, u: float) -> int:
@@ -465,6 +474,18 @@ def _factor_tables(gamma_l: complex, alpha1: float, cutoff: int) -> tuple[np.nda
     return tables
 
 
+@lru_cache(maxsize=64)
+def _click_table(gamma_l: complex, alpha1: float, cutoff: int, eta: float, nu: float,
+                 transmittance: float, max_attempts: int) -> np.ndarray:
+    """``_first_click``'s CDF rows over the labels λ for attempts 1…16 and
+    ``max_attempts``, at most 17 rows whatever the budget; read-only."""
+    ks = [*range(1, min(16, max_attempts) + 1)] + [max_attempts] * (max_attempts > 16)
+    intensity = eta * _factor_tables(gamma_l, alpha1, cutoff)[0]
+    table = _cdf_rows(np.array(ks)[:, None], intensity, nu, math.log(transmittance))
+    table.flags.writeable = False
+    return table
+
+
 def _run_factors(state: FockState, factors, config: ProtocolConfig, rng, log: TrialLog) -> FockState:
     """Apply the (γ_l, l, repetition) ``factors`` in turn to c(λ) = ⟨λ|ψ⟩, each
     as one exact trajectory, appending their records to ``log``; returns V @ c.
@@ -473,32 +494,34 @@ def _run_factors(state: FockState, factors, config: ProtocolConfig, rng, log: Tr
     draws pick the click attempt M, a label λ* ∝ |c_λ|²·e^{−ηI_λ(1−T^{M−1})}·
     (1 − e^{−ν−ημ_λ}), the photons lost over M attempts ~ Poisson((1−η)I_λ*(1−T^M))
     and those detected at the click (mean ημ_λ*); given λ* these are exact, so
-    K = lost + detected is too, and c_λ becomes c_λ·e^{−½I_λ(1−T^M)}·(1+γ_l λ)^K,
-    normalized.  Raises FactorFailure (state, record and log attached) after
-    ``max_attempts_per_factor`` attempts without a click; that state skips
-    the detected photons.
+    K = lost + detected is too, and log c_λ gains −½I_λ(1−T^M) + K·log(1+γ_l λ);
+    c is formed and normalized once, at the end.  Raises FactorFailure (state,
+    record and log attached) after ``max_attempts_per_factor`` attempts
+    without a click; that state skips the detected photons.
     """
     if state.cutoffs != (config.cutoff,):
         raise DimensionError(f"expected a single-mode state of cutoff {config.cutoff}")
-    T = config.transmittance
+    T, budget = config.transmittance, config.max_attempts_per_factor
     eta, nu = config.detector.eta, config.detector.nu
     log_t = math.log(T)
     _, v = x_eigh(config.cutoff)
-    c = v.conj().T @ state.amplitudes
-    c /= math.sqrt(np.vdot(c, c).real)
+    with np.errstate(divide="ignore"):  # a label of zero amplitude has log-weight −inf
+        log_c = np.log(v.conj().T @ state.amplitudes)
     for gamma_l, factor_index, repetition in factors:
-        intensity, log_factor = _factor_tables(complex(gamma_l), float(config.alpha1), c.size)
-        clicked_at, first_p = _first_click(
-            np.abs(c) ** 2, eta * intensity, nu, T, config.max_attempts_per_factor, rng.random()
-        )
+        key = (complex(gamma_l), float(config.alpha1), log_c.size)
+        intensity, log_factor = _factor_tables(*key)
+        log_c -= log_c.real.max()
+        log_w = 2.0 * log_c.real
+        q = np.exp(log_w)
+        clicked_at, first_p = _first_click(q / q.sum(), _click_table(*key, eta, nu, T, budget),
+                                           eta * intensity, nu, log_t, budget, rng.random())
         clicked = clicked_at is not None
-        attempts = clicked_at if clicked else config.max_attempts_per_factor
+        attempts = clicked_at if clicked else budget
         misses = attempts - 1 if clicked else attempts
-        tapped = intensity * (1.0 - T) * T ** (attempts - 1)
-        with np.errstate(divide="ignore"):  # a label of zero amplitude has log-weight −inf
-            log_c = np.log(c)
-            log_w = 2.0 * log_c.real + eta * intensity * np.expm1(misses * log_t)
-            if clicked:
+        log_w += eta * intensity * np.expm1(misses * log_t)
+        if clicked:
+            tapped = intensity * (1.0 - T) * T ** (attempts - 1)
+            with np.errstate(divide="ignore"):
                 log_w += np.log(-np.expm1(-nu - eta * tapped))
         star = _inverse_cdf(log_w, rng.random())
         lost = -(1.0 - eta) * intensity[star] * math.expm1(attempts * log_t)
@@ -507,15 +530,17 @@ def _run_factors(state: FockState, factors, config: ProtocolConfig, rng, log: Tr
             photons += _photon_count(eta * tapped[star], rng.random(), nu)
 
         log_c += photons * log_factor + 0.5 * intensity * np.expm1(attempts * log_t)
-        c = np.exp(log_c - log_c.real.max())
-        c /= math.sqrt(np.vdot(c, c).real)
         log.factors.append(FactorRecord(factor_index, repetition, attempts,
                                         [False] * (attempts - 1) + [clicked],
                                         T ** (attempts / 2.0), clicked, first_p))
         if not clicked:
-            raise FactorFailure(f"factor l={factor_index} saw no click in {attempts} attempts",
-                                FockState(v @ c, state.cutoffs), log.factors[-1], log)
-    return FockState(v @ c, state.cutoffs)
+            break
+    c = np.exp(log_c - log_c.real.max())
+    out = FockState(v @ (c / math.sqrt(np.vdot(c, c).real)), state.cutoffs)
+    if not clicked:
+        raise FactorFailure(f"factor l={factor_index} saw no click in {attempts} attempts",
+                            out, log.factors[-1], log)
+    return out
 
 
 def rus_factor(

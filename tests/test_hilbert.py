@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from cubicphase.errors import CutoffError, DimensionError
 from cubicphase.hilbert import (
+    COHERENT_LOSS_TOL,
     FockOperator,
     FockState,
     annihilation,
@@ -77,6 +79,38 @@ class TestCoherent:
         assert dev.max() <= 1e-15  # relative to the unit norm
         # level n is a product of n + 1 rounded factors in either route
         assert np.all(dev <= (np.arange(cutoff) + 2) * np.finfo(float).eps * np.abs(ref))
+
+    @pytest.mark.parametrize("alpha,cutoff", [
+        (1.0, 20), (0.6, 8), (2.0, 10), (3.0, 10), (1.5 - 0.7j, 12), (0.4 + 0.25j, 120),
+        (4.0, 25), (6.0, 50),
+    ])
+    def test_loss_matches_poisson_tail(self, alpha, cutoff):
+        # coherent takes its truncation loss from its own amplitudes; it must
+        # lie within 1e-15 of the Poisson tail, so a tolerance 1e-15 above that
+        # tail passes and one 1e-15 below it raises.  coherent_truncation_loss
+        # sums in log space and is itself 2.6e-15 off at |α| = 4, so it serves
+        # as a second reference up to |α| = 3 only
+        tails = [stats.poisson.sf(cutoff - 1, abs(alpha) ** 2)]
+        if abs(alpha) <= 3.0:
+            tails.append(coherent_truncation_loss(alpha, cutoff))
+        for tail in tails:
+            coherent(alpha, cutoff, max_loss=tail + 1e-15)
+            with pytest.raises(CutoffError):
+                coherent(alpha, cutoff, max_loss=tail - 1e-15)
+
+    @pytest.mark.parametrize("alpha,cutoff", [
+        (-0.3, 6), (0.0, 10), (0.1, 6), (0.2, 6), (0.3, 10), (0.4, 12), (0.4, 15), (0.4, 30),
+        (0.5, 8), (0.5, 20), (0.6, 8), (0.6, 15), (0.7, 25), (0.8, 20), (0.9, 16), (1.0, 20),
+        (1.5, 30), (3.0, 10), (0.3, 30), (1.5 - 0.7j, 40), (3.0, 120),
+    ])
+    def test_cutoff_error_boundary_matches_poisson_tail(self, alpha, cutoff):
+        # the (α, cutoff) pairs the other tests in this file build
+        try:
+            coherent(alpha, cutoff)
+            raised = False
+        except CutoffError:
+            raised = True
+        assert raised == (coherent_truncation_loss(alpha, cutoff) >= COHERENT_LOSS_TOL)
 
     def test_mean_photon_number(self):
         from cubicphase.hilbert import number_op

@@ -35,6 +35,9 @@ from cubicphase.protocol import (
     TrialLog,
     _apply_qnd_compensated,
     _beamsplitter,
+    _click_table,
+    _factor_tables,
+    _first_click,
     _povm0_diag,
     couple_resource,
     detector_povm,
@@ -149,6 +152,36 @@ def forced_click_u(psi, gamma_l, config, m):
             return u
         lo, hi = (u, hi) if attempts < m else (lo, u)
     raise AssertionError(f"no draw clicks at attempt {m}")
+
+
+def block_search_first_click(q, intensity, nu, transmittance, max_attempts, u):
+    """The click draw before the click table: (M, F(1)), M = None if no click,
+    with F searched from attempt 1 in blocks of growing length."""
+    log_t = math.log(transmittance)
+    start, size = 1, 16
+    first_p = None
+    while start <= max_attempts:
+        ks = np.arange(start, min(start + size, max_attempts + 1))[:, None]
+        cdf = -np.expm1(-nu * ks + intensity * np.expm1(ks * log_t)) @ q
+        if first_p is None:
+            first_p = float(cdf[0])
+        hit = u < cdf
+        if hit.any():
+            return start + int(hit.argmax()), first_p
+        start += size
+        size = min(2 * size, 4096)
+    return None, first_p
+
+
+def block_search_last_cdf(q, intensity, nu, transmittance, max_attempts):
+    """F(max_attempts) as ``block_search_first_click`` computes it, in the
+    last of its blocks."""
+    start, size = 1, 16
+    while start + size <= max_attempts:
+        start += size
+        size = min(2 * size, 4096)
+    ks = np.arange(start, max_attempts + 1)[:, None]
+    return (-np.expm1(-nu * ks + intensity * np.expm1(ks * math.log(transmittance))) @ q)[-1]
 
 
 class OutcomeSequenceRng:
@@ -731,6 +764,103 @@ class TestOneEngine:
                 assert got == dataclasses.replace(want, first_click_prob=got.first_click_prob)
             assert np.abs(out.amplitudes - ref.amplitudes).max() <= 1e-12
         assert failures > 0 if case == "lossy" else failures == 0
+
+
+class TestClickTable:
+    """``_first_click`` answers from the per-factor click table; the block
+    search it replaced is the reference."""
+
+    CASES = {
+        # (γ, α₁, T, cutoff, η, ν): the CLI defaults, the criterion-4 physics,
+        # and a lossy detector with dark counts
+        "defaults": (0.03, 0.2, 0.99, 30, 0.9, 1e-8),
+        "strong": (0.001, 3.3, 0.9734, 8, 1.0, 0.0),
+        "lossy": (0.05, 2.0, 0.95, 20, 0.7, 0.02),
+    }
+
+    @pytest.mark.parametrize("max_attempts", [1, 15, 16, 17, 400, 10_000])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_block_search(self, case, max_attempts):
+        gamma, alpha1, T, cutoff, eta, nu = self.CASES[case]
+        rng = np.random.default_rng(np.random.SeedSequence(13, spawn_key=(max_attempts,)))
+        for gl in gamma_factors(gamma, 1).gamma_l:
+            table = _click_table(complex(gl), alpha1, cutoff, eta, nu, T, max_attempts)
+            intensity = eta * _factor_tables(complex(gl), alpha1, cutoff)[0]
+            for _ in range(10):
+                q = rng.random(cutoff) ** 3
+                q /= q.sum()
+                cdf = table @ q
+                f_last, f_16 = cdf[-1], cdf[min(16, max_attempts) - 1]
+                # the table and the last block sum the cutoff terms of
+                # F(max_attempts) in different orders; between the two sums
+                # the table decides
+                f_block = block_search_last_cdf(q, intensity, nu, T, max_attempts)
+                assert abs(f_last - f_block) <= cutoff * np.finfo(float).eps * f_block
+                edges = [f_16, f_last, f_block]
+                us = list(rng.random(20) * 1.2 * f_last) + edges
+                us += [np.nextafter(f, d) for f in edges for d in (0.0, 1.0)]
+                for u in us:
+                    got = _first_click(q, table, intensity, nu, math.log(T), max_attempts, u)
+                    want = block_search_first_click(q, intensity, nu, T, max_attempts, u)
+                    assert got[0] is None or 1 <= got[0] <= max_attempts
+                    assert got[1] == want[1]
+                    if min(f_last, f_block) <= u < max(f_last, f_block):
+                        assert got[0] == (max_attempts if u < f_last else None)
+                    else:
+                        assert got[0] == want[0], f"u = {u!r}"
+
+    @pytest.mark.parametrize("max_attempts, rows", [(1, 1), (16, 16), (17, 17), (10_000, 17)])
+    def test_rows_do_not_grow_with_the_budget(self, max_attempts, rows):
+        gl = complex(gamma_factors(0.03, 1).gamma_l[0])
+        table = _click_table(gl, 0.2, 30, 0.9, 1e-8, 0.99, max_attempts)
+        assert table.shape == (rows, 30)
+        assert not table.flags.writeable
+        ks = list(range(1, min(16, max_attempts) + 1)) + [max_attempts] * (max_attempts > 16)
+        intensity = 0.9 * _factor_tables(gl, 0.2, 30)[0]
+        for row, k in zip(table, ks):
+            want = [1.0 - math.exp(-1e-8 * k - i * (1.0 - 0.99**k)) for i in intensity]
+            assert row == pytest.approx(want, rel=1e-12)
+
+
+class TestPinnedDraws:
+    """``success`` and ``total_attempts`` of full_gate runs on generators
+    seeded SeedSequence(23, spawn_key=(run,)), as the engine drew them
+    before the click table; the CLI-default runs include every factor that
+    heralded among the first 200 runs, up to run 136."""
+
+    CASES = {
+        "rus_herald": (
+            dict(gamma=0.001, n=2, alpha1=3.3, transmittance=0.9734, cutoff=8,
+                 max_attempts_per_factor=500, detector=IDEAL_DETECTOR), 0.0,
+            {0: (True, 35), 1: (True, 23), 2: (True, 17), 3: (True, 11),
+             4: (True, 26), 5: (True, 34), 6: (True, 22), 7: (True, 22)}),
+        "cli_defaults": (
+            dict(), 0.3,
+            {0: (False, 10000), 1: (False, 10000), 2: (False, 10000), 22: (False, 10156),
+             47: (False, 10072), 123: (False, 10080), 136: (False, 10044)}),
+        "lossy": (
+            dict(gamma=0.05, alpha1=2.0, transmittance=0.95, cutoff=20, max_attempts_per_factor=60,
+                 detector=DetectorModel(eta=0.7, dark_rate_hz=0.02, window_s=1.0)), 0.3 + 0.2j,
+            {0: (True, 63), 1: (True, 15), 2: (True, 25), 3: (True, 13), 4: (True, 55),
+             5: (True, 44), 12: (False, 75), 17: (False, 60), 40: (False, 62)}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_success_and_attempts_unchanged(self, case):
+        kw, alpha, pinned = self.CASES[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            cfg = ProtocolConfig(**kw)
+        psi = coherent(alpha, cfg.cutoff)
+        got = {}
+        for run in pinned:
+            rng = np.random.default_rng(np.random.SeedSequence(23, spawn_key=(run,)))
+            try:
+                _, log = full_gate(psi, cfg, rng)
+            except FactorFailure as err:
+                log = err.log
+            got[run] = (log.success, log.total_attempts)
+        assert got == pinned
 
 
 class TestHeadroom:
