@@ -28,7 +28,7 @@ from .cubic import gamma_factors
 from .errors import FactorFailure
 from .gaussian import x_eigh
 from .hilbert import coherent, fidelity, quadrature_p
-from .protocol import DetectorModel, ProtocolConfig, TrialLog, check_headroom, full_gate
+from .protocol import DetectorModel, ProtocolConfig, TrialLog, check_headroom, label_gate
 
 
 @dataclass
@@ -230,35 +230,45 @@ def _gate_targets(gamma: float, n: int, cutoff: int) -> tuple:
     return targets
 
 
+@lru_cache(maxsize=16, typed=True)
+def _scored_input(alpha: complex, gamma: float, n: int, cutoff: int) -> tuple:
+    """The labels V†ψ of the input |α⟩, its normalized U_N and ideal targets,
+    and V @ its U_N target, read-only; typed, so 1.0 and 1+0j differ."""
+    _, v = x_eigh(cutoff)
+    c_in = v.conj().T @ coherent(alpha, cutoff).amplitudes
+    un, ideal = (t * c_in for t in _gate_targets(gamma, n, cutoff))
+    arrays = (c_in, un / np.linalg.norm(un), ideal / np.linalg.norm(ideal), v @ un)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def run_ensemble(config: ProtocolConfig, alphas, rngs) -> list[tuple[RunResult, TrialLog]]:
     """Run the full gate once per (coherent input α, generator) pair.
 
     Each run's output is scored by fidelity against the normalized U_N target
     and the ideal cubic gate applied to its input (against the input itself
-    when γ = 0), scored on label amplitudes in the x̂ eigenbasis, where both
-    targets are diagonal.  The U_N target must pass ``check_headroom``.  A run
-    whose factor exhausts its attempt budget is a failure and carries no
-    fidelity.  Seeding stays with the caller, which gives each run its own
-    generator.
+    when γ = 0), all in the x̂ eigenbasis, where both are diagonal: from the
+    cached input labels through ``label_gate``; after the gate's checks, the
+    U_N target must pass ``check_headroom``.  A run whose factor exhausts its
+    attempt budget is a failure and carries no fidelity.  Seeding stays with
+    the caller, which gives each run its own generator.
     """
-    sys_c = config.cutoff
-    _, v = x_eigh(sys_c)
     results = []
     for alpha, rng in zip(alphas, rngs):
-        inp = coherent(alpha, sys_c)
+        log = TrialLog()
+        if config.gamma == 0.0:
+            inp = coherent(alpha, config.cutoff)
+            results.append((RunResult(alpha, True, 0, *[fidelity(inp, inp)] * 2), log))
+            continue
+        c_in, un, ideal, v_un = _scored_input(alpha, config.gamma, config.n, config.cutoff)
         try:
-            out, log = full_gate(inp, config, rng)
-        except FactorFailure as err:
-            log = err.log if err.log is not None else TrialLog()
+            c_out, _ = label_gate(c_in, config, rng, log)
+        except FactorFailure:
             results.append((RunResult(alpha, False, log.total_attempts, None, None), log))
             continue
-        if config.gamma > 0:
-            c_in, c_out = v.conj().T @ inp.amplitudes, v.conj().T @ out.amplitudes
-            un, ideal = (t * c_in for t in _gate_targets(config.gamma, config.n, sys_c))
-            check_headroom(v @ un, f"the U_N target of input {alpha}")
-            f_un, f_id = (abs(np.vdot(c_out, t)) ** 2 / np.vdot(t, t).real for t in (un, ideal))
-        else:
-            f_un = f_id = fidelity(out, inp)
+        check_headroom(v_un, f"the U_N target of input {alpha}")
+        f_un, f_id = (abs(np.vdot(c_out, t)) ** 2 for t in (un, ideal))
         results.append((RunResult(alpha, True, log.total_attempts, f_un, f_id), log))
     return results
 

@@ -16,20 +16,20 @@ state coherent, so during a factor the joint state is exactly
 
     Σ_λ c(λ) |λ⟩_S |T^{k/2} α₁(1+γ_l λ)⟩_R
 
-over the eigenvectors |λ⟩ of the truncated x̂_S.  ``full_gate`` runs all 3N
+over the eigenvectors |λ⟩ of the truncated x̂_S.  ``label_gate`` runs all 3N
 factors on the label amplitudes alone, carrying log c(λ) from c = V†ψ to
-V @ c, and ``rus_factor`` is its one-factor form.  Coupling and decoupling
-leave c(λ) unchanged, and attempt k meets the coherent ancilla |B_k(λ)⟩,
-B_k(λ) = −√(1−T)·T^{(k−1)/2}·α₁(1+γ_l λ).  As ⟨m|B_k(λ)⟩ ∝
-e^{−|B_k(λ)|²/2}(1+γ_l λ)^m, an ancilla seen or lost with m photons only
-reweights c(λ), so unravelling the detector by photon number (Dalibard,
-Castin & Mølmer, PRL 68, 580 (1992)) keeps every trajectory pure and their
-average the exact channel.  The system cutoff is then the only truncation,
-and ``full_gate`` checks it: its output may hold at most HEADROOM_BOUND of
-its probability in the top two Fock levels.  ``couple_resource``,
-``subtraction_attempt`` and ``_attempt_kernel`` are the same steps on a
-truncated Fock resource and ancilla, kept as the reference the tests
-compare the label engine against.
+V @ c; ``full_gate`` and ``rus_factor`` (one factor) wrap it in FockStates.
+Coupling and decoupling leave c(λ) unchanged, and attempt k meets the
+coherent ancilla |B_k(λ)⟩, B_k(λ) = −√(1−T)·T^{(k−1)/2}·α₁(1+γ_l λ).  As
+⟨m|B_k(λ)⟩ ∝ e^{−|B_k(λ)|²/2}(1+γ_l λ)^m, an ancilla seen or lost with m
+photons only reweights c(λ), so unravelling the detector by photon number
+(Dalibard, Castin & Mølmer, PRL 68, 580 (1992)) keeps every trajectory pure
+and their average the exact channel.  The system cutoff is then the only
+truncation, and ``label_gate`` checks it: its output may hold at most
+HEADROOM_BOUND of its probability in the top two Fock levels.
+``couple_resource``, ``subtraction_attempt`` and ``_attempt_kernel`` are the
+same steps on a truncated Fock resource and ancilla, kept as the reference
+the tests compare the label engine against.
 """
 
 from __future__ import annotations
@@ -167,14 +167,14 @@ class FactorRecord:
     factor_index: int
     repetition: int
     attempts: int
-    outcomes: list[bool]
     attenuation: float
     success: bool
     first_click_prob: float
 
-    def __post_init__(self):
-        if self.success and self.outcomes and not self.outcomes[-1]:
-            raise ValueError("success recorded without a final click")
+    @property
+    def outcomes(self) -> list[bool]:
+        """Click or not at each attempt: only the last can click, iff ``success``."""
+        return [False] * (self.attempts - 1) + [self.success] if self.attempts else []
 
 
 @dataclass
@@ -425,43 +425,45 @@ def _first_click(q, table, intensity, nu, log_t, max_attempts, u):
     return max_attempts, first_p
 
 
-def _inverse_cdf(log_weights: np.ndarray, u: float) -> int:
-    """The first index whose cumulative weight exceeds u times the total, for
-    weights given as logarithms and shifted by their largest, so that weights
-    which would each underflow still draw exactly."""
+def _cumulative(log_weights: np.ndarray) -> np.ndarray:
+    """The cumulative weights, given as logarithms and shifted by their
+    largest, so that weights which would each underflow still draw exactly."""
     top = log_weights.max()
     if not math.isfinite(top):
         raise DegenerateOutcomeError("every outcome of the draw has zero probability")
-    cdf = np.exp(log_weights - top).cumsum()
+    return np.exp(log_weights - top).cumsum()
+
+
+def _inverse_cdf(cdf: np.ndarray, u: float) -> int:
+    """The first index whose cumulative weight in ``cdf`` exceeds u times the total."""
     # u·total rounds up to the total only for u within an ulp of 1
     return min(int(cdf.searchsorted(u * cdf[-1], side="right")), cdf.size - 1)
 
 
-# log d! for d below its size, grown by doubling; its entries never change, so
-# the draws do not depend on how far earlier calls grew it
-_log_factorials = np.zeros(1)
+@lru_cache(maxsize=128)
+def _photon_cdf(mean: float, nu: float | None) -> np.ndarray:
+    """``_photon_count``'s CDF, read-only: mean^d/d! up to 12√mean + 40 past the
+    mean (the tail beyond holds < 1e-25), with ``nu`` in the order 1, 0, 2, …
+    and 1 − e^{−ν} for d = 0."""
+    size = int(mean + 12.0 * math.sqrt(mean)) + 40
+    log_factorials = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, size)))))
+    log_w = np.arange(size) * math.log(mean) - log_factorials
+    if nu is not None:
+        log_w[0] = math.log(-math.expm1(-nu)) if nu > 0.0 else -math.inf
+        log_w[0], log_w[1] = log_w[1], log_w[0]
+    cdf = _cumulative(log_w)
+    cdf.flags.writeable = False
+    return cdf
 
 
 def _photon_count(mean: float, u: float, nu: float | None = None) -> int:
-    """A Poisson(mean) photon number by inverse CDF of the uniform u, with
-    weights mean^d/d! relative to e^{−mean} up to 12√mean + 40 past the mean
-    (the tail beyond holds < 1e-25).  With ``nu`` it is the number detected at
-    a click: d = 0 needs a dark count and weighs 1 − e^{−ν}, and the order
-    1, 0, 2, 3, … makes u = 0 the single-photon herald."""
-    global _log_factorials
+    """A Poisson(mean) photon number by inverse CDF of the uniform u.  With
+    ``nu`` it is the number detected at a click: d = 0 needs a dark count,
+    and the order 1, 0, 2, 3, … makes u = 0 the single-photon herald."""
     if mean <= 0.0:
         return 0  # the only outcome of positive weight
-    size = int(mean + 12.0 * math.sqrt(mean)) + 40
-    if _log_factorials.size < size:
-        k = np.arange(1, max(size, 2 * _log_factorials.size))
-        _log_factorials = np.concatenate(([0.0], np.cumsum(np.log(k))))
-    log_w = np.arange(size) * math.log(mean) - _log_factorials[:size]
-    if nu is None:
-        return _inverse_cdf(log_w, u)
-    log_w[0] = math.log(-math.expm1(-nu)) if nu > 0.0 else -math.inf
-    log_w[0], log_w[1] = log_w[1], log_w[0]
-    k = _inverse_cdf(log_w, u)
-    return 1 - k if k < 2 else k
+    k = _inverse_cdf(_photon_cdf(mean, nu), u)
+    return 1 - k if nu is not None and k < 2 else k
 
 
 @lru_cache(maxsize=64)
@@ -486,27 +488,48 @@ def _click_table(gamma_l: complex, alpha1: float, cutoff: int, eta: float, nu: f
     return table
 
 
-def _run_factors(state: FockState, factors, config: ProtocolConfig, rng, log: TrialLog) -> FockState:
-    """Apply the (γ_l, l, repetition) ``factors`` in turn to c(λ) = ⟨λ|ψ⟩, each
-    as one exact trajectory, appending their records to ``log``; returns V @ c.
+@lru_cache(maxsize=64)
+def _attempt_rows(gamma_l: complex, alpha1: float, cutoff: int, eta: float, nu: float,
+                  transmittance: float, attempts: int, clicked: bool) -> tuple:
+    """A factor's rows over λ at M = ``attempts``, read-only: the λ* reweighting
+    ηI_λ(T^{M−clicked} − 1), the click log(1 − e^{−ν−η·tapped_λ}), tapped_λ =
+    I_λ(1−T)T^{M−1}, and the envelope ½I_λ(T^M − 1)."""
+    intensity = _factor_tables(gamma_l, alpha1, cutoff)[0]
+    log_t = math.log(transmittance)
+    tapped = intensity * (1.0 - transmittance) * transmittance ** (attempts - 1)
+    with np.errstate(divide="ignore"):  # a label no tap can click at has log-weight −inf
+        rows = (eta * intensity * np.expm1((attempts - clicked) * log_t),
+                np.log(-np.expm1(-nu - eta * tapped)), tapped,
+                0.5 * intensity * np.expm1(attempts * log_t))
+    for row in rows:
+        row.flags.writeable = False
+    return rows
+
+
+def label_gate(c: np.ndarray, config: ProtocolConfig, rng, log: TrialLog, factors=None,
+               headroom: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Apply the gate's factors, or the (γ_l, l, repetition) ``factors`` given,
+    in turn to the label amplitudes c(λ) = ⟨λ|ψ⟩, each as one exact trajectory,
+    appending their records to ``log``; returns the normalized output c and V @ c.
 
     With I_λ = |α₁(1+γ_l λ)|² and μ_λ = I_λ(1−T)T^{M−1}, four ``rng.random()``
     draws pick the click attempt M, a label λ* ∝ |c_λ|²·e^{−ηI_λ(1−T^{M−1})}·
     (1 − e^{−ν−ημ_λ}), the photons lost over M attempts ~ Poisson((1−η)I_λ*(1−T^M))
     and those detected at the click (mean ημ_λ*); given λ* these are exact, so
-    K = lost + detected is too, and log c_λ gains −½I_λ(1−T^M) + K·log(1+γ_l λ);
-    c is formed and normalized once, at the end.  Raises FactorFailure (state,
-    record and log attached) after ``max_attempts_per_factor`` attempts
-    without a click; that state skips the detected photons.
+    K = lost + detected is too, and log c_λ gains −½I_λ(1−T^M) + K·log(1+γ_l λ),
+    all from cached rows.  V @ c must be finite (ValueError) and, with
+    ``headroom``, pass ``check_headroom``.  Raises FactorFailure (state, record
+    and log attached) after ``max_attempts_per_factor`` attempts without a
+    click; that state skips the detected photons.
     """
-    if state.cutoffs != (config.cutoff,):
-        raise DimensionError(f"expected a single-mode state of cutoff {config.cutoff}")
+    if factors is None:
+        dec = gamma_factors(config.gamma, config.n)
+        factors = [(dec.gamma_l[l], l, rep) for rep in range(int(config.n)) for l in (2, 1, 0)]
     T, budget = config.transmittance, config.max_attempts_per_factor
     eta, nu = config.detector.eta, config.detector.nu
     log_t = math.log(T)
-    _, v = x_eigh(config.cutoff)
     with np.errstate(divide="ignore"):  # a label of zero amplitude has log-weight −inf
-        log_c = np.log(v.conj().T @ state.amplitudes)
+        log_c = np.log(c)
     for gamma_l, factor_index, repetition in factors:
         key = (complex(gamma_l), float(config.alpha1), log_c.size)
         intensity, log_factor = _factor_tables(*key)
@@ -517,30 +540,41 @@ def _run_factors(state: FockState, factors, config: ProtocolConfig, rng, log: Tr
                                            eta * intensity, nu, log_t, budget, rng.random())
         clicked = clicked_at is not None
         attempts = clicked_at if clicked else budget
-        misses = attempts - 1 if clicked else attempts
-        log_w += eta * intensity * np.expm1(misses * log_t)
+        reweight, click, tapped, envelope = _attempt_rows(*key, eta, nu, T, attempts, clicked)
+        # two additions: one pre-summed row would round differently and move the draws
+        log_w += reweight
         if clicked:
-            tapped = intensity * (1.0 - T) * T ** (attempts - 1)
-            with np.errstate(divide="ignore"):
-                log_w += np.log(-np.expm1(-nu - eta * tapped))
-        star = _inverse_cdf(log_w, rng.random())
+            log_w += click
+        star = _inverse_cdf(_cumulative(log_w), rng.random())
         lost = -(1.0 - eta) * intensity[star] * math.expm1(attempts * log_t)
         photons = _photon_count(lost, rng.random())
         if clicked:
             photons += _photon_count(eta * tapped[star], rng.random(), nu)
 
-        log_c += photons * log_factor + 0.5 * intensity * np.expm1(attempts * log_t)
+        log_c += photons * log_factor + envelope
         log.factors.append(FactorRecord(factor_index, repetition, attempts,
-                                        [False] * (attempts - 1) + [clicked],
                                         T ** (attempts / 2.0), clicked, first_p))
         if not clicked:
             break
     c = np.exp(log_c - log_c.real.max())
-    out = FockState(v @ (c / math.sqrt(np.vdot(c, c).real)), state.cutoffs)
+    c = c / math.sqrt(np.vdot(c, c).real)
+    psi = x_eigh(c.size)[1] @ c
+    if not np.isfinite(psi.view(float)).all():
+        raise ValueError("amplitudes contain NaN/Inf")
+    if headroom:
+        where = "the gate output" if clicked else "the failure state"
+        check_headroom(psi, f"{where} {_after(log.factors[-1])}")
     if not clicked:
         raise FactorFailure(f"factor l={factor_index} saw no click in {attempts} attempts",
-                            out, log.factors[-1], log)
-    return out
+                            FockState(psi, (c.size,)), log.factors[-1], log)
+    return c, psi
+
+
+def _labels(state: FockState, config: ProtocolConfig) -> np.ndarray:
+    """The label amplitudes V†ψ of a single-mode state at the config's cutoff."""
+    if state.cutoffs != (config.cutoff,):
+        raise DimensionError(f"expected a single-mode state of cutoff {config.cutoff}")
+    return x_eigh(config.cutoff)[1].conj().T @ state.amplitudes
 
 
 def rus_factor(
@@ -552,13 +586,14 @@ def rus_factor(
     repetition: int = 0,
 ) -> tuple[FockState, FactorRecord]:
     """Apply one normalized (1 + γ_l x̂) factor by repeat-until-success
-    subtraction: ``full_gate``'s label engine (``_run_factors``) on one factor,
-    without the headroom check.  Returns the state and the factor's record,
-    or raises FactorFailure as the engine does."""
+    subtraction: ``label_gate`` on one factor, without the headroom check.
+    Returns the state and the factor's record, or raises FactorFailure."""
     if gamma_l == 0:
-        return state, FactorRecord(factor_index, repetition, 0, [], 1.0, True, 0.0)
+        return state, FactorRecord(factor_index, repetition, 0, 1.0, True, 0.0)
     log = TrialLog()
-    return _run_factors(state, [(gamma_l, factor_index, repetition)], config, rng, log), log.factors[0]
+    _, psi = label_gate(_labels(state, config), config, rng, log,
+                        [(gamma_l, factor_index, repetition)], headroom=False)
+    return FockState(psi, state.cutoffs), log.factors[0]
 
 
 # the largest share of a state's probability that may sit in its top two Fock
@@ -584,22 +619,15 @@ def full_gate(
     """Apply the full N-step approximant: factors l = 2, 1, 0, repeated N times.
 
     The factors commute (all are functions of x̂); right-to-left order is kept
-    for reproducibility.  All 3N run on the label amplitudes c = V†ψ, and V @ c
-    is formed once.  γ = 0 degenerates to the identity with an empty log.  The
+    for reproducibility.  All 3N run in ``label_gate`` on c = V†ψ, and V @ c is
+    formed once.  γ = 0 degenerates to the identity with an empty log.  The
     output, or the state of a FactorFailure, must pass ``check_headroom``.
     """
     log = TrialLog()
     if config.gamma == 0.0:
         return state, log
-    dec = gamma_factors(config.gamma, config.n)
-    factors = [(dec.gamma_l[l], l, rep) for rep in range(int(config.n)) for l in (2, 1, 0)]
-    try:
-        out = _run_factors(state, factors, config, rng, log)
-    except FactorFailure as err:
-        check_headroom(err.state.amplitudes, f"the failure state {_after(err.record)}")
-        raise
-    check_headroom(out.amplitudes, f"the gate output {_after(log.factors[-1])}")
-    return out, log
+    _, psi = label_gate(_labels(state, config), config, rng, log)
+    return FockState(psi, state.cutoffs), log
 
 
 def _after(record: FactorRecord) -> str:

@@ -12,7 +12,7 @@ from oracles import (
     ideal_gate_p_mean,
     ideal_gate_p_variance,
 )
-from cubicphase import analysis
+from cubicphase import analysis, protocol
 from cubicphase.analysis import (
     ErrorEnsembleSpec,
     GateFidelityReport,
@@ -24,12 +24,43 @@ from cubicphase.analysis import (
     variance_sweep,
 )
 from cubicphase.cubic import gamma_factors, ideal_cubic_gate, u_n_operator
-from cubicphase.errors import NumericalDegradationError
+from cubicphase.errors import FactorFailure, NumericalDegradationError
 from cubicphase.gaussian import x_eigh
 from cubicphase.hilbert import apply, coherent, expectation, quadrature_p, quadrature_x
-from cubicphase.protocol import IDEAL_DETECTOR, DetectorModel, ProtocolConfig, TrialLog
+from cubicphase.protocol import IDEAL_DETECTOR, DetectorModel, ProtocolConfig, full_gate
 
 REALISTIC_DETECTOR = DetectorModel(eta=0.9, dark_rate_hz=100.0, window_s=1e-10)
+
+# (ProtocolConfig keywords, coherent input α) scored both in label space and
+# through full_gate's FockState
+SCORED_CASES = {
+    "rus_herald": (dict(gamma=0.001, n=2, alpha1=3.3, transmittance=0.9734, cutoff=8,
+                        max_attempts_per_factor=500, detector=IDEAL_DETECTOR), 0.0),
+    "lossy": (dict(gamma=0.05, alpha1=2.0, transmittance=0.95, cutoff=20, max_attempts_per_factor=60,
+                   detector=DetectorModel(eta=0.7, dark_rate_hz=0.02, window_s=1.0)), 0.3 + 0.2j),
+    "strong_n3": (dict(gamma=0.01, n=3, alpha1=3.0, transmittance=0.97, cutoff=24,
+                       max_attempts_per_factor=200, detector=REALISTIC_DETECTOR), -0.2 + 0.1j),
+}
+
+
+def identity_label_gate(c, config, rng, log):
+    return c, None
+
+
+def fock_route_scores(config, alpha, rng):
+    """(success, total_attempts, F_un, F_ideal) of one run scored as before
+    label-space scoring: full_gate on the FockState input, then the fidelities
+    of V† of its output against the label targets."""
+    _, v = x_eigh(config.cutoff)
+    inp = coherent(alpha, config.cutoff)
+    try:
+        out, log = full_gate(inp, config, rng)
+    except FactorFailure as err:
+        return False, err.log.total_attempts, None, None
+    c_in, c_out = v.conj().T @ inp.amplitudes, v.conj().T @ out.amplitudes
+    un, ideal = (t * c_in for t in _gate_targets(config.gamma, config.n, config.cutoff))
+    f_un, f_id = (abs(np.vdot(c_out, t)) ** 2 / np.vdot(t, t).real for t in (un, ideal))
+    return True, log.total_attempts, f_un, f_id
 
 
 def enumerated_error_stats(spec):
@@ -281,9 +312,60 @@ class TestGateTargets:
 
     def test_target_headroom_checked(self, monkeypatch):
         # x̂³ lifts the input's upper Fock levels against the cutoff.  The gate
-        # is replaced by the identity, whose output passes the check.
-        monkeypatch.setattr(analysis, "full_gate", lambda state, config, rng: (state, TrialLog()))
+        # is replaced by the identity on the labels, whose output passes the check.
+        monkeypatch.setattr(analysis, "label_gate", identity_label_gate)
         cfg = ProtocolConfig(gamma=0.05, n=1, cutoff=12, detector=IDEAL_DETECTOR)
         with pytest.raises(NumericalDegradationError,
                            match=r"the U_N target of input 1\.0 holds \S+ of its probability"):
             analysis.run_ensemble(cfg, [1.0], [None])
+
+    def test_cached_target_checked_on_every_run(self, monkeypatch):
+        # the cached input fails on every call, and each message names the
+        # caller's α, though 1.0 and 1+0j are equal keys
+        monkeypatch.setattr(analysis, "label_gate", identity_label_gate)
+        cfg = ProtocolConfig(gamma=0.05, n=1, cutoff=12, detector=IDEAL_DETECTOR)
+        for alpha, shown in ((1.0, r"1\.0"), (1.0, r"1\.0"), (1 + 0j, r"\(1\+0j\)")):
+            with pytest.raises(NumericalDegradationError, match=rf"the U_N target of input {shown} "):
+                analysis.run_ensemble(cfg, [alpha], [None])
+
+    def test_gate_output_checked_before_target(self, force_click):
+        # α₁ = 60 squeezes the gate output in x̂ beyond the cutoff, and the
+        # U_N target of this input fails too (above); the gate's check comes
+        # first, on every run
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            cfg = ProtocolConfig(gamma=0.05, n=1, alpha1=60.0, transmittance=0.5, cutoff=12,
+                                 max_attempts_per_factor=50, detector=IDEAL_DETECTOR)
+        for _ in range(2):
+            with pytest.raises(NumericalDegradationError, match=r"the gate output after factor l=0"):
+                analysis.run_ensemble(cfg, [1.0], [force_click])
+
+    def test_nonfinite_output_rejected_before_headroom(self, monkeypatch, force_click):
+        # NaN amplitudes pass the headroom comparison, so the gate output must
+        # be checked for them first, as FockState does
+        kw, alpha = SCORED_CASES["rus_herald"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            cfg = ProtocolConfig(**kw)
+        w, v = x_eigh(cfg.cutoff)
+        monkeypatch.setattr(protocol, "x_eigh", lambda cutoff: (w, np.full_like(v, np.nan)))
+        with pytest.raises(ValueError, match="amplitudes contain NaN/Inf"):
+            analysis.run_ensemble(cfg, [alpha], [force_click])
+
+    @pytest.mark.parametrize("case", sorted(SCORED_CASES))
+    def test_label_scoring_matches_fock_route(self, case):
+        kw, alpha = SCORED_CASES[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            cfg = ProtocolConfig(**kw)
+        seeds = [np.random.SeedSequence(5, spawn_key=(run,)) for run in range(40)]
+        got = analysis.run_ensemble(cfg, [alpha] * len(seeds), map(np.random.default_rng, seeds))
+        want = [fock_route_scores(cfg, alpha, np.random.default_rng(s)) for s in seeds]
+        assert sum(r.success for r, _ in got) >= 10
+        for (r, log), (success, attempts, f_un, f_id) in zip(got, want):
+            assert (r.success, r.total_attempts, log.total_attempts) == (success, attempts, attempts)
+            if success:
+                assert abs(r.fidelity_un - f_un) <= 1e-14
+                assert abs(r.fidelity_ideal - f_id) <= 1e-14
+            else:
+                assert r.fidelity_un is None and r.fidelity_ideal is None

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -59,6 +60,18 @@ class TestCoherent:
 
     def test_truncation_loss_small(self):
         assert coherent_truncation_loss(1.0, 20) < 1e-8
+
+    @pytest.mark.parametrize("magnitude", [0.5, 2.0, 4.0, 6.0])
+    def test_truncation_loss_matches_exact_tail(self, magnitude):
+        # the regularized lower incomplete gamma P(c, λ) is the Poisson(λ)
+        # tail at n ≥ c, here at 40 digits
+        mpmath = pytest.importorskip("mpmath")
+        alpha = magnitude * cmath.exp(0.7j)
+        with mpmath.workdps(40):
+            for cutoff in range(10, 41):
+                exact = mpmath.gammainc(cutoff, 0, mpmath.mpf(magnitude) ** 2, regularized=True)
+                got = coherent_truncation_loss(alpha, cutoff)
+                assert abs((got - exact) / exact) <= 1e-12, f"cutoff {cutoff}"
 
     def test_loss_monotone_in_cutoff(self):
         losses = [coherent_truncation_loss(2.0, c) for c in range(6, 40, 2)]

@@ -7,12 +7,14 @@ import pytest
 from scipy import stats
 
 from oracles import coherent_position_density, factor_attempt_stats, gate_total_attempts
+from cubicphase import protocol
 from cubicphase.cubic import factor_operator, gamma_factors, u_n_operator
 from cubicphase.errors import (
     DegenerateOutcomeError,
     FactorFailure,
     NumericalDegradationError,
 )
+from cubicphase.gaussian import x_eigh
 from cubicphase.hilbert import (
     FockState,
     apply,
@@ -34,10 +36,13 @@ from cubicphase.protocol import (
     ProtocolConfig,
     TrialLog,
     _apply_qnd_compensated,
+    _attempt_rows,
     _beamsplitter,
     _click_table,
     _factor_tables,
     _first_click,
+    _photon_cdf,
+    _photon_count,
     _povm0_diag,
     couple_resource,
     detector_povm,
@@ -182,6 +187,23 @@ def block_search_last_cdf(q, intensity, nu, transmittance, max_attempts):
         size = min(2 * size, 4096)
     ks = np.arange(start, max_attempts + 1)[:, None]
     return (-np.expm1(-nu * ks + intensity * np.expm1(ks * math.log(transmittance))) @ q)[-1]
+
+
+def direct_photon_count(mean, u, nu=None):
+    """The photon draw before its CDFs were cached: a Poisson(mean) number by
+    inverse CDF of u, built on every call; with ``nu`` the number detected at
+    a click, in the order 1, 0, 2, 3, … with weight 1 − e^{−ν} for d = 0."""
+    if mean <= 0.0:
+        return 0
+    size = int(mean + 12.0 * math.sqrt(mean)) + 40
+    log_factorials = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, size)))))
+    log_w = np.arange(size) * math.log(mean) - log_factorials[:size]
+    if nu is not None:
+        log_w[0] = math.log(-math.expm1(-nu)) if nu > 0.0 else -math.inf
+        log_w[0], log_w[1] = log_w[1], log_w[0]
+    cdf = np.exp(log_w - log_w.max()).cumsum()
+    k = min(int(cdf.searchsorted(u * cdf[-1], side="right")), cdf.size - 1)
+    return 1 - k if nu is not None and k < 2 else k
 
 
 class OutcomeSequenceRng:
@@ -822,6 +844,90 @@ class TestClickTable:
             assert row == pytest.approx(want, rel=1e-12)
 
 
+class TestAttemptRows:
+    """The per-factor rows ``label_gate`` reads for a click at attempt M, or
+    M attempts without one, against their closed forms label by label; only
+    the λ* reweighting depends on whether the factor clicked."""
+
+    CASES = TestClickTable.CASES
+
+    @pytest.mark.parametrize("clicked", [True, False])
+    @pytest.mark.parametrize("attempts", [1, 16, 17, 400, 10_000])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rows_match_closed_form(self, case, attempts, clicked):
+        gamma, alpha1, T, cutoff, eta, nu = self.CASES[case]
+        for gl in gamma_factors(gamma, 1).gamma_l:
+            rows = _attempt_rows(complex(gl), alpha1, cutoff, eta, nu, T, attempts, clicked)
+            assert rows is _attempt_rows(complex(gl), alpha1, cutoff, eta, nu, T, attempts, clicked)
+            reweight, click, tapped, envelope = rows
+            intensity = _factor_tables(complex(gl), alpha1, cutoff)[0]
+            misses = attempts - 1 if clicked else attempts
+            assert reweight == pytest.approx(
+                [eta * i * math.expm1(misses * math.log(T)) for i in intensity], rel=1e-12)
+            assert envelope == pytest.approx(
+                [0.5 * i * (math.exp(attempts * math.log(T)) - 1.0) for i in intensity], rel=1e-12)
+            want_tapped = [i * (1.0 - T) * math.exp((attempts - 1) * math.log(T)) for i in intensity]
+            assert tapped == pytest.approx(want_tapped, rel=1e-12)
+            assert click == pytest.approx(
+                [math.log(-math.expm1(-nu - eta * t)) for t in want_tapped], rel=1e-12)
+            assert not any(r.flags.writeable for r in rows)
+
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_label_draw_adds_the_rows_in_turn(self, case, monkeypatch):
+        # the λ* draw reads 2·Re log c, plus the reweighting row, plus the
+        # click row, rounded after each addition; one pre-summed row rounds
+        # differently, which would move the draws
+        gamma, alpha1, T, cutoff, eta, nu = self.CASES[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            cfg = ProtocolConfig(gamma=gamma, alpha1=alpha1, transmittance=T, cutoff=cutoff,
+                                 max_attempts_per_factor=10_000,
+                                 detector=DetectorModel(eta=eta, dark_rate_hz=nu, window_s=1.0))
+        gl = complex(gamma_factors(gamma, 1).gamma_l[0])
+        psi = coherent(0.3 + 0.1j, cutoff)
+        cdfs = []
+        real_inverse_cdf = protocol._inverse_cdf
+        monkeypatch.setattr(protocol, "_inverse_cdf",
+                            lambda cdf, u: cdfs.append(cdf) or real_inverse_cdf(cdf, u))
+        log_c = np.log(x_eigh(cutoff)[1].conj().T @ psi.amplitudes)
+        q = np.abs(np.exp(log_c)) ** 2
+        f_1, f_2 = _click_table(gl, alpha1, cutoff, eta, nu, T, 10_000)[:2] @ (q / q.sum())
+        _, rec = rus_factor(psi, gl, cfg, OutcomeSequenceRng([0.5 * (f_1 + f_2), 0.5, 0.5, 0.5]))
+        assert rec.success and rec.attempts == 2
+        intensity = _factor_tables(gl, alpha1, cutoff)[0]
+        log_w = 2.0 * (log_c - log_c.real.max()).real
+        log_w += eta * intensity * np.expm1((rec.attempts - 1) * math.log(T))
+        log_w += np.log(-np.expm1(-nu - eta * (intensity * (1.0 - T) * T ** (rec.attempts - 1))))
+        assert np.array_equal(cdfs[0], np.exp(log_w - log_w.max()).cumsum())
+
+
+class TestPhotonCdf:
+    """The cached photon-count CDFs draw exactly as the draw that built its
+    CDF on every call, kept here as ``direct_photon_count``."""
+
+    MEANS = [1e-6, 3e-4, 0.01, 0.2, 0.77, 1.0, 2.5, 7.3, 16.0, 50.0]
+
+    @pytest.mark.parametrize("nu", [None, 0.0, 1e-8, 0.02, 0.7])
+    def test_matches_direct_draw_at_every_step(self, nu):
+        rng = np.random.default_rng(41)
+        for mean in self.MEANS:
+            size = int(mean + 12.0 * math.sqrt(mean)) + 40
+            cdf = _photon_cdf(mean, nu)
+            assert cdf.size == size and not cdf.flags.writeable
+            assert _photon_cdf(mean, nu) is cdf
+            steps = cdf / cdf[-1]
+            us = [0.0, np.nextafter(1.0, 0.0)] + list(rng.random(50))
+            us += [np.nextafter(x, d) for x in steps for d in (0.0, 1.0)] + list(steps)
+            for u in us:
+                if 0.0 <= u < 1.0:
+                    assert _photon_count(mean, u, nu) == direct_photon_count(mean, u, nu), \
+                        f"mean {mean}, u {u!r}"
+
+    def test_zero_mean_draws_nothing(self):
+        assert _photon_count(0.0, 0.5) == 0 and _photon_count(0.0, 0.5, 0.02) == 0
+
+
 class TestPinnedDraws:
     """``success`` and ``total_attempts`` of full_gate runs on generators
     seeded SeedSequence(23, spawn_key=(run,)), as the engine drew them
@@ -915,15 +1021,16 @@ class TestConfigValidation:
         with pytest.raises(TypeError):
             ProtocolConfig(cutoffs=(30, 4))
 
-    def test_record_invariant(self):
-        with pytest.raises(ValueError):
-            FactorRecord(0, 0, 3, [False, False, False], 1.0, True, 0.1)
+    @pytest.mark.parametrize("attempts, success", [(3, True), (4, False), (1, True), (0, True)])
+    def test_outcomes_follow_attempts(self, attempts, success):
+        outcomes = FactorRecord(0, 0, attempts, 1.0, success, 0.1).outcomes
+        assert outcomes == [False] * (attempts - 1) + [success] if attempts else outcomes == []
 
     def test_trial_log_aggregation(self):
         log = TrialLog(
             [
-                FactorRecord(2, 0, 3, [False, False, True], 0.99, True, 0.1),
-                FactorRecord(1, 0, 2, [False, True], 0.995, True, 0.1),
+                FactorRecord(2, 0, 3, 0.99, True, 0.1),
+                FactorRecord(1, 0, 2, 0.995, True, 0.1),
             ]
         )
         assert log.total_attempts == 5
