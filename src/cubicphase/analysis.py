@@ -282,8 +282,9 @@ def gate_fidelity_report(
     """Run the full gate over an ensemble of coherent inputs.
 
     Reports output-state fidelity against the normalized U_N target and the
-    ideal cubic gate, plus attempt statistics compared with 3N/p where p is
-    the exact first-attempt click probability returned by the POVM sampling.
+    ideal cubic gate, plus attempt statistics compared with 3N/p, where p is
+    the mean over heralded factors of F(1), the first row of the factor's
+    click table: the exact probability of a click at its first attempt.
     Runs whose factor exhausts its attempt budget count as failures and carry
     no fidelity.  Each run draws from its own child of ``rng`` (``rng.spawn``).
     """

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -21,7 +22,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from . import analysis, cubic, schemes
-from .errors import DegenerateOutcomeError, NumericalDegradationError
+from .errors import CutoffError, DegenerateOutcomeError, NumericalDegradationError
 from .hilbert import quadrature_x
 from .protocol import DetectorModel, ProtocolConfig, check_bounds, protocol_bounds
 
@@ -52,7 +53,8 @@ class RunConfig:
             ("cutoff", self.cutoff >= 4, ">= 4"),
             ("ensemble", self.ensemble >= 1, ">= 1"),
             ("seed", self.seed >= 0, ">= 0"),
-            ("purity_tol", self.purity_tol > 0.0, "> 0"),
+            ("input_alpha", math.isfinite(self.input_alpha), "finite"),
+            ("purity_tol", 0.0 < self.purity_tol < math.inf, "in (0, inf)"),
             *protocol_bounds(self.gamma, self.n, self.alpha1, self.transmittance,
                              self.max_attempts),
         ])
@@ -76,7 +78,7 @@ _KEYS = {
     "seed": ("seed", int),
     "input_alpha": ("input_alpha", float),
     "max_attempts": ("max_attempts", int),
-    "purity_tol": ("purity_tol", float),  # validated but unread: every trajectory is pure
+    "purity_tol": ("purity_tol", float),  # unread, as every trajectory is pure; perfbench writes it
     "out": ("out", str),
 }
 
@@ -150,11 +152,14 @@ def _run_simulate(cfg: RunConfig, out: str) -> None:
         max_attempts_per_factor=cfg.max_attempts,
         detector=cfg.detector(),
     )
-    results = analysis.run_ensemble(
-        pconf,
-        [cfg.input_alpha] * cfg.ensemble,
-        (_rng_for_run(cfg.seed, run) for run in range(cfg.ensemble)),
-    )
+    try:
+        results = analysis.run_ensemble(
+            pconf,
+            [cfg.input_alpha] * cfg.ensemble,
+            (_rng_for_run(cfg.seed, run) for run in range(cfg.ensemble)),
+        )
+    except CutoffError as exc:  # only the coherent input |input_alpha⟩ can raise it
+        raise ValueError(f"config key 'input_alpha': {exc}") from None
     rows = [
         (run, r.success, r.total_attempts, r.fidelity_un, r.fidelity_ideal)
         for run, (r, _) in enumerate(results)

@@ -67,7 +67,7 @@ def ideal_cubic_gate(gamma: float, cutoff: int) -> FockOperator:
     """e^{iγx̂³} on the truncated space."""
     x = quadrature_x(cutoff).matrix
     x3 = np.linalg.matrix_power(x, 3)
-    return FockOperator(expm(1j * float(gamma) * x3), (int(cutoff),), unitary_hint=True)
+    return FockOperator(expm(1j * float(gamma) * x3), (int(cutoff),))
 
 
 # Default low-Fock window for approximant-vs-ideal comparisons.  The O(1/N)

@@ -14,7 +14,9 @@ class DegenerateOutcomeError(RuntimeError):
 
 
 class NumericalDegradationError(RuntimeError):
-    """A numerical-quality invariant (purity, norm) was violated mid-run."""
+    """A numerical-quality invariant was violated mid-run: a state holds more
+    of its probability in the top Fock levels of its cutoff than the
+    truncation-headroom bound allows."""
 
 
 class FactorFailure(RuntimeError):

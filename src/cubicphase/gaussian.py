@@ -2,10 +2,10 @@
 
 All gates are exact matrix exponentials of the truncated generator
 (scipy's scaling-and-squaring), so unitarity holds on the interior block and
-degrades only at the truncation boundary.  The simulator's fast paths,
-DisplacementFactory and apply_x_conditioned_displacement, are cached spectral
-constructions equal to them to machine precision, and squeezed_vacuum is
-S(r)|0⟩ in closed form; the dense gates stay as the reference oracles the
+degrades only at the truncation boundary.  The simulator's fast path,
+apply_x_conditioned_displacement, is a cached spectral construction equal to
+them to machine precision, squeezed_vacuum is S(r)|0⟩ and hilbert.coherent
+D(α)|0⟩ in closed form; the dense gates stay as the reference oracles the
 tests compare against.
 
 Conventions fixed here:
@@ -45,8 +45,8 @@ from .hilbert import (
 def displacement_gate(alpha: complex, cutoff: int, max_loss: float = 1e-8) -> FockOperator:
     """D(α) = exp(α â† − α* â).  Requires the cutoff to hold |α| (coherent tail rule).
 
-    Reference oracle for the tests; the simulator uses the cached spectral
-    ``displacement_factory(cutoff).gate`` instead.
+    Reference oracle for the tests; the simulator's displacements are the
+    cached spectral ones of ``apply_x_conditioned_displacement``.
     """
     loss = coherent_truncation_loss(alpha, cutoff)
     if loss >= max_loss:
@@ -55,7 +55,7 @@ def displacement_gate(alpha: complex, cutoff: int, max_loss: float = 1e-8) -> Fo
         )
     a = annihilation(cutoff).matrix
     gen = alpha * a.conj().T - np.conj(alpha) * a
-    return FockOperator(expm(gen), (int(cutoff),), unitary_hint=True)
+    return FockOperator(expm(gen), (int(cutoff),))
 
 
 def momentum_shift_gate(c: float, cutoff: int) -> FockOperator:
@@ -65,7 +65,7 @@ def momentum_shift_gate(c: float, cutoff: int) -> FockOperator:
     the ``kick`` phase of ``apply_x_conditioned_displacement``.
     """
     x = quadrature_x(cutoff).matrix
-    return FockOperator(expm(1j * float(c) * x), (int(cutoff),), unitary_hint=True)
+    return FockOperator(expm(1j * float(c) * x), (int(cutoff),))
 
 
 def qnd_compensation_kick(beta: complex, base_amplitude: float) -> float:
@@ -92,7 +92,7 @@ def beamsplitter_gate(transmittance: float, cutoffs) -> FockOperator:
     a1 = tensor(annihilation(d1), identity((d2,))).matrix
     a2 = tensor(identity((d1,)), annihilation(d2)).matrix
     gen = theta * (a1.conj().T @ a2 - a2.conj().T @ a1)
-    return FockOperator(expm(gen), cutoffs, unitary_hint=True)
+    return FockOperator(expm(gen), cutoffs)
 
 
 def _two_mode_order(cutoffs, system_mode, resource_mode):
@@ -120,7 +120,7 @@ def qnd_gate(beta: complex, cutoffs, system_mode: int = 0, resource_mode: int = 
         gen = tensor(xs, disp_op)
     else:
         gen = tensor(disp_op, xs)
-    return FockOperator(expm(gen.matrix), cutoffs, unitary_hint=True)
+    return FockOperator(expm(gen.matrix), cutoffs)
 
 
 def qnd_prime_gate(cutoffs, system_mode: int = 0, resource_mode: int = 1,
@@ -139,7 +139,7 @@ def qnd_prime_gate(cutoffs, system_mode: int = 0, resource_mode: int = 1,
         gen = tensor(xs, pr)
     else:
         gen = tensor(pr, xs)
-    return FockOperator(expm(1j * float(strength) * gen.matrix), cutoffs, unitary_hint=True)
+    return FockOperator(expm(1j * float(strength) * gen.matrix), cutoffs)
 
 
 def squeezed_vacuum_truncation_loss(r_width: float, cutoff: int) -> float:
@@ -180,47 +180,7 @@ def squeeze_gate(r_width: float, cutoff: int, max_loss: float = 1e-8) -> FockOpe
     s = -0.5 * math.log(float(r_width))
     a = annihilation(cutoff).matrix
     gen = 0.5 * s * (a @ a - a.conj().T @ a.conj().T)
-    return FockOperator(expm(gen), (int(cutoff),), unitary_hint=True)
-
-
-class DisplacementFactory:
-    """Cached spectral construction of displacement gates on one mode.
-
-    D(z) = R(θ) V e^{|z|Λ} V† R(θ)† with â†−â = VΛV† precomputed and R(θ) the
-    diagonal number-phase rotation, θ = arg z.  Equal to displacement_gate to
-    machine precision, but ~two matmuls per call; used inside tight protocol
-    loops where β varies per sampled attempt count.
-    """
-
-    def __init__(self, cutoff: int):
-        self.cutoff = int(cutoff)
-        a = annihilation(cutoff).matrix
-        herm = 1j * (a.conj().T - a)  # i(â†−â), Hermitian; â†−â = −i·herm
-        w, v = np.linalg.eigh(herm)
-        self._w = w          # real
-        self._v = v
-        self._n = np.arange(self.cutoff)
-
-    def gate(self, z: complex) -> np.ndarray:
-        mag, theta = abs(z), np.angle(z) if z != 0 else 0.0
-        if mag == 0.0:
-            return np.eye(self.cutoff, dtype=complex)
-        # exp(mag*(a† - a)) = V e^{-i*mag*w} V†
-        core = (self._v * np.exp(-1j * mag * self._w)) @ self._v.conj().T
-        if theta == 0.0:
-            return core
-        phase = np.exp(1j * theta * self._n)
-        return (core * phase[:, None]) * phase.conj()[None, :]
-
-    def gates_batch(self, zs: np.ndarray) -> np.ndarray:
-        """Stacked D(z) for an array of displacements, shape (len(zs), c, c)."""
-        zs = np.asarray(zs, dtype=complex)
-        mags = np.abs(zs)
-        thetas = np.where(mags > 0, np.angle(zs), 0.0)
-        ee = np.exp(-1j * np.outer(mags, self._w))
-        cores = np.einsum("ik,jk,lk->jil", self._v, ee, self._v.conj())
-        phases = np.exp(1j * np.outer(thetas, self._n))
-        return cores * phases[:, :, None] * phases.conj()[:, None, :]
+    return FockOperator(expm(gen), (int(cutoff),))
 
 
 # ---------------------------------------------------------------------------
@@ -237,16 +197,28 @@ def x_eigh(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=32)
-def displacement_factory(cutoff: int) -> DisplacementFactory:
-    """The one shared DisplacementFactory per cutoff."""
-    return DisplacementFactory(cutoff)
+def _displacement_eigh(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues Λ and eigenvectors V of the Hermitian i(â†−â), read-only, so
+    that D(z) = R(θ)·V e^{−i|z|Λ} V†·R(θ)† with R(θ) = diag(e^{iθn}), θ = arg z."""
+    a = annihilation(cutoff).matrix
+    w, v = np.linalg.eigh(1j * (a.conj().T - a))
+    w.flags.writeable = False
+    v.flags.writeable = False
+    return w, v
 
 
 @lru_cache(maxsize=64)
 def _x_conditioned_gates(beta: complex, kick: float, sys_c: int, res_c: int) -> np.ndarray:
-    """Per-x̂_S-eigenvalue resource displacements e^{i·kick·λ}D(βλ), stacked."""
+    """Per-x̂_S-eigenvalue resource displacements e^{i·kick·λ}D(βλ), stacked,
+    from the spectral form of D; equal to displacement_gate to machine precision."""
     w, _ = x_eigh(sys_c)
-    gates = displacement_factory(res_c).gates_batch(beta * w)
+    lam, v = _displacement_eigh(res_c)
+    zs = beta * w
+    mags = np.abs(zs)
+    thetas = np.where(mags > 0, np.angle(zs), 0.0)
+    cores = np.einsum("ik,jk,lk->jil", v, np.exp(-1j * np.outer(mags, lam)), v.conj())
+    phases = np.exp(1j * np.outer(thetas, np.arange(res_c)))
+    gates = cores * phases[:, :, None] * phases.conj()[:, None, :]
     gates *= np.exp(1j * kick * w)[:, None, None]
     gates.flags.writeable = False
     return gates

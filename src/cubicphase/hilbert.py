@@ -118,7 +118,6 @@ class FockOperator:
     matrix: np.ndarray
     cutoffs: tuple[int, ...]
     hermitian_hint: bool = False
-    unitary_hint: bool = False
 
     def __post_init__(self):
         self.cutoffs = _as_cutoffs(self.cutoffs)
@@ -132,14 +131,6 @@ class FockOperator:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def dagger(self) -> "FockOperator":
-        return FockOperator(
-            self.matrix.conj().T,
-            self.cutoffs,
-            hermitian_hint=self.hermitian_hint,
-            unitary_hint=self.unitary_hint,
-        )
 
     def __matmul__(self, other: "FockOperator") -> "FockOperator":
         if self.cutoffs != other.cutoffs:
@@ -173,6 +164,14 @@ def number_state(ns, cutoffs) -> FockState:
     return FockState(amp, cutoffs)
 
 
+def _mean_photons(alpha: complex) -> float:
+    """|α|², and inf where it passes the float range (``**`` raises there)."""
+    try:
+        return abs(alpha) ** 2
+    except OverflowError:
+        return math.inf
+
+
 def coherent_truncation_loss(alpha: complex, cutoff: int) -> float:
     """Probability mass of |α⟩ above the cutoff: e^{−λ} Σ_{n≥cutoff} λⁿ/n!, λ = |α|².
 
@@ -180,7 +179,7 @@ def coherent_truncation_loss(alpha: complex, cutoff: int) -> float:
     holds < 1e-25 of it), each term the one before times λ/n: as running
     products while e^{−λ} is a normal float, else in log space.
     """
-    lam = abs(alpha) ** 2
+    lam = _mean_photons(alpha)
     if lam == 0.0:
         return 0.0
     c, spread = int(cutoff), 12.0 * math.sqrt(lam) + 40.0
@@ -198,15 +197,17 @@ COHERENT_LOSS_TOL = 1e-8
 def coherent(alpha: complex, cutoff: int, max_loss: float = COHERENT_LOSS_TOL) -> FockState:
     """Coherent state |α⟩ with amplitudes e^{−|α|²/2} αⁿ/√(n!), renormalized.
 
-    Raises CutoffError when the truncated tail, 1 − Σ|amplitude|², reaches ``max_loss``.
+    Raises CutoffError when the truncated tail, 1 − Σ|amplitude|², reaches
+    ``max_loss`` or is not a number, so also for a NaN α and for any finite
+    α, however large, that the cutoff cannot hold.
     """
     cutoff = int(cutoff)
     # amplitude n is the product e^{−|α|²/2}·Π_{k≤n} α/√k
-    amp = np.cumprod(np.concatenate(([math.exp(-abs(alpha) ** 2 / 2.0)],
+    amp = np.cumprod(np.concatenate(([math.exp(-_mean_photons(alpha) / 2.0)],
                                      alpha / np.sqrt(np.arange(1, cutoff)))))
     norm = np.linalg.norm(amp)
-    loss = max(0.0, 1.0 - norm * norm)
-    if loss >= max_loss:
+    loss = 1.0 - norm * norm
+    if not loss < max_loss:
         raise CutoffError(
             f"coherent(|α|={abs(alpha):.3g}) loses {loss:.2e} probability at cutoff "
             f"{cutoff} (tolerance {max_loss:.1e})"
@@ -222,10 +223,6 @@ def annihilation(cutoff: int) -> FockOperator:
     return FockOperator(np.diag(np.sqrt(np.arange(1, cutoff)), 1), (cutoff,))
 
 
-def creation(cutoff: int) -> FockOperator:
-    return annihilation(cutoff).dagger()
-
-
 def number_op(cutoff: int) -> FockOperator:
     m = np.diag(np.arange(int(cutoff), dtype=float)).astype(complex)
     return FockOperator(m, (int(cutoff),), hermitian_hint=True)
@@ -237,7 +234,6 @@ def identity(cutoffs) -> FockOperator:
         np.eye(int(np.prod(cutoffs)), dtype=complex),
         cutoffs,
         hermitian_hint=True,
-        unitary_hint=True,
     )
 
 
@@ -272,7 +268,6 @@ def tensor(a, b):
             np.kron(a.matrix, b.matrix),
             a.cutoffs + b.cutoffs,
             hermitian_hint=a.hermitian_hint and b.hermitian_hint,
-            unitary_hint=a.unitary_hint and b.unitary_hint,
         )
     raise TypeError("tensor expects two FockStates or two FockOperators")
 
@@ -345,34 +340,6 @@ def partial_trace(state_or_dm, cutoffs, keep) -> np.ndarray:
     dd = int(np.prod([cutoffs[m] for m in drop])) if drop else 1
     rho = rho.reshape(dk, dd, dk, dd)
     return np.einsum("ajbj->ab", rho)
-
-
-def dominant_pure_component(state: FockState, keep) -> tuple[FockState, float]:
-    """Dominant pure component of the reduced state on ``keep`` modes.
-
-    Returns (pure state on kept modes, purity of the reduced state).  Used to
-    discard measured-out modes that should leave the rest (nearly) pure.
-    """
-    keep = tuple(int(k) for k in (keep if np.iterable(keep) else (keep,)))
-    drop = [m for m in range(state.n_modes) if m not in keep]
-    psi = state.amplitudes.reshape(state.cutoffs)
-    psi = np.transpose(psi, list(keep) + drop)
-    dk = int(np.prod([state.cutoffs[k] for k in keep]))
-    mat = psi.reshape(dk, -1)
-    # diagonalize the Gram matrix on whichever side is smaller
-    if mat.shape[1] <= dk:
-        gram = mat.conj().T @ mat
-        tr = gram.trace().real
-        w, v = np.linalg.eigh(gram)
-        lead = mat @ v[:, -1]
-    else:
-        gram = mat @ mat.conj().T
-        tr = gram.trace().real
-        w, v = np.linalg.eigh(gram)
-        lead = v[:, -1]
-    purity = float((w @ w).real / tr**2)
-    lead = lead / np.linalg.norm(lead)
-    return FockState(lead, tuple(state.cutoffs[k] for k in keep)), purity
 
 
 # ---------------------------------------------------------------------------

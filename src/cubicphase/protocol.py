@@ -27,9 +27,10 @@ photons only reweights c(λ), so unravelling the detector by photon number
 and their average the exact channel.  The system cutoff is then the only
 truncation, and ``label_gate`` checks it: its output may hold at most
 HEADROOM_BOUND of its probability in the top two Fock levels.
-``couple_resource``, ``subtraction_attempt`` and ``_attempt_kernel`` are the
-same steps on a truncated Fock resource and ancilla, kept as the reference
-the tests compare the label engine against.
+``couple_resource`` and ``subtraction_attempt`` are the same steps on a
+truncated Fock resource and ancilla, with the ancilla's photon number drawn
+in the same way, kept as the reference the tests compare the label engine
+against.
 """
 
 from __future__ import annotations
@@ -52,17 +53,10 @@ from .errors import (
 from .gaussian import (
     apply_x_conditioned_displacement,
     beamsplitter_gate,
-    displacement_factory,
     qnd_compensation_kick,
     x_eigh,
 )
-from .hilbert import (
-    FockOperator,
-    FockState,
-    coherent_truncation_loss,
-    tensor,
-    vacuum,
-)
+from .hilbert import FockOperator, FockState, coherent, tensor
 
 
 def check_bounds(rules) -> None:
@@ -73,14 +67,18 @@ def check_bounds(rules) -> None:
             raise ValueError(f"config key '{key}' violates constraint ({rule})")
 
 
+# attempt counts are numpy int64 in the click tables
+MAX_ATTEMPTS = 2**63 - 1
+
+
 def protocol_bounds(gamma, n, alpha1, transmittance, max_attempts) -> list:
     """The rules on the ProtocolConfig parameters, named by their config keys."""
     return [
-        ("gamma", gamma >= 0.0, ">= 0"),
+        ("gamma", 0.0 <= gamma < math.inf, "in [0, inf)"),
         ("N", int(n) >= 1, ">= 1"),
-        ("alpha1", alpha1 > 0.0, "> 0"),
+        ("alpha1", 0.0 < alpha1 < math.inf, "in (0, inf)"),
         ("transmittance", 0.0 < transmittance <= 1.0, "in (0, 1]"),
-        ("max_attempts", max_attempts >= 1, ">= 1"),
+        ("max_attempts", 1 <= max_attempts <= MAX_ATTEMPTS, "in [1, 2**63 - 1]"),
     ]
 
 
@@ -99,8 +97,8 @@ class DetectorModel:
     def __post_init__(self):
         check_bounds([
             ("eta", 0.0 <= self.eta <= 1.0, "in [0, 1]"),
-            ("dark_rate_hz", self.dark_rate_hz >= 0.0, ">= 0"),
-            ("window_s", self.window_s > 0.0, "> 0"),
+            ("dark_rate_hz", 0.0 <= self.dark_rate_hz < math.inf, "in [0, inf)"),
+            ("window_s", 0.0 < self.window_s < math.inf, "in (0, inf)"),
         ])
 
     @property
@@ -167,7 +165,6 @@ class FactorRecord:
     factor_index: int
     repetition: int
     attempts: int
-    attenuation: float
     success: bool
     first_click_prob: float
 
@@ -209,13 +206,6 @@ def _povm0_diag(eta: float, nu: float, cutoff: int) -> np.ndarray:
     return d
 
 
-@lru_cache(maxsize=64)
-def _displacement_matrix(alpha: complex, cutoff: int) -> np.ndarray:
-    m = displacement_factory(cutoff).gate(alpha)
-    m.flags.writeable = False
-    return m
-
-
 def _apply_qnd_compensated(state: FockState, beta: complex, base_amplitude: float) -> FockState:
     """Apply exp[(βâ†_R−β*â_R)x̂_S] with its momentum-kick compensation for a
     resource of real base amplitude A, so |x⟩|A⟩ → |x⟩|A + βx⟩ exactly."""
@@ -232,22 +222,16 @@ def couple_resource(state: FockState, alpha1: float, gamma_l: complex, cutoffs) 
     """Entangle a fresh coherent resource with the system position.
 
     Output: ∫ψ(x)|x⟩|α₁(1+γ_l x)⟩_R on cutoffs = (system, resource).  The
-    x-dependent displacement phase is compensated so the map is exact.
-    Fock reference for the tests; ``rus_factor`` leaves the label amplitudes
-    unchanged instead, which is what this map does in the x̂_S eigenbasis.
+    x-dependent displacement phase is compensated so the map is exact.  The
+    resource enters as ``coherent(alpha1, res_c)``, which raises CutoffError
+    when the resource cutoff cannot hold it.  Fock reference for the tests;
+    ``rus_factor`` leaves the label amplitudes unchanged instead, which is
+    what this map does in the x̂_S eigenbasis.
     """
     sys_c, res_c = (int(c) for c in cutoffs)
     if state.cutoffs != (sys_c,):
         raise DimensionError("couple_resource expects a single-mode system state")
-    if coherent_truncation_loss(alpha1, res_c) >= 1e-8:
-        raise CutoffError(f"resource cutoff {res_c} too small for D({alpha1:g})|0⟩")
-    two = tensor(state, vacuum((res_c,)))
-    disp = _displacement_matrix(complex(alpha1), res_c)
-    two = FockState(
-        (two.amplitudes.reshape(sys_c, res_c) @ disp.T).reshape(-1),
-        (sys_c, res_c),
-        normalized=False,
-    )
+    two = tensor(state, coherent(alpha1, res_c))
     if gamma_l != 0:
         two = _apply_qnd_compensated(two, gamma_l * alpha1, alpha1)
     # headroom check on the state actually built: the coupled resource must not
@@ -299,55 +283,6 @@ def one_photon_reduce(state: FockState, resource_mode: int = 1) -> FockState:
     return FockState(out.reshape(-1) / nrm, state.cutoffs)
 
 
-def _trace_ancilla(flat: np.ndarray, purity_tol: float) -> np.ndarray:
-    """Trace the measured ancilla (columns of ``flat``) out of the rest (rows).
-
-    The Gram matrix flat†flat must have purity within ``purity_tol`` of 1;
-    its dominant eigenvector picks the kept pure component of the rest,
-    returned normalized.
-    """
-    gram = flat.conj().T @ flat
-    tr = gram.trace().real
-    w, v = np.linalg.eigh(gram)
-    purity = float((w @ w).real / tr**2)
-    if 1.0 - purity > purity_tol:
-        raise NumericalDegradationError(
-            f"post-measurement purity deficit {1.0 - purity:.2e} exceeds {purity_tol:.1e}"
-        )
-    lead = flat @ v[:, -1]
-    return lead / np.linalg.norm(lead)
-
-
-def _attempt_kernel(mat, bs, pi0, rng, purity_tol):
-    """One subtraction attempt on a raw (rest_dims, res) amplitude matrix.
-
-    Returns (post-attempt matrix, clicked, p_no_click, p_click).  The ancilla
-    is created, mixed, measured, and traced entirely inside this kernel.
-    Fock reference for the tests; ``rus_factor`` unravels the coherent
-    ancilla by photon number instead.
-    """
-    rest, res_c = mat.shape
-    anc_c = pi0.size
-    psi3 = np.zeros((rest, res_c, anc_c), dtype=complex)
-    psi3[:, :, 0] = mat
-    psi3 = (psi3.reshape(rest, res_c * anc_c) @ bs.T).reshape(rest, res_c, anc_c)
-
-    weights = np.einsum("ijk,ijk->k", psi3.conj(), psi3).real
-    total = float(weights.sum())
-    p_no_click = float(min(1.0, max(0.0, (weights @ pi0) / total)))
-    p_click = 1.0 - p_no_click
-
-    clicked = bool(rng.random() < p_click)
-    if clicked and p_click <= 0.0:
-        raise DegenerateOutcomeError("click branch has zero probability")
-    if not clicked and p_no_click <= 0.0:
-        raise DegenerateOutcomeError("no-click branch has zero probability")
-    kraus = np.sqrt(np.maximum(0.0, 1.0 - pi0)) if clicked else np.sqrt(pi0)
-    psi3 *= kraus[None, None, :]
-    lead = _trace_ancilla(psi3.reshape(rest * res_c, anc_c), purity_tol)
-    return lead.reshape(rest, res_c), clicked, p_no_click, p_click
-
-
 def subtraction_attempt(
     state: FockState,
     resource_mode: int,
@@ -355,20 +290,21 @@ def subtraction_attempt(
     detector: DetectorModel,
     rng: np.random.Generator,
     ancilla_cutoff: int = 4,
-    purity_tol: float = 1e-4,
-) -> tuple[FockState, str, tuple[float, float]]:
+) -> tuple[FockState, str, tuple[float, float], int]:
     """One photon-subtraction attempt on the resource mode.
 
-    Appends a vacuum ancilla, mixes it with the resource through the
-    transmittance-T beamsplitter, samples the detector POVM on the ancilla
-    (u = rng.random(), click iff u < p_click), applies the square root of the
-    sampled POVM element, and traces the ancilla out again.
+    Mixes a vacuum ancilla into the resource through the transmittance-T
+    beamsplitter, which leaves Σ_m |branch m⟩|m⟩_anc, and samples the
+    detector POVM on the ancilla (u = rng.random(), click iff u < p_click).
+    A second ``rng.random()`` then picks the ancilla photon number m, with
+    weight ‖branch m‖² times the sampled POVM element's diagonal at m, by
+    inverse CDF: the detector unravelled by photon number, as in
+    ``label_gate``, so the output is a pure state and the m-weighted average
+    of the outputs is the exact post-measurement state.
 
-    Returns (post-attempt state on the original modes, "click"/"no_click",
-    (p_no_click, p_click)).  Raises NumericalDegradationError when the traced
-    ancilla leaves the rest mixed beyond ``purity_tol``.  Fock reference for
-    the tests, through the same ``_attempt_kernel``; ``rus_factor`` does not
-    call it.
+    Returns (branch m normalized, on the original modes; "click"/"no_click";
+    (p_no_click, p_click); m).  Fock reference for the tests; ``label_gate``
+    does not call it.
     """
     if not 0 <= resource_mode < state.n_modes:
         raise DimensionError(f"resource mode {resource_mode} not in state")
@@ -376,14 +312,27 @@ def subtraction_attempt(
     anc_c = int(ancilla_cutoff)
     norm_state = state if state.normalized else state.normalize()
 
-    # move the resource mode to the last axis for the kernel
+    # move the resource mode to the last axis
     others = [m for m in range(state.n_modes) if m != resource_mode]
     psi = norm_state.amplitudes.reshape(state.cutoffs)
     mat = np.transpose(psi, others + [resource_mode]).reshape(-1, res_c)
 
     bs = _beamsplitter(float(transmittance), res_c, anc_c)
     pi0 = _povm0_diag(detector.eta, detector.nu, anc_c)
-    out, clicked, p0, p1 = _attempt_kernel(mat, bs, pi0, rng, purity_tol)
+    # the ancilla enters in vacuum, so only every anc_c-th input column counts
+    branches = (mat @ bs[:, ::anc_c].T).reshape(-1, res_c, anc_c)
+    weights = np.einsum("ijm,ijm->m", branches.conj(), branches).real
+    p_no_click = float(min(1.0, max(0.0, (weights @ pi0) / weights.sum())))
+    p_click = 1.0 - p_no_click
+
+    clicked = bool(rng.random() < p_click)
+    if clicked and p_click <= 0.0:
+        raise DegenerateOutcomeError("click branch has zero probability")
+    if not clicked and p_no_click <= 0.0:
+        raise DegenerateOutcomeError("no-click branch has zero probability")
+    photons = _inverse_cdf((weights * (1.0 - pi0 if clicked else pi0)).cumsum(), rng.random())
+    out = branches[:, :, photons]
+    out = out / np.linalg.norm(out)
 
     out = out.reshape([state.cutoffs[m] for m in others] + [res_c])
     inv = np.argsort(others + [resource_mode])
@@ -391,7 +340,8 @@ def subtraction_attempt(
     return (
         FockState(out, state.cutoffs),
         "click" if clicked else "no_click",
-        (p0, p1),
+        (p_no_click, p_click),
+        photons,
     )
 
 
@@ -552,8 +502,7 @@ def label_gate(c: np.ndarray, config: ProtocolConfig, rng, log: TrialLog, factor
             photons += _photon_count(eta * tapped[star], rng.random(), nu)
 
         log_c += photons * log_factor + envelope
-        log.factors.append(FactorRecord(factor_index, repetition, attempts,
-                                        T ** (attempts / 2.0), clicked, first_p))
+        log.factors.append(FactorRecord(factor_index, repetition, attempts, clicked, first_p))
         if not clicked:
             break
     c = np.exp(log_c - log_c.real.max())
@@ -589,7 +538,7 @@ def rus_factor(
     subtraction: ``label_gate`` on one factor, without the headroom check.
     Returns the state and the factor's record, or raises FactorFailure."""
     if gamma_l == 0:
-        return state, FactorRecord(factor_index, repetition, 0, 1.0, True, 0.0)
+        return state, FactorRecord(factor_index, repetition, 0, True, 0.0)
     log = TrialLog()
     _, psi = label_gate(_labels(state, config), config, rng, log,
                         [(gamma_l, factor_index, repetition)], headroom=False)

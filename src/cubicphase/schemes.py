@@ -126,7 +126,7 @@ def _feed_forward(q: float, gamma: float, cutoff: int) -> FockOperator:
     V·diag(e^{−iγ(q³ + 3q(λ² + qλ))})·V† in the x̂ eigenbasis."""
     w, v = x_eigh(cutoff)
     phase = np.exp(-1j * gamma * (q**3 + 3.0 * q * (w**2 + q * w)))
-    return FockOperator((v * phase) @ v.conj().T, (int(cutoff),), unitary_hint=True)
+    return FockOperator((v * phase) @ v.conj().T, (int(cutoff),))
 
 
 def marek_gate(

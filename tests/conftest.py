@@ -20,7 +20,10 @@ class ForcedOutcomeRng:
     ``rus_factor`` clicks once its first draw u is below F, the click CDF;
     its later draws pick the unobserved photon numbers, and 0.0 there gives
     one detected photon and none lost.  The Fock reference
-    ``subtraction_attempt`` draws once per attempt.  spawn() hands the same
+    ``subtraction_attempt`` draws twice per attempt: the outcome, then the
+    ancilla photon number by inverse CDF, where 0.0 gives the lowest number
+    of positive weight and 1 − 1e-15 the highest; after a no-click at η = 1
+    both give 0, the only one.  spawn() hands the same
     stand-in to every run of an ensemble.
     """
 

@@ -190,7 +190,7 @@ def test_criterion_5_no_click_invariance():
         def random(self):
             return 1.0 - 1e-15
 
-    out, outcome, _ = subtraction_attempt(
+    out, outcome, _, _ = subtraction_attempt(
         coupled, 1, 0.99, IDEAL_DETECTOR, ForceNoClick()
     )
     rho_after = partial_trace(out, None, keep=(0,))

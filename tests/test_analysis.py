@@ -15,7 +15,6 @@ from oracles import (
 from cubicphase import analysis, protocol
 from cubicphase.analysis import (
     ErrorEnsembleSpec,
-    GateFidelityReport,
     MomentSweepSpec,
     _gate_targets,
     error_operator_stats,

@@ -25,10 +25,15 @@ INVALID_VALUES = {
     "max_attempts": "0",
     "purity_tol": "0",
 }
-# every bounded float key must also reject NaN, which argparse accepts
-NAN_KEYS = ("gamma", "alpha1", "transmittance", "eta", "dark_rate_hz", "window_s", "purity_tol")
-INVALID_CASES = list(INVALID_VALUES.items()) + [(key, "nan") for key in NAN_KEYS]
-INVALID_IDS = list(INVALID_VALUES) + [f"{key}-nan" for key in NAN_KEYS]
+# every float key must also reject NaN and infinity, which argparse accepts
+FLOAT_KEYS = ("gamma", "alpha1", "transmittance", "eta", "dark_rate_hz", "window_s",
+              "input_alpha", "purity_tol")
+NONFINITE_CASES = [(key, value) for value in ("nan", "inf") for key in FLOAT_KEYS]
+# an input whose |α|² passes the float range, and an attempt budget past int64
+OUT_OF_RANGE_CASES = [("input_alpha", "1e200"), ("max_attempts", "100000000000000000000")]
+INVALID_CASES = list(INVALID_VALUES.items()) + NONFINITE_CASES + OUT_OF_RANGE_CASES
+INVALID_IDS = (list(INVALID_VALUES) + [f"{key}-{value}" for key, value in NONFINITE_CASES]
+               + ["input_alpha-1e200", "max_attempts-1e20"])
 
 
 def read_csv(path):
@@ -69,6 +74,12 @@ class TestParseConfig:
     def test_constraint_violation_names_key(self):
         with pytest.raises(ValueError, match="gamma"):
             parse_config(None, {"gamma": -1.0})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_nonfinite_input_alpha_rejected(self, value):
+        # for every subcommand, not only simulate, which builds the input
+        with pytest.raises(ValueError, match="config key 'input_alpha'"):
+            parse_config(None, {"input_alpha": value})
 
     def test_no_weak_subtraction_warning(self):
         # the warning concerns the simulate subcommand, not config parsing
@@ -197,9 +208,13 @@ class TestMain:
         assert Path(tmp_path, "ids.csv").exists()
 
     @pytest.mark.parametrize("key, value", INVALID_CASES, ids=INVALID_IDS)
-    def test_validation_exit_one(self, key, value, capsys):
-        assert main(["check-identities", "--" + key.replace("_", "-"), value]) == 1
-        assert f"config key '{key}'" in capsys.readouterr().err
+    def test_validation_exit_one(self, key, value, capsys, tmp_path, monkeypatch):
+        # simulate builds the coherent input, so it alone can refuse |input_alpha⟩
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--" + key.replace("_", "-"), value]) == 1
+        err = capsys.readouterr().err
+        assert f"config key '{key}'" in err
+        assert "Traceback" not in err
 
     def test_successive_calls_do_not_share_flags(self, tmp_path, monkeypatch):
         # main builds its parser once per process; a flag given to one call

@@ -14,7 +14,6 @@ from cubicphase.hilbert import (
     apply,
     coherent,
     coherent_truncation_loss,
-    dominant_pure_component,
     expectation,
     fidelity,
     identity,
@@ -80,6 +79,16 @@ class TestCoherent:
     def test_cutoff_too_small_raises(self):
         with pytest.raises(CutoffError):
             coherent(3.0, 10)
+
+    @pytest.mark.parametrize("alpha", [1e200, -1e200j, 1e160 + 1e160j, math.nan])
+    def test_any_size_beyond_cutoff_raises(self, alpha):
+        # |α|² overflows the float range or is not a number: the state is
+        # refused like any other the cutoff cannot hold
+        with pytest.raises(CutoffError):
+            coherent(alpha, 30)
+        with pytest.raises(CutoffError):
+            coherent(alpha, 30, max_loss=1.0)
+        assert coherent_truncation_loss(alpha, 30) == 1.0
 
     @pytest.mark.parametrize("alpha,cutoff", [(0.3, 30), (1.5 - 0.7j, 40), (3.0, 120)])
     def test_matches_loop_recurrence(self, alpha, cutoff):
@@ -280,14 +289,6 @@ class TestScalarDiagnostics:
         a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
         f_dm = state_fidelity(np.outer(a, a.conj()), np.outer(b, b.conj()))
         assert abs(f_dm - abs(np.vdot(a, b)) ** 2) <= 1e-12
-
-
-class TestDominantPureComponent:
-    def test_product_state_exact(self):
-        both = tensor(coherent(0.5, 8), coherent(0.1, 6))
-        lead, purity = dominant_pure_component(both, keep=(0,))
-        assert purity == pytest.approx(1.0, abs=1e-12)
-        assert fidelity(lead, coherent(0.5, 8)) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestInvariantsAndValidation:

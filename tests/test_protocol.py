@@ -10,17 +10,20 @@ from oracles import coherent_position_density, factor_attempt_stats, gate_total_
 from cubicphase import protocol
 from cubicphase.cubic import factor_operator, gamma_factors, u_n_operator
 from cubicphase.errors import (
+    CutoffError,
     DegenerateOutcomeError,
     FactorFailure,
     NumericalDegradationError,
 )
-from cubicphase.gaussian import x_eigh
+from cubicphase.gaussian import beamsplitter_gate, x_eigh
 from cubicphase.hilbert import (
+    FockOperator,
     FockState,
     apply,
     coherent,
-    dominant_pure_component,
+    expectation,
     fidelity,
+    identity,
     number_state,
     partial_trace,
     quadrature_x,
@@ -67,10 +70,11 @@ def fock_photon_factor(state, gamma_l, config, res_c, anc_c, m, k):
     into the resource through the beamsplitter; the m − 1 no-click attempts
     keep the ancilla's vacuum component and the click keeps its |k⟩
     component.  Then it decouples with the compensated QND gate and takes the
-    system out of the product state that leaves.  Returns the system state,
-    the click probability of every attempt on this path, which for η = 1 is
-    the click probability given no click before, and the probabilities of
-    the ancilla photon numbers at the click.
+    system out of the product state that leaves: the system's reduced state
+    must be pure, and then each of its columns is ∝ the system state.
+    Returns the system state, the click probability of every attempt on this
+    path, which for η = 1 is the click probability given no click before, and
+    the probabilities of the ancilla photon numbers at the click.
     """
     sys_c, T, det = config.cutoff, config.transmittance, config.detector
     two = couple_resource(state, config.alpha1, gamma_l, (sys_c, res_c)).normalize()
@@ -90,9 +94,10 @@ def fock_photon_factor(state, gamma_l, config, res_c, anc_c, m, k):
     two = _apply_qnd_compensated(
         FockState(mat.reshape(-1), (sys_c, res_c)), -base * gamma_l, base
     ).normalize()
-    out, purity = dominant_pure_component(two, keep=(0,))
-    assert 1.0 - purity <= 1e-6  # resource truncation only
-    return out, p_clicks, photons
+    rho = partial_trace(two, None, keep=(0,))
+    assert 1.0 - np.trace(rho @ rho).real <= 1e-6  # resource truncation only
+    out = FockState(rho[:, np.argmax(rho.diagonal().real)], (sys_c,), normalized=False)
+    return out.normalize(), p_clicks, photons
 
 
 def fock_channel(state, gamma_l, config, res_c, anc_c):
@@ -280,6 +285,12 @@ class TestCoupleResource:
         out = couple_resource(psi, 0.2, gl, (30, 25))
         assert abs(out.norm() - 1.0) < 1e-8
 
+    def test_resource_cutoff_too_small_raises(self):
+        # |α₁⟩ at α₁ = 3 holds 0.41 of its probability above 10 levels
+        gl = gamma_factors(0.03, 1).gamma_l[0]
+        with pytest.raises(CutoffError, match="cutoff 10"):
+            couple_resource(coherent(0.3, 10), 3.0, gl, (10, 10))
+
     def test_narrow_system_gives_coherent_resource(self):
         # near-position-eigenstate at x0: resource ≈ |α₁(1 + γ_l x0)⟩
         from cubicphase.gaussian import displacement_gate, squeeze_gate
@@ -332,7 +343,7 @@ class TestIdealProject:
 class TestSubtractionAttempt:
     def test_click_probability_ideal(self, force_click):
         st = tensor(vacuum([4]), coherent(1.0, 30))
-        _, outcome, (p0, p1) = subtraction_attempt(
+        _, outcome, (p0, p1), _ = subtraction_attempt(
             st, 1, 0.99, IDEAL_DETECTOR, force_click, ancilla_cutoff=5
         )
         assert outcome == "click"
@@ -340,20 +351,20 @@ class TestSubtractionAttempt:
 
     def test_probabilities_sum_to_one(self, rng):
         st = tensor(vacuum([4]), coherent(0.8, 25))
-        _, _, (p0, p1) = subtraction_attempt(st, 1, 0.95, DetectorModel(), rng)
+        _, _, (p0, p1), _ = subtraction_attempt(st, 1, 0.95, DetectorModel(), rng)
         assert p0 + p1 == pytest.approx(1.0, abs=1e-12)
 
     def test_full_transmission_dark_counts_only(self, rng):
         detector = DetectorModel(eta=1.0, dark_rate_hz=0.05, window_s=1.0)
         st = tensor(vacuum([4]), coherent(0.5, 15))
-        _, _, (p0, p1) = subtraction_attempt(st, 1, 1.0, detector, rng)
+        _, _, (p0, p1), _ = subtraction_attempt(st, 1, 1.0, detector, rng)
         assert p1 == pytest.approx(1 - math.exp(-0.05), rel=1e-10)
 
     def test_no_click_attenuates_resource(self, force_no_click):
         zeta, T = 0.8, 0.99
         st = tensor(vacuum([4]), coherent(zeta, 25))
-        out, outcome, _ = subtraction_attempt(st, 1, T, IDEAL_DETECTOR, force_no_click)
-        assert outcome == "no_click"
+        out, outcome, _, photons = subtraction_attempt(st, 1, T, IDEAL_DETECTOR, force_no_click)
+        assert outcome == "no_click" and photons == 0
         target = tensor(vacuum([4]), coherent(math.sqrt(T) * zeta, 25))
         assert fidelity(out, target) > 1 - 1e-6
 
@@ -364,60 +375,78 @@ class TestSubtractionAttempt:
         gl = gamma_factors(0.03, 1).gamma_l[0]
         coupled = couple_resource(psi, 0.2, gl, (30, 25)).normalize()
         rho_before = partial_trace(coupled, None, keep=(0,))
-        out, outcome, _ = subtraction_attempt(
+        out, outcome, _, _ = subtraction_attempt(
             coupled, 1, 0.99, IDEAL_DETECTOR, force_no_click
         )
         assert outcome == "no_click"
         rho_after = partial_trace(out, None, keep=(0,))
         assert state_fidelity(rho_before, rho_after) > 1 - 1e-6
 
-    def test_matches_dense_matrix_route(self, force_click):
+    def test_matches_dense_matrix_route(self):
         # independent check: full 3-mode operators, POVM matrices, and a
-        # density-matrix partial trace must reproduce the kernel's output
-        from cubicphase.gaussian import beamsplitter_gate
-        from cubicphase.hilbert import FockOperator, identity
-
+        # density-matrix partial trace must reproduce every photon branch
         T, anc_c = 0.97, 4
         psi = coherent(0.3, 12)
         gl = gamma_factors(0.03, 1).gamma_l[0]
         st = couple_resource(psi, 0.2, gl, (12, 10)).normalize()
 
-        out, outcome, (p0, p1) = subtraction_attempt(
-            st, 1, T, DetectorModel(), force_click, ancilla_cutoff=anc_c
-        )
-        assert outcome == "click"
-
         big = tensor(st, vacuum([anc_c]))
-        bs3 = tensor(identity([12]), beamsplitter_gate(T, (10, anc_c)))
-        big = apply(bs3, big)
+        big = apply(tensor(identity([12]), beamsplitter_gate(T, (10, anc_c))), big)
         pi0, pick = detector_povm(DetectorModel(), anc_c)
-        pick3 = tensor(tensor(identity([12]), identity([10])), pick)
-        from cubicphase.hilbert import expectation
-
-        p1_dense = expectation(pick3, big).real
-        assert p1 == pytest.approx(p1_dense, abs=1e-12)
-
-        kraus = FockOperator(
-            np.sqrt(pick.matrix.real).astype(complex), (anc_c,), hermitian_hint=True
-        )
+        p1_dense = expectation(tensor(identity([12, 10]), pick), big).real
+        kraus = FockOperator(np.sqrt(pick.matrix.real).astype(complex), (anc_c,))
         post = apply(kraus, big, modes=(2,)).normalize()
         rho_exact = partial_trace(post, None, keep=(0, 1))
-        overlap = (out.amplitudes.conj() @ rho_exact @ out.amplitudes).real
-        # the pure output is the dominant component of the exact mixed state
-        assert overlap > 1 - 1e-4
-        assert overlap == pytest.approx(np.linalg.eigvalsh(rho_exact)[-1], abs=1e-9)
 
-    def test_purity_guard_raises(self, force_click):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            psi = vacuum([8])
-            gl = gamma_factors(0.001, 1).gamma_l[0]
-            coupled = couple_resource(psi, 3.3, gl, (8, 40)).normalize()
-        with pytest.raises(NumericalDegradationError):
-            subtraction_attempt(
-                coupled, 1, 0.9734, IDEAL_DETECTOR, force_click,
-                ancilla_cutoff=6, purity_tol=1e-6,
+        # the dense m-photon branches, their probabilities, and a second draw
+        # in the middle of each one's interval of the inverse CDF
+        dense = post.amplitudes.reshape(120, anc_c)
+        probs = np.sum(np.abs(dense) ** 2, axis=0)
+        edges = np.concatenate(([0.0], np.cumsum(probs)))
+        mixture = np.zeros_like(rho_exact)
+        for m in range(anc_c):
+            draws = OutcomeSequenceRng([0.0, 0.5 * (edges[m] + edges[m + 1])])
+            out, outcome, (p0, p1), photons = subtraction_attempt(
+                st, 1, T, DetectorModel(), draws, ancilla_cutoff=anc_c
             )
+            assert outcome == "click" and photons == m
+            assert p1 == pytest.approx(p1_dense, abs=1e-12)
+            branch = dense[:, m] / np.linalg.norm(dense[:, m])
+            assert np.abs(out.amplitudes - branch).max() <= 1e-12
+            mixture += probs[m] * np.outer(out.amplitudes, out.amplitudes.conj())
+        assert np.abs(mixture - rho_exact).max() <= 1e-12
+
+    @pytest.mark.parametrize("outcome", ["click", "no_click"])
+    def test_photons_follow_branch_weights(self, outcome):
+        # the default detector (η = 0.9): m follows ‖branch m‖² times the
+        # sampled POVM element's diagonal, and a no-click can leave m ≥ 1
+        T, anc_c = 0.7, 8
+        psi = coherent(0.3, 8)
+        gl = gamma_factors(0.03, 1).gamma_l[0]
+        st = couple_resource(psi, 1.5, gl, (8, 24)).normalize()
+
+        big = apply(tensor(identity([8]), beamsplitter_gate(T, (24, anc_c))),
+                    tensor(st, vacuum([anc_c])))
+        weights = np.sum(np.abs(big.amplitudes.reshape(-1, anc_c)) ** 2, axis=0)
+        pi0, pick = detector_povm(DetectorModel(), anc_c)
+        element = (pick if outcome == "click" else pi0).matrix.diagonal().real
+        expected = weights * element / (weights @ element)
+
+        rng = np.random.default_rng(np.random.SeedSequence(53))
+        counts = np.zeros(anc_c)
+        while counts.sum() < 2000:
+            _, seen, _, photons = subtraction_attempt(
+                st, 1, T, DetectorModel(), rng, ancilla_cutoff=anc_c
+            )
+            if seen == outcome:
+                counts[photons] += 1
+        # the tail from the last m expecting five counts is one bin
+        last = int(np.flatnonzero(2000 * expected >= 5)[-1])
+        binned = np.append(counts[:last], counts[last:].sum())
+        expect = 2000 * np.append(expected[:last], expected[last:].sum())
+        assert stats.chisquare(binned, expect).pvalue > 1e-3
+        if outcome == "no_click":
+            assert counts[1:].sum() > 0
 
 
 class TestRusFactor:
@@ -431,7 +460,6 @@ class TestRusFactor:
             assert fidelity(out, target) > 0.99
             assert rec.attempts >= 1
             assert rec.success
-            assert rec.attenuation == pytest.approx(math.sqrt(0.99))
 
     def test_zero_factor_skips_loop(self, rng):
         cfg = ProtocolConfig(**WEAK_CONFIG)
@@ -1023,14 +1051,14 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("attempts, success", [(3, True), (4, False), (1, True), (0, True)])
     def test_outcomes_follow_attempts(self, attempts, success):
-        outcomes = FactorRecord(0, 0, attempts, 1.0, success, 0.1).outcomes
+        outcomes = FactorRecord(0, 0, attempts, success, 0.1).outcomes
         assert outcomes == [False] * (attempts - 1) + [success] if attempts else outcomes == []
 
     def test_trial_log_aggregation(self):
         log = TrialLog(
             [
-                FactorRecord(2, 0, 3, 0.99, True, 0.1),
-                FactorRecord(1, 0, 2, 0.995, True, 0.1),
+                FactorRecord(2, 0, 3, True, 0.1),
+                FactorRecord(1, 0, 2, True, 0.1),
             ]
         )
         assert log.total_attempts == 5
