@@ -14,7 +14,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
+import os
+import stat
 import sys
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -127,11 +130,20 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: str, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+    """Write the CSV over the file's old bytes, then cut a regular file to the
+    new length.  The file is never truncated to zero first: on ext4 a rewrite
+    after such a truncate makes the close start a block write."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_fmt(v) for v in row])
+    data = text.getvalue().encode("utf-8")
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(data)
+        # a special file such as /dev/null or a FIFO cannot be truncated
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate(len(data))
 
 
 def _rng_for_run(seed: int, run_index: int) -> np.random.Generator:

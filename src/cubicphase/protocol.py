@@ -354,9 +354,11 @@ def _first_click(q, table, intensity, nu, log_t, max_attempts, u):
     with u < F(k), the click CDF F(k) = Σ_λ q_λ (1 − exp(−νk − ``intensity``_λ
     (1 − T^k))) with ``intensity`` = η|α₁(1+γ_l λ)|² (no dark count and no
     tapped photon seen).  ``table`` @ q gives F(1…16) and F(max_attempts); a
-    later click is searched for in blocks of growing length.  The block sums
-    F(max_attempts) in another order: if the table's says a click comes and
-    no block finds one, it comes at ``max_attempts``."""
+    later click is searched for in blocks of growing length, up to 4,096
+    rows.  F grows with k, so galloping and bisecting over F at the last row
+    of each 4,096-row block skips the blocks that cannot hold the click.  The
+    block sums F(max_attempts) in another order: if the table's says a click
+    comes and no block finds one, it comes at ``max_attempts``."""
     cdf = table @ q
     first_p = float(cdf[0])
     hit = u < cdf[:16]
@@ -364,8 +366,27 @@ def _first_click(q, table, intensity, nu, log_t, max_attempts, u):
         return 1 + int(hit.argmax()), first_p
     if not u < cdf[-1]:
         return None, first_p
+    # F(k) alone and F(k) in a block sum the same terms, each within a few
+    # ulps, in orders that differ by less than `slack`: F(k) alone at or below
+    # u − slack rules out a click by attempt k in any block
+    slack = 4 * q.size * np.finfo(float).eps * u
+
+    def may_click_by(k):
+        return k >= max_attempts or u - slack < (
+            _cdf_rows(np.array([[k]]), intensity, nu, log_t) @ q)[0]
+
     start, size = 17, 32
     while start <= max_attempts:
+        if size == 4096:
+            # counting blocks from start, blocks up to lo cannot hold the click
+            # (lo = −1: no block); block hi may
+            lo, hi = -1, 0
+            while not may_click_by(start + 4096 * hi + 4095):
+                lo, hi = hi, 2 * hi + 1
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (lo, mid) if may_click_by(start + 4096 * mid + 4095) else (mid, hi)
+            start += 4096 * hi
         ks = np.arange(start, min(start + size, max_attempts + 1))[:, None]
         hit = u < _cdf_rows(ks, intensity, nu, log_t) @ q
         if hit.any():
@@ -474,7 +495,8 @@ def label_gate(c: np.ndarray, config: ProtocolConfig, rng, log: TrialLog, factor
     """
     if factors is None:
         dec = gamma_factors(config.gamma, config.n)
-        factors = [(dec.gamma_l[l], l, rep) for rep in range(int(config.n)) for l in (2, 1, 0)]
+        # made one at a time, so a huge N costs no memory before its first factor
+        factors = ((dec.gamma_l[l], l, rep) for rep in range(int(config.n)) for l in (2, 1, 0))
     T, budget = config.transmittance, config.max_attempts_per_factor
     eta, nu = config.detector.eta, config.detector.nu
     log_t = math.log(T)

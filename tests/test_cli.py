@@ -289,6 +289,31 @@ class TestMain:
         assert main(["check-identities", "--config", str(f), "--out", "x.csv"]) == 0
 
 
+class TestInPlaceWrite:
+    """``--out`` is rewritten in place and a regular file cut to its new
+    length, so a rerun leaves exactly the bytes of a fresh write."""
+
+    QUICK = ["--max-attempts", "50", "--seed", "4"]
+
+    @pytest.mark.parametrize("before, after", [(8, 1), (1, 8)],
+                             ids=["shorter-over-longer", "longer-over-shorter"])
+    def test_rerun_matches_fresh_write(self, tmp_path, before, after):
+        reused, fresh = tmp_path / "reused.csv", tmp_path / "fresh.csv"
+        for ensemble, out in ((before, reused), (after, reused), (after, fresh)):
+            assert main(["simulate", "--ensemble", str(ensemble), *self.QUICK,
+                         "--out", str(out)]) == 0
+        assert reused.read_bytes() == fresh.read_bytes()
+        assert len(read_csv(fresh)) == 1 + after
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--ensemble", "1", *QUICK],
+        ["check-identities"],
+    ], ids=["simulate", "check-identities"])
+    def test_special_file_is_not_truncated(self, argv):
+        # ftruncate on /dev/null fails with EINVAL
+        assert main([*argv, "--out", os.devnull]) == 0
+
+
 # per subcommand: extra flags and the CSV line count, header included
 SCIPY_FREE_RUNS = {
     "simulate": (["--ensemble", "2", "--max-attempts", "50"], 3),

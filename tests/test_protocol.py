@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -747,6 +748,23 @@ class TestFullGate:
         se = np.std(totals, ddof=1) / math.sqrt(len(totals))
         assert abs(np.mean(totals) - expected) < 4 * se
 
+    def test_huge_n_allocates_only_the_factors_run(self):
+        # N = 10^5 has 3·10^5 factors; the first exhausts its single attempt
+        # and ends the gate, so memory must not grow with N
+        cfg = ProtocolConfig(**{**WEAK_CONFIG, "n": 10**5, "max_attempts_per_factor": 1})
+        psi = coherent(0.3, 30)
+        with pytest.raises(FactorFailure):  # fills the caches
+            full_gate(psi, cfg, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FactorFailure) as exc:
+                full_gate(psi, cfg, np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(exc.value.log.factors) == 1
+        assert peak < 2**20
+
     def test_repeated_n_runs_all_factors(self, force_click):
         cfg = ProtocolConfig(**{**WEAK_CONFIG, "n": 2})
         psi = coherent(0.3, 30)
@@ -858,6 +876,57 @@ class TestClickTable:
                         assert got[0] == (max_attempts if u < f_last else None)
                     else:
                         assert got[0] == want[0], f"u = {u!r}"
+
+    @pytest.mark.parametrize("nu", [0.0, 1e-3])
+    def test_skipped_blocks_match_block_search(self, nu):
+        # T = 0.999 keeps F(k) rising, by ever fewer ulps, up to about attempt
+        # 40,000, well into the 4096-row blocks that galloping may skip; draws
+        # within an ulp of F(max_attempts) click where rounding in the block
+        # search says
+        alpha1, T, cutoff, budget = 3.3, 0.999, 8, 60_000
+        rng = np.random.default_rng(29)
+        for gl in gamma_factors(0.001, 1).gamma_l:
+            table = _click_table(complex(gl), alpha1, cutoff, 1.0, nu, T, budget)
+            intensity = _factor_tables(complex(gl), alpha1, cutoff)[0]
+            for _ in range(5):
+                q = rng.random(cutoff) ** 3
+                q /= q.sum()
+                f_last = (table @ q)[-1]
+                f_block = block_search_last_cdf(q, intensity, nu, T, budget)
+                us = [v for f in (f_last, f_block) for v in (np.nextafter(f, 0.0), f)]
+                us += list(f_last * (1.0 - rng.random(5) * 1e-13))
+                for u in us:
+                    got = _first_click(q, table, intensity, nu, math.log(T), budget, u)[0]
+                    want = block_search_first_click(q, intensity, nu, T, budget, u)[0]
+                    if min(f_last, f_block) <= u < max(f_last, f_block):
+                        assert got == (budget if u < f_last else None)
+                    else:
+                        assert got == want, f"u = {u!r}"
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_late_click_at_a_huge_budget(self, case):
+        # a block search from attempt 17 would sum 10^8 rows; the click M must
+        # still be the first crossing of the closed-form CDF, u < F(M) and
+        # not u < F(M − 1)
+        gamma, alpha1, T, cutoff, eta, nu = self.CASES[case]
+        budget = 10**8
+        rng = np.random.default_rng(17)
+        for gl in gamma_factors(gamma, 1).gamma_l:
+            table = _click_table(complex(gl), alpha1, cutoff, eta, nu, T, budget)
+            intensity = eta * _factor_tables(complex(gl), alpha1, cutoff)[0]
+
+            def closed_cdf(k, q):
+                return math.fsum(w * -math.expm1(-nu * k + i * math.expm1(k * math.log(T)))
+                                 for w, i in zip(q, intensity))
+
+            for _ in range(5):
+                q = rng.random(cutoff) ** 3
+                q /= q.sum()
+                cdf = table @ q
+                for u in cdf[15] + rng.random(5) * (cdf[-1] - cdf[15]):
+                    got, _ = _first_click(q, table, intensity, nu, math.log(T), budget, u)
+                    assert 17 <= got <= budget
+                    assert u < closed_cdf(got, q) and not u < closed_cdf(got - 1, q)
 
     @pytest.mark.parametrize("max_attempts, rows", [(1, 1), (16, 16), (17, 17), (10_000, 17)])
     def test_rows_do_not_grow_with_the_budget(self, max_attempts, rows):
