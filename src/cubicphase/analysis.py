@@ -28,7 +28,8 @@ from .cubic import gamma_factors
 from .errors import FactorFailure
 from .gaussian import x_eigh
 from .hilbert import coherent, fidelity, quadrature_p
-from .protocol import DetectorModel, ProtocolConfig, TrialLog, check_headroom, label_gate
+from .protocol import (HEADROOM_BOUND, DetectorModel, ProtocolConfig, TrialLog, check_headroom,
+                       label_gate)
 
 
 @dataclass
@@ -166,7 +167,8 @@ def variance_sweep(spec: MomentSweepSpec) -> list[SweepRow]:
     outputs and slice 1 + i those of U_N for n_list[i], one column per Re(α).
     One V @ maps the stack to Fock and one p̂ matmul follows; each moment is a
     column reduction, with ⟨p̂²⟩ = ‖p̂ψ‖².  Each slice is its own matmul, so a
-    column's values do not depend on how many N are swept.
+    column's values do not depend on how many N are swept.  Every column must
+    pass ``check_headroom``.
     """
     c = int(spec.cutoff)
     w, v = x_eigh(c)
@@ -177,6 +179,11 @@ def variance_sweep(spec: MomentSweepSpec) -> list[SweepRow]:
     labels = np.stack(diags)[:, :, None] * (v.conj().T @ inputs)
     labels /= np.linalg.norm(labels, axis=1, keepdims=True)
     psi = v @ labels
+    # the columns are normalized: one under half the bound passes check_headroom
+    top = (np.abs(psi[:, -2:]) ** 2).sum(axis=1)
+    for i, j in zip(*np.nonzero(top > 0.5 * HEADROOM_BOUND)):
+        name = "ideal" if i == 0 else f"N{n_list[i - 1]}"
+        check_headroom(psi[i, :, j], f"sweep column {name} at re_alpha={spec.re_alpha_grid[j]}")
     p_psi = quadrature_p(c).matrix @ psi
     mean_x = (w[:, None] * np.abs(labels) ** 2).sum(axis=1)
     mean_p = (psi.conj() * p_psi).real.sum(axis=1)

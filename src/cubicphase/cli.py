@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import math
 import os
 import stat
@@ -129,21 +128,35 @@ def _fmt(value) -> str:
     return str(value)
 
 
+class _Utf8Sink(bytearray):
+    """csv.writer's file, holding only the rows' UTF-8 bytes: io.StringIO
+    before Python 3.12 keeps each write as its own str object, ~70 B apiece."""
+
+    def write(self, text: str) -> None:
+        self.extend(text.encode("utf-8"))
+
+
 def _write_csv(path: str, header, rows) -> None:
     """Write the CSV over the file's old bytes, then cut a regular file to the
     new length.  The file is never truncated to zero first: on ext4 a rewrite
-    after such a truncate makes the close start a block write."""
-    text = io.StringIO()
-    writer = csv.writer(text, lineterminator="\n")
+    after such a truncate makes the close start a block write.  Every row is
+    formatted before the file opens, so a row that raises leaves it as it was."""
+    sink = _Utf8Sink()
+    writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    data = text.getvalue().encode("utf-8")
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
-        fh.write(data)
+    writer.writerows([_fmt(v) for v in row] for row in rows)
+    data = memoryview(sink)
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        written = 0
+        while written < len(data):  # a pipe or a signal can cut a write short
+            written += os.write(fd, data[written:])
         # a special file such as /dev/null or a FIFO cannot be truncated
-        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            fh.truncate(len(data))
+        st = os.fstat(fd)
+        if stat.S_ISREG(st.st_mode) and st.st_size > written:
+            os.ftruncate(fd, written)
+    finally:
+        os.close(fd)
 
 
 def _rng_for_run(seed: int, run_index: int) -> np.random.Generator:
@@ -164,19 +177,19 @@ def _run_simulate(cfg: RunConfig, out: str) -> None:
         max_attempts_per_factor=cfg.max_attempts,
         detector=cfg.detector(),
     )
+
+    def rows():
+        # one run at a time, so memory stays at the size of the CSV text
+        for run in range(cfg.ensemble):
+            [(r, _)] = analysis.run_ensemble(pconf, [cfg.input_alpha],
+                                             [_rng_for_run(cfg.seed, run)])
+            yield run, r.success, r.total_attempts, r.fidelity_un, r.fidelity_ideal
+
     try:
-        results = analysis.run_ensemble(
-            pconf,
-            [cfg.input_alpha] * cfg.ensemble,
-            (_rng_for_run(cfg.seed, run) for run in range(cfg.ensemble)),
-        )
+        _write_csv(out, ("run", "success", "total_attempts", "fidelity_un", "fidelity_ideal"),
+                   rows())
     except CutoffError as exc:  # only the coherent input |input_alpha⟩ can raise it
         raise ValueError(f"config key 'input_alpha': {exc}") from None
-    rows = [
-        (run, r.success, r.total_attempts, r.fidelity_un, r.fidelity_ideal)
-        for run, (r, _) in enumerate(results)
-    ]
-    _write_csv(out, ("run", "success", "total_attempts", "fidelity_un", "fidelity_ideal"), rows)
 
 
 def _run_sweep_variance(cfg: RunConfig, out: str) -> None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,6 +34,7 @@ class CubicDecomposition:
     gamma_l: tuple[complex, complex, complex]
 
 
+@lru_cache(maxsize=64)
 def gamma_factors(gamma: float, n: int) -> CubicDecomposition:
     """Factor coefficients γ_l = e^{iπ(4l+1)/6}(γ/N)^{1/3} for l = 0, 1, 2."""
     gamma = float(gamma)

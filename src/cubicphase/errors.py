@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from functools import cached_property
+
 
 class DimensionError(ValueError):
     """Shapes or cutoffs are inconsistent."""
@@ -22,11 +24,17 @@ class NumericalDegradationError(RuntimeError):
 class FactorFailure(RuntimeError):
     """A repeat-until-success factor exhausted its attempt budget.
 
-    Carries the last state and the trial record for diagnostics.
+    Carries the last state's Fock amplitudes, built into ``state`` on first
+    read, and the trial record for diagnostics.
     """
 
-    def __init__(self, message, state=None, record=None, log=None):
+    def __init__(self, message, amplitudes=None, record=None, log=None):
         super().__init__(message)
-        self.state = state
+        self.amplitudes = amplitudes
         self.record = record
         self.log = log
+
+    @cached_property
+    def state(self):
+        from .hilbert import FockState  # hilbert imports this module
+        return FockState(self.amplitudes, (self.amplitudes.size,))

@@ -78,13 +78,13 @@ class FockState:
     def __post_init__(self):
         self.cutoffs = _as_cutoffs(self.cutoffs)
         amp = np.ascontiguousarray(self.amplitudes, dtype=complex)
-        if amp.ndim != 1 or amp.size != int(np.prod(self.cutoffs)):
+        if amp.ndim != 1 or amp.size != math.prod(self.cutoffs):
             raise DimensionError(
                 f"amplitude length {amp.size} != product of cutoffs {self.cutoffs}"
             )
-        if not np.all(np.isfinite(amp.view(float))):
+        if not np.isfinite(amp.view(float)).all():
             raise ValueError("amplitudes contain NaN/Inf")
-        if self.normalized and abs(np.linalg.norm(amp) - 1.0) >= NORM_TOL:
+        if self.normalized and abs(math.sqrt(np.vdot(amp, amp).real) - 1.0) >= NORM_TOL:
             raise ValueError("normalized flag set but norm deviates from 1")
         amp.flags.writeable = False
         object.__setattr__(self, "amplitudes", amp)

@@ -489,9 +489,9 @@ def label_gate(c: np.ndarray, config: ProtocolConfig, rng, log: TrialLog, factor
     and those detected at the click (mean ημ_λ*); given λ* these are exact, so
     K = lost + detected is too, and log c_λ gains −½I_λ(1−T^M) + K·log(1+γ_l λ),
     all from cached rows.  V @ c must be finite (ValueError) and, with
-    ``headroom``, pass ``check_headroom``.  Raises FactorFailure (state, record
-    and log attached) after ``max_attempts_per_factor`` attempts without a
-    click; that state skips the detected photons.
+    ``headroom``, pass ``check_headroom``.  Raises FactorFailure (checked
+    amplitudes, record and log attached) after ``max_attempts_per_factor``
+    attempts without a click; that state skips the detected photons.
     """
     if factors is None:
         dec = gamma_factors(config.gamma, config.n)
@@ -537,7 +537,7 @@ def label_gate(c: np.ndarray, config: ProtocolConfig, rng, log: TrialLog, factor
         check_headroom(psi, f"{where} {_after(log.factors[-1])}")
     if not clicked:
         raise FactorFailure(f"factor l={factor_index} saw no click in {attempts} attempts",
-                            FockState(psi, (c.size,)), log.factors[-1], log)
+                            psi, log.factors[-1], log)
     return c, psi
 
 

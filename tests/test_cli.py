@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -270,6 +271,17 @@ class TestMain:
             r"cutoff 8, above the bound 1e-06", err), err
         assert "NaN" not in err
 
+    @pytest.mark.parametrize("gamma, code", [("0.03", 0), ("0.1", 2), ("0.3", 2)])
+    def test_truncated_sweep_exits_two(self, gamma, code, tmp_path, monkeypatch, capsys):
+        # at cutoff 30, γ = 0.1 and 0.3 push up to 1.6e-4 (U_N) and 4.6e-2
+        # (ideal) of a column's probability into the top two Fock levels
+        monkeypatch.chdir(tmp_path)
+        assert main(["sweep-variance", "--gamma", gamma, "--out", "sweep.csv"]) == code
+        if code:
+            assert not (tmp_path / "sweep.csv").exists()
+            assert re.search(r"truncation headroom: sweep column (ideal|N\d) at re_alpha=\d\.\d+ "
+                             r"holds \S+ of its probability", capsys.readouterr().err)
+
     def test_zero_probability_outcome_exits_two(self, tmp_path, monkeypatch, capsys):
         from cubicphase import analysis
         from cubicphase.errors import DegenerateOutcomeError
@@ -312,6 +324,60 @@ class TestInPlaceWrite:
     def test_special_file_is_not_truncated(self, argv):
         # ftruncate on /dev/null fails with EINVAL
         assert main([*argv, "--out", os.devnull]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--ensemble", "8", *QUICK],
+        ["check-identities"],
+    ], ids=["simulate", "check-identities"])
+    def test_short_writes_are_retried(self, argv, tmp_path, monkeypatch):
+        # a pipe or a signal can make os.write return a short count
+        full, short = tmp_path / "full.csv", tmp_path / "short.csv"
+        assert main([*argv, "--out", str(full)]) == 0
+        real_write, sizes = os.write, []
+
+        def write_seven(fd, data):
+            sizes.append(real_write(fd, data[:7]))
+            return sizes[-1]
+
+        monkeypatch.setattr(os, "write", write_seven)
+        assert main([*argv, "--out", str(short)]) == 0
+        assert short.read_bytes() == full.read_bytes()
+        assert len(sizes) == -(-full.stat().st_size // 7)
+
+    def test_failure_mid_ensemble_leaves_out_untouched(self, tmp_path, monkeypatch):
+        from cubicphase import analysis
+        from cubicphase.errors import DegenerateOutcomeError
+
+        real_run_ensemble, calls = analysis.run_ensemble, []
+
+        def third_run_degenerates(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise DegenerateOutcomeError("every outcome of the draw has zero probability")
+            return real_run_ensemble(*args)
+
+        out = tmp_path / "sim.csv"
+        out.write_bytes(b"old bytes\n")
+        monkeypatch.setattr(analysis, "run_ensemble", third_run_degenerates)
+        assert main(["simulate", "--ensemble", "8", *self.QUICK, "--out", str(out)]) == 2
+        assert len(calls) == 3
+        assert out.read_bytes() == b"old bytes\n"
+
+
+def test_simulate_memory_stays_at_the_size_of_its_csv(tmp_path):
+    # a run's result and trial log must not outlive its CSV row (~11 B here)
+    def peak(ensemble):
+        cfg = parse_config(None, {"ensemble": ensemble, "max_attempts": 1,
+                                  "out": str(tmp_path / "sim.csv")})
+        tracemalloc.start()
+        try:
+            assert run("simulate", cfg) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(300)  # fills the caches
+    assert (peak(1200) - peak(300)) / 900 <= 100
 
 
 # per subcommand: extra flags and the CSV line count, header included

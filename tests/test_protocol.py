@@ -723,6 +723,17 @@ class TestFullGate:
             full_gate(psi, cfg, force_no_click)
         assert exc.value.log.total_attempts == 3
 
+    def test_failure_state_built_on_first_read(self, force_no_click):
+        cfg = ProtocolConfig(**{**WEAK_CONFIG, "max_attempts_per_factor": 3})
+        with pytest.raises(FactorFailure) as exc:
+            full_gate(coherent(0.3, 30), cfg, force_no_click)
+        err = exc.value
+        assert "state" not in vars(err)  # a failed run that is only counted skips it
+        eager = FockState(err.amplitudes.copy(), (30,))
+        assert err.state is err.state
+        assert err.state.amplitudes.tobytes() == eager.amplitudes.tobytes()
+        assert (err.state.cutoffs, err.state.normalized) == ((30,), True)
+
     def test_total_attempts_match_oracle_at_strong_gamma(self):
         # at γ = 0.1 the weight |1+γ_l x|² varies enough across the input that
         # an oracle counting it twice misses the mean by ~11 standard errors.
