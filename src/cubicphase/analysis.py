@@ -27,7 +27,7 @@ import numpy as np
 from .cubic import gamma_factors
 from .errors import FactorFailure
 from .gaussian import x_eigh
-from .hilbert import coherent, fidelity, quadrature_p
+from .hilbert import apply_quadrature, coherent, fidelity
 from .protocol import (HEADROOM_BOUND, DetectorModel, ProtocolConfig, TrialLog, check_headroom,
                        label_gate)
 
@@ -165,10 +165,10 @@ def variance_sweep(spec: MomentSweepSpec) -> list[SweepRow]:
     Both gates are diagonal in the x̂ eigenbasis (``_gate_targets``), so every
     output is a stack of label amplitudes: slice 0 holds the ideal gate's
     outputs and slice 1 + i those of U_N for n_list[i], one column per Re(α).
-    One V @ maps the stack to Fock and one p̂ matmul follows; each moment is a
-    column reduction, with ⟨p̂²⟩ = ‖p̂ψ‖².  Each slice is its own matmul, so a
-    column's values do not depend on how many N are swept.  Every column must
-    pass ``check_headroom``.
+    One V @ maps the stack to Fock, where P = ip̂ acts by its recurrence; each
+    moment is a column reduction, with ⟨p̂⟩ = Im⟨ψ|Pψ⟩ and ⟨p̂²⟩ = ‖Pψ‖².  Each
+    slice is its own matmul and P acts entrywise, so a column's values do not
+    depend on how many N are swept.  Every column must pass ``check_headroom``.
     """
     c = int(spec.cutoff)
     w, v = x_eigh(c)
@@ -184,10 +184,10 @@ def variance_sweep(spec: MomentSweepSpec) -> list[SweepRow]:
     for i, j in zip(*np.nonzero(top > 0.5 * HEADROOM_BOUND)):
         name = "ideal" if i == 0 else f"N{n_list[i - 1]}"
         check_headroom(psi[i, :, j], f"sweep column {name} at re_alpha={spec.re_alpha_grid[j]}")
-    p_psi = quadrature_p(c).matrix @ psi
+    big_p_psi = apply_quadrature(psi, -1)
     mean_x = (w[:, None] * np.abs(labels) ** 2).sum(axis=1)
-    mean_p = (psi.conj() * p_psi).real.sum(axis=1)
-    var_p = (np.abs(p_psi) ** 2).sum(axis=1) - mean_p**2
+    mean_p = (psi.conj() * big_p_psi).imag.sum(axis=1)
+    var_p = (np.abs(big_p_psi) ** 2).sum(axis=1) - mean_p**2
     rows = []
     for j, re_a in enumerate(spec.re_alpha_grid):
         by_n, mx_n, mp_n = ({n: float(m[1 + i, j]) for i, n in enumerate(n_list)}

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import analysis, cubic, schemes
 from .errors import CutoffError, DegenerateOutcomeError, NumericalDegradationError
-from .hilbert import quadrature_x
+from .hilbert import apply_quadrature
 from .protocol import DetectorModel, ProtocolConfig, check_bounds, protocol_bounds
 
 SUBCOMMANDS = ("simulate", "sweep-variance", "error-ensemble", "compare-schemes", "check-identities")
@@ -239,8 +239,8 @@ def _run_check_identities(cfg: RunConfig, out: str) -> None:
         rows.append((rep.name, rep.fitted_constant, rep.residual, rep.cutoff))
     # decomposition identities at the configured gamma/N; only the γ_l products are complex
     dec = cubic.gamma_factors(gamma, cfg.n)
-    xs = cubic.power_table(quadrature_x(c).matrix.real, 6)
-    prod = reduce(np.matmul, [xs[0] + gl * xs[1] for gl in dec.gamma_l])
+    xs = cubic.power_table(apply_quadrature(np.eye(c), 1), 6)
+    prod = reduce(lambda m, gl: m + gl * apply_quadrature(m, 1), dec.gamma_l, xs[0])
     target = xs[0] + 1j * (gamma / cfg.n) * xs[3]
     rows.append(("factorization", 1.0, float(np.abs(prod - target).max()), c))
     norm_lhs = prod.conj().T @ prod

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionError
-from .hilbert import FockOperator, annihilation, expm, interior_block, quadrature_x
+from .hilbert import FockOperator, expm, interior_block, quadrature_coefficients, quadrature_x
 
 
 @dataclass(frozen=True)
@@ -114,16 +114,21 @@ def commutator_approx_residual(a: FockOperator, b: FockOperator, t: float,
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """Best-fit proportionality between a target operator and a nested-commutator
-    construction, with the interior residual after removing the fitted part."""
+    """Best-fit proportionality between a target operator, phase·real_lhs, and a
+    nested-commutator construction, phase·real_rhs, with the interior residual
+    after removing the fitted part; the complex matrices are formed when read."""
 
     name: str
     cutoff: int
     margin: int
     fitted_constant: float
     residual: float
-    lhs_matrix: np.ndarray
-    rhs_matrix: np.ndarray
+    real_lhs: np.ndarray
+    real_rhs: np.ndarray
+    phase: complex
+
+    lhs_matrix = property(lambda self: self.phase * self.real_lhs)
+    rhs_matrix = property(lambda self: self.phase * self.real_rhs)
 
 
 def power_table(m: np.ndarray, k: int) -> list[np.ndarray]:
@@ -136,24 +141,24 @@ def power_table(m: np.ndarray, k: int) -> list[np.ndarray]:
 
 def _real_quadratures(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     """x̂ and P = (â − â†)/√2 as real matrices; p̂ = −iP."""
-    a = annihilation(cutoff).matrix.real
-    return (a + a.T) / math.sqrt(2.0), (a - a.T) / math.sqrt(2.0)
+    up = np.diag(quadrature_coefficients(cutoff), 1)  # â/√2
+    return up + up.T, up - up.T
 
 
-def _comm(u, v):
-    return u @ v - v @ u
+def _comm(u, v, parity: int):
+    """[u, v] by one product: vu = parity·(uv)ᵀ when uᵀ = ±u, vᵀ = ±v (signs' product)."""
+    uv = u @ v
+    return uv - parity * uv.T
 
 
 def _fit_report(name, lhs, rhs, cutoff, margin, phase: complex = 1.0) -> IdentityReport:
     """Fit rhs ≈ c·lhs on real matrices that equal the operators up to the
-    common unit factor ``phase``.  The fit does not see a common phase; the
-    returned matrices carry it."""
+    common unit factor ``phase``, which the fit does not see."""
     lb = interior_block(lhs, (cutoff,), margin)
     rb = interior_block(rhs, (cutoff,), margin)
     c = float(np.vdot(lb, rb) / np.vdot(lb, lb))
     residual = float(np.abs(rb - c * lb).max())
-    phase = complex(phase)
-    return IdentityReport(name, int(cutoff), int(margin), c, residual, phase * lhs, phase * rhs)
+    return IdentityReport(name, int(cutoff), int(margin), c, residual, lhs, rhs, complex(phase))
 
 
 def monomial_identity_report(m: int, cutoff: int, margin: int | None = None) -> IdentityReport:
@@ -170,8 +175,8 @@ def monomial_identity_report(m: int, cutoff: int, margin: int | None = None) -> 
         margin = max(5, m + 2)
     x, P = _real_quadratures(cutoff)
     xs = power_table(x, m)
-    inner = _comm(P @ P, xs[3])  # [x̂³, p̂²] = −[x̂³, P²]
-    rhs = (-2.0 / (3.0 * (m - 1))) * _comm(xs[m - 1], inner)
+    inner = _comm(P @ P, xs[3], 1)  # [x̂³, p̂²] = −[x̂³, P²]; antisymmetric
+    rhs = (-2.0 / (3.0 * (m - 1))) * _comm(xs[m - 1], inner, -1)
     return _fit_report(f"monomial_m{m}", xs[m], rhs, cutoff, margin)
 
 
@@ -196,9 +201,11 @@ def polynomial_identity_report(m: int, n: int, cutoff: int,
         margin = max(5, m + n + 3)
     x, P = _real_quadratures(cutoff)
     xs, ps = power_table(x, m + 1), power_table(P, n + 1)
-    lhs = xs[m] @ ps[n] + ps[n] @ xs[m]
+    lhs = xs[m] @ ps[n]  # x̂^k is symmetric and P^k has transpose parity (−1)^k
+    lhs = lhs + (-1) ** n * lhs.T
     # −4i·(−i)^{n+1} = −4·(−i)ⁿ
-    rhs = (-4.0 / ((n + 1) * (m + 1))) * _comm(xs[m + 1], ps[n + 1])
-    for k in range(1, n):
-        rhs = rhs - (1.0 / (n + 1)) * _comm(ps[n - k], _comm(xs[m], ps[k]))
+    rhs = (-4.0 / ((n + 1) * (m + 1))) * _comm(xs[m + 1], ps[n + 1], (-1) ** (n + 1))
+    for k in range(1, n):  # [x̂^m, P^k] has parity (−1)^{k+1}
+        inner = _comm(xs[m], ps[k], (-1) ** k)
+        rhs = rhs - (1.0 / (n + 1)) * _comm(ps[n - k], inner, (-1) ** (n + 1))
     return _fit_report(f"polynomial_m{m}_n{n}", lhs, rhs, cutoff, margin, phase=(-1j) ** n)

@@ -247,6 +247,23 @@ def quadrature_p(cutoff: int) -> FockOperator:
     return FockOperator((a - a.conj().T) / (1j * math.sqrt(2.0)), (int(cutoff),), hermitian_hint=True)
 
 
+def quadrature_coefficients(cutoff: int) -> np.ndarray:
+    """s_n = √(n+1)/√2, n < cutoff − 1: bit for bit the off-diagonal entries of
+    ``quadrature_x``, so divided in complex as there."""
+    return (np.sqrt(np.arange(1, int(cutoff))).astype(complex) / math.sqrt(2.0)).real
+
+
+def apply_quadrature(a: np.ndarray, sign: int) -> np.ndarray:
+    """(â + sign·â†)/√2 @ a (x̂ for sign 1, P = ip̂ for −1) on a vector or on axis −2,
+    by the recurrence (X·a)_n = s_n·a_{n+1} + sign·s_{n−1}·a_{n−1}: no matrix is built."""
+    f = a[:, None] if a.ndim == 1 else a
+    s = quadrature_coefficients(f.shape[-2])[:, None]
+    out = np.zeros(f.shape, np.result_type(f, 1.0))
+    out[..., :-1, :] = s * f[..., 1:, :]
+    out[..., 1:, :] += (sign * s) * f[..., :-1, :]
+    return out.reshape(a.shape)
+
+
 # ---------------------------------------------------------------------------
 # composition and application
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DegenerateOutcomeError, DimensionError
 from .gaussian import apply_x_conditioned_displacement, squeeze_gate, squeezed_vacuum, x_eigh
-from .hilbert import FockOperator, FockState, apply, quadrature_x, tensor
+from .hilbert import FockOperator, FockState, apply_quadrature, tensor
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +107,8 @@ def marek_resource_state(r_width: float, gamma: float, cutoff: int,
     if gamma < 0.0:
         raise ValueError("gamma must be >= 0")
     base = squeezed_vacuum(r_width, cutoff, max_loss=max_loss).amplitudes.real
-    x = quadrature_x(cutoff).matrix.real
-    amp = base + 1j * float(gamma) * (x @ (x @ (x @ base)))
+    x3_base = apply_quadrature(apply_quadrature(apply_quadrature(base, 1), 1), 1)
+    amp = base + 1j * float(gamma) * x3_base
     return FockState(amp / np.linalg.norm(amp), (int(cutoff),))
 
 
@@ -121,12 +121,15 @@ def marek_frame_coefficients(state: FockState, r_width: float,
     return sq.matrix.conj().T @ state.amplitudes
 
 
+def _feed_forward_phase(q: float, gamma: float, w: np.ndarray) -> np.ndarray:
+    """e^{−iγ(q³ + 3q(λ² + qλ))} at the x̂ eigenvalues λ = w: U_FF's diagonal."""
+    return np.exp(-1j * gamma * (q**3 + 3.0 * q * (w**2 + q * w)))
+
+
 def _feed_forward(q: float, gamma: float, cutoff: int) -> FockOperator:
-    """U_FF = exp[−iγq³ − 3iγ(x̂+q)x̂q] as a function of the truncated x̂:
-    V·diag(e^{−iγ(q³ + 3q(λ² + qλ))})·V† in the x̂ eigenbasis."""
+    """U_FF = exp[−iγq³ − 3iγ(x̂+q)x̂q] of the truncated x̂, as V·diag(phase)·V† (dense)."""
     w, v = x_eigh(cutoff)
-    phase = np.exp(-1j * gamma * (q**3 + 3.0 * q * (w**2 + q * w)))
-    return FockOperator((v * phase) @ v.conj().T, (int(cutoff),))
+    return FockOperator((v * _feed_forward_phase(q, gamma, w)) @ v.conj().T, (int(cutoff),))
 
 
 def marek_gate(
@@ -168,13 +171,11 @@ def marek_gate(
     if abs(q) < 1e-12:  # eigensolver noise around the symmetric zero mode
         q = 0.0
     collapsed = amp[:, idx]
-    collapsed = collapsed / np.linalg.norm(collapsed)
-    sys_state = FockState(collapsed, (sys_c,))
-
     applied = q != 0.0
-    if applied:
-        sys_state = apply(_feed_forward(q, gamma, sys_c), sys_state).normalize()
-    return sys_state, q, applied
+    if applied:  # U_FF·ψ = V·(phase ∘ V†ψ), U_FF not formed
+        w, v = x_eigh(sys_c)
+        collapsed = v @ (_feed_forward_phase(q, gamma, w) * (v.conj().T @ collapsed))
+    return FockState(collapsed / np.linalg.norm(collapsed), (sys_c,)), q, applied
 
 
 # ---------------------------------------------------------------------------

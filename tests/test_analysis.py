@@ -218,7 +218,7 @@ class TestVarianceSweep:
                 abs(row.mean_x_by_n[1] - row.mean_x_ideal) / 3 + 1e-9
             )
 
-    @pytest.mark.parametrize("cutoff", [30, 40])
+    @pytest.mark.parametrize("cutoff", [30, 40, 120])
     def test_matches_dense_reference(self, cutoff):
         # relative 1e-10; the absolute floor covers the ⟨x̂⟩ ≈ 0 of Re(α) = 0
         spec = MomentSweepSpec(n_list=(1, 3, 5, 7), cutoff=cutoff)

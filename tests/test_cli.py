@@ -6,9 +6,12 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from cubicphase import schemes
 from cubicphase.cli import main, parse_config, run
+from cubicphase.hilbert import FockOperator, coherent
 
 
 # one out-of-bounds value per bounded config key
@@ -433,3 +436,36 @@ def test_marek_shot_leaves_scipy_unloaded():
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def _marek_shot(out):
+    # the dense_analysis shot; its homodyne bin is nonzero, so the feed-forward runs
+    _, q, applied = schemes.marek_gate(coherent(0.3, 30), 1.5, 0.03,
+                                       np.random.default_rng(7), (30, 40))
+    return 0 if applied and q != 0.0 else 1
+
+
+# the dense_analysis operations, at its sizes
+DENSE_ANALYSIS_RUNS = {
+    "sweep-variance": lambda out: main(["sweep-variance", "--cutoff", "120", "--out", out]),
+    "check-identities": lambda out: main(["check-identities", "--cutoff", "80", "--out", out]),
+    "marek": _marek_shot,
+}
+
+
+@pytest.mark.parametrize("operation", list(DENSE_ANALYSIS_RUNS))
+def test_dense_analysis_builds_no_fock_operator(tmp_path, monkeypatch, operation):
+    # x̂ and p̂ act by their recurrence: once a warm-up run has filled the cached
+    # eigenbases, a second run constructs no dense operator
+    run_once, out = DENSE_ANALYSIS_RUNS[operation], str(tmp_path / "out.csv")
+    assert run_once(out) == 0
+    built = []
+    post_init = FockOperator.__post_init__
+
+    def counting_post_init(self):
+        built.append(self.matrix.shape)
+        post_init(self)
+
+    monkeypatch.setattr(FockOperator, "__post_init__", counting_post_init)
+    assert run_once(out) == 0
+    assert built == []

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cubicphase.cubic import (
+    _real_quadratures,
     commutator_approx_residual,
     factor_operator,
     gamma_factors,
@@ -180,6 +181,11 @@ def complex_route(name, cutoff, margin):
 
 class TestRealArithmeticReports:
     # the reports run on real x̂ and P = i p̂; the complex route is the reference
+    def test_real_quadratures_are_the_dense_entries(self):
+        x, P = _real_quadratures(40)
+        assert np.array_equal(x, quadrature_x(40).matrix.real)
+        assert np.array_equal(P, (1j * quadrature_p(40).matrix).real)
+
     @pytest.mark.parametrize("cutoff", [24, 40, 80])
     @pytest.mark.parametrize(
         "name", [("monomial", 4), ("monomial", 5), ("polynomial", 1, 1),

@@ -12,6 +12,7 @@ from cubicphase.hilbert import (
     FockState,
     annihilation,
     apply,
+    apply_quadrature,
     coherent,
     coherent_truncation_loss,
     expectation,
@@ -159,6 +160,36 @@ class TestQuadratures:
     def test_hermitian_exactly(self):
         for op in (quadrature_x(12), quadrature_p(12)):
             assert np.array_equal(op.matrix, op.matrix.conj().T)
+
+
+# the Fock axis is the first of a vector and the second-to-last otherwise
+QUADRATURE_SHAPES = {"vector": lambda c: (c,), "matrix": lambda c: (c, 4),
+                     "stack": lambda c: (5, c, 7)}
+
+
+class TestApplyQuadrature:
+    @pytest.mark.parametrize("shape", list(QUADRATURE_SHAPES))
+    @pytest.mark.parametrize("cutoff", [2, 3, 8, 30, 120])
+    def test_matches_dense_operators(self, cutoff, shape):
+        rng = np.random.default_rng(cutoff)
+        dims = QUADRATURE_SHAPES[shape](cutoff)
+        a = rng.normal(size=dims) + 1j * rng.normal(size=dims)
+        for got, dense in ((apply_quadrature(a, 1), quadrature_x(cutoff).matrix @ a),
+                           (-1j * apply_quadrature(a, -1), quadrature_p(cutoff).matrix @ a)):
+            assert got.shape == dims
+            # 4 ulps of the largest entry
+            assert np.abs(got - dense).max() <= 4 * np.spacing(np.abs(dense).max())
+
+    def test_real_input_stays_real(self):
+        base = np.linspace(-1.0, 1.0, 9)
+        for sign in (1, -1):
+            assert apply_quadrature(base, sign).dtype == np.float64
+
+    def test_identity_gives_the_dense_entries(self):
+        # the coefficients are formed as quadrature_x forms its entries
+        x = apply_quadrature(np.eye(30), 1)
+        assert np.array_equal(x, quadrature_x(30).matrix.real)
+        assert np.array_equal(-1j * apply_quadrature(np.eye(30), -1), quadrature_p(30).matrix)
 
 
 class TestInteriorBlock:

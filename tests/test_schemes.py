@@ -4,6 +4,7 @@ import numpy as np
 import numpy.linalg as la
 import pytest
 
+from cubicphase import schemes
 from cubicphase.errors import DegenerateOutcomeError
 from cubicphase.hilbert import FockState, apply, coherent, expm, fidelity, quadrature_x, vacuum
 from cubicphase.gaussian import squeeze_gate, x_eigh
@@ -131,6 +132,19 @@ class TestMarekGate:
         x = quadrature_x(c).matrix
         gen = -1j * gamma * (q**3 * np.eye(c) + 3.0 * q * (x @ x + q * x))
         assert np.abs(_feed_forward(q, gamma, c).matrix - expm(gen)).max() <= 1e-12
+
+    def test_diagonal_feed_forward_matches_dense(self, rng, monkeypatch):
+        # the dense_analysis shot at a nonzero homodyne bin; with the feed-forward's
+        # diagonal patched to ones the same shot returns the collapsed state
+        psi, gamma, cutoffs = coherent(0.3, 30), 0.03, (30, 40)
+        q_bin = float(x_eigh(40)[0][23])
+        out, q, applied = marek_gate(psi, 1.5, gamma, rng, cutoffs, force_q=q_bin)
+        assert applied and q == q_bin
+        dense = schemes._feed_forward(q, gamma, 30)
+        monkeypatch.setattr(schemes, "_feed_forward_phase", lambda q, gamma, w: np.ones(len(w)))
+        collapsed, _, _ = marek_gate(psi, 1.5, gamma, rng, cutoffs, force_q=q_bin)
+        want = apply(dense, collapsed).normalize()
+        assert np.abs(out.amplitudes - want.amplitudes).max() <= 1e-13
 
     def test_gamma_zero_fidelity_grows_with_r(self, rng):
         # pure Gaussian smearing: wider resource disturbs the input less
