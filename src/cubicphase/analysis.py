@@ -27,7 +27,7 @@ import numpy as np
 from .cubic import gamma_factors
 from .errors import FactorFailure
 from .gaussian import x_eigh
-from .hilbert import apply_quadrature, coherent, fidelity
+from .hilbert import apply_quadrature, coherent, coherent_columns, fidelity, real_matmul
 from .protocol import (HEADROOM_BOUND, DetectorModel, ProtocolConfig, TrialLog, check_headroom,
                        label_gate)
 
@@ -165,7 +165,7 @@ def variance_sweep(spec: MomentSweepSpec) -> list[SweepRow]:
     Both gates are diagonal in the x̂ eigenbasis (``_gate_targets``), so every
     output is a stack of label amplitudes: slice 0 holds the ideal gate's
     outputs and slice 1 + i those of U_N for n_list[i], one column per Re(α).
-    One V @ maps the stack to Fock, where P = ip̂ acts by its recurrence; each
+    One real V @ maps the stack to Fock, where P = ip̂ acts by its recurrence; each
     moment is a column reduction, with ⟨p̂⟩ = Im⟨ψ|Pψ⟩ and ⟨p̂²⟩ = ‖Pψ‖².  Each
     slice is its own matmul and P acts entrywise, so a column's values do not
     depend on how many N are swept.  Every column must pass ``check_headroom``.
@@ -173,12 +173,11 @@ def variance_sweep(spec: MomentSweepSpec) -> list[SweepRow]:
     c = int(spec.cutoff)
     w, v = x_eigh(c)
     n_list = [int(n) for n in spec.n_list]
-    inputs = np.stack([coherent(complex(re_a, spec.im_alpha), c).amplitudes
-                       for re_a in spec.re_alpha_grid], axis=1)
+    inputs = coherent_columns([complex(re_a, spec.im_alpha) for re_a in spec.re_alpha_grid], c)
     diags = [_gate_targets(spec.gamma, 1, c)[1]] + [_gate_targets(spec.gamma, n, c)[0] for n in n_list]
-    labels = np.stack(diags)[:, :, None] * (v.conj().T @ inputs)
+    labels = np.stack(diags)[:, :, None] * real_matmul(v.T, inputs)
     labels /= np.linalg.norm(labels, axis=1, keepdims=True)
-    psi = v @ labels
+    psi = real_matmul(v, labels)
     # the columns are normalized: one under half the bound passes check_headroom
     top = (np.abs(psi[:, -2:]) ** 2).sum(axis=1)
     for i, j in zip(*np.nonzero(top > 0.5 * HEADROOM_BOUND)):
@@ -242,7 +241,7 @@ def _scored_input(alpha: complex, gamma: float, n: int, cutoff: int) -> tuple:
     """The labels V†ψ of the input |α⟩, its normalized U_N and ideal targets,
     and V @ its U_N target, read-only; typed, so 1.0 and 1+0j differ."""
     _, v = x_eigh(cutoff)
-    c_in = v.conj().T @ coherent(alpha, cutoff).amplitudes
+    c_in = v.T.astype(complex) @ coherent(alpha, cutoff).amplitudes  # a complex Vᵀ's bits
     un, ideal = (t * c_in for t in _gate_targets(gamma, n, cutoff))
     arrays = (c_in, un / np.linalg.norm(un), ideal / np.linalg.norm(ideal), v @ un)
     for a in arrays:

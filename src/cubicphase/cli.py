@@ -230,16 +230,10 @@ def _run_compare_schemes(cfg: RunConfig, out: str) -> None:
 def _run_check_identities(cfg: RunConfig, out: str) -> None:
     c = max(cfg.cutoff, 24)
     gamma = cfg.gamma if cfg.gamma > 0 else 0.03
-    rows = []
-    for m in (4, 5):
-        rep = cubic.monomial_identity_report(m, c)
-        rows.append((rep.name, rep.fitted_constant, rep.residual, rep.cutoff))
-    for m, n in ((1, 1), (2, 1), (1, 2)):
-        rep = cubic.polynomial_identity_report(m, n, c)
-        rows.append((rep.name, rep.fitted_constant, rep.residual, rep.cutoff))
+    reports, xs = cubic.identity_reports(c)
+    rows = [(rep.name, rep.fitted_constant, rep.residual, rep.cutoff) for rep in reports]
     # decomposition identities at the configured gamma/N; only the γ_l products are complex
     dec = cubic.gamma_factors(gamma, cfg.n)
-    xs = cubic.power_table(apply_quadrature(np.eye(c), 1), 6)
     prod = reduce(lambda m, gl: m + gl * apply_quadrature(m, 1), dec.gamma_l, xs[0])
     target = xs[0] + 1j * (gamma / cfg.n) * xs[3]
     rows.append(("factorization", 1.0, float(np.abs(prod - target).max()), c))

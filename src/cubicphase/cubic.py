@@ -15,6 +15,7 @@ evaluated on restricted blocks.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -161,6 +162,28 @@ def _fit_report(name, lhs, rhs, cutoff, margin, phase: complex = 1.0) -> Identit
     return IdentityReport(name, int(cutoff), int(margin), c, residual, lhs, rhs, complex(phase))
 
 
+def _monomial_report(m: int, cutoff: int, margin, xs, x3_p2) -> IdentityReport:
+    """The monomial fit from the x̂ table ``xs`` and x3_p2 = [x̂³, p̂²] = −[x̂³, P²]."""
+    if margin is None:
+        margin = max(5, m + 2)
+    rhs = (-2.0 / (3.0 * (m - 1))) * _comm(xs[m - 1], x3_p2, -1)
+    return _fit_report(f"monomial_m{m}", xs[m], rhs, cutoff, margin)
+
+
+def _polynomial_report(m: int, n: int, cutoff: int, margin, xs, ps) -> IdentityReport:
+    """The polynomial fit from the x̂ table ``xs`` and the P table ``ps``."""
+    if margin is None:
+        margin = max(5, m + n + 3)
+    lhs = xs[m] @ ps[n]  # x̂^k is symmetric and P^k has transpose parity (−1)^k
+    lhs = lhs + (-1) ** n * lhs.T
+    # −4i·(−i)^{n+1} = −4·(−i)ⁿ
+    rhs = (-4.0 / ((n + 1) * (m + 1))) * _comm(xs[m + 1], ps[n + 1], (-1) ** (n + 1))
+    for k in range(1, n):  # [x̂^m, P^k] has parity (−1)^{k+1}
+        inner = _comm(xs[m], ps[k], (-1) ** k)
+        rhs = rhs - (1.0 / (n + 1)) * _comm(ps[n - k], inner, (-1) ** (n + 1))
+    return _fit_report(f"polynomial_m{m}_n{n}", lhs, rhs, cutoff, margin, phase=(-1j) ** n)
+
+
 def monomial_identity_report(m: int, cutoff: int, margin: int | None = None) -> IdentityReport:
     """Fit c in c·x̂^m ≈ (−2/(3(m−1)))·[x̂^{m−1}, [x̂³, p̂²]].
 
@@ -171,13 +194,9 @@ def monomial_identity_report(m: int, cutoff: int, margin: int | None = None) -> 
     m = int(m)
     if m < 4:
         raise ValueError("monomial identity requires m >= 4")
-    if margin is None:
-        margin = max(5, m + 2)
     x, P = _real_quadratures(cutoff)
     xs = power_table(x, m)
-    inner = _comm(P @ P, xs[3], 1)  # [x̂³, p̂²] = −[x̂³, P²]; antisymmetric
-    rhs = (-2.0 / (3.0 * (m - 1))) * _comm(xs[m - 1], inner, -1)
-    return _fit_report(f"monomial_m{m}", xs[m], rhs, cutoff, margin)
+    return _monomial_report(m, cutoff, margin, xs, _comm(P @ P, xs[3], 1))
 
 
 def polynomial_identity_report(m: int, n: int, cutoff: int,
@@ -197,15 +216,18 @@ def polynomial_identity_report(m: int, n: int, cutoff: int,
     m, n = int(m), int(n)
     if m < 1 or n < 1:
         raise ValueError("polynomial identity requires m, n >= 1")
-    if margin is None:
-        margin = max(5, m + n + 3)
     x, P = _real_quadratures(cutoff)
-    xs, ps = power_table(x, m + 1), power_table(P, n + 1)
-    lhs = xs[m] @ ps[n]  # x̂^k is symmetric and P^k has transpose parity (−1)^k
-    lhs = lhs + (-1) ** n * lhs.T
-    # −4i·(−i)^{n+1} = −4·(−i)ⁿ
-    rhs = (-4.0 / ((n + 1) * (m + 1))) * _comm(xs[m + 1], ps[n + 1], (-1) ** (n + 1))
-    for k in range(1, n):  # [x̂^m, P^k] has parity (−1)^{k+1}
-        inner = _comm(xs[m], ps[k], (-1) ** k)
-        rhs = rhs - (1.0 / (n + 1)) * _comm(ps[n - k], inner, (-1) ** (n + 1))
-    return _fit_report(f"polynomial_m{m}_n{n}", lhs, rhs, cutoff, margin, phase=(-1j) ** n)
+    return _polynomial_report(m, n, cutoff, margin, power_table(x, m + 1), power_table(P, n + 1))
+
+
+def identity_reports(cutoff: int) -> tuple:
+    """An iterator over the monomial reports m = 4, 5 and the polynomial ones (m, n) =
+    (1, 1), (2, 1), (1, 2), and the one table x̂⁰…x̂⁶ they share with one P⁰…P³.  The
+    reports are made as the iterator is read, so one report's matrices are held at a time."""
+    x, P = _real_quadratures(cutoff)
+    xs, ps = power_table(x, 6), power_table(P, 3)
+    x3_p2 = _comm(ps[2], xs[3], 1)
+    reports = itertools.chain(
+        (_monomial_report(m, cutoff, None, xs, x3_p2) for m in (4, 5)),
+        (_polynomial_report(m, n, cutoff, None, xs, ps) for m, n in ((1, 1), (2, 1), (1, 2))))
+    return reports, xs

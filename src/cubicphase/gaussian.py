@@ -32,11 +32,14 @@ from .errors import CutoffError, DimensionError
 from .hilbert import (
     FockOperator,
     FockState,
+    _as_cutoffs,
     annihilation,
     coherent_truncation_loss,
     expm,
+    quadrature_coefficients,
     quadrature_p,
     quadrature_x,
+    real_matmul,
     tensor,
     identity,
 )
@@ -189,8 +192,9 @@ def squeeze_gate(r_width: float, cutoff: int, max_loss: float = 1e-8) -> FockOpe
 
 @lru_cache(maxsize=32)
 def x_eigh(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of the truncated x̂, read-only."""
-    w, v = np.linalg.eigh(quadrature_x(cutoff).matrix)
+    """Real eigenpairs of the truncated x̂, built from ``quadrature_coefficients``, read-only."""
+    s = quadrature_coefficients(*_as_cutoffs(cutoff))  # DimensionError below 2
+    w, v = np.linalg.eigh(np.diag(s, 1) + np.diag(s, -1))
     w.flags.writeable = False
     v.flags.writeable = False
     return w, v
@@ -235,6 +239,6 @@ def apply_x_conditioned_displacement(state: FockState, beta: complex, kick: floa
     sys_c, res_c = state.cutoffs
     _, v = x_eigh(sys_c)
     gates = _x_conditioned_gates(complex(beta), float(kick), sys_c, res_c)
-    psi_x = v.conj().T @ state.amplitudes.reshape(sys_c, res_c)
-    out = np.einsum("jab,jb->ja", gates, psi_x)
-    return FockState((v @ out).reshape(-1), state.cutoffs, normalized=False)
+    psi_x = real_matmul(v.T, state.amplitudes.reshape(sys_c, res_c))
+    out = (gates @ psi_x[:, :, None]).reshape(sys_c, res_c)
+    return FockState(real_matmul(v, out).reshape(-1), state.cutoffs, normalized=False)

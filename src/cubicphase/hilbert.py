@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -194,6 +195,26 @@ def coherent_truncation_loss(alpha: complex, cutoff: int) -> float:
 COHERENT_LOSS_TOL = 1e-8
 
 
+def coherent_columns(alphas, cutoff: int, max_loss: float = COHERENT_LOSS_TOL) -> np.ndarray:
+    """The amplitudes of ``coherent(α, cutoff)`` for each α of ``alphas`` as the
+    columns of one array, by the same arithmetic in one pass; raises ``coherent``'s
+    CutoffError for the first column the cutoff cannot hold."""
+    cutoff = int(cutoff)
+    # amplitude n is the product e^{−|α|²/2}·Π_{k≤n} α/√k.  One row per α, so
+    # each norm sums the same two BLAS dots as np.linalg.norm of one vector
+    first = [[math.exp(-_mean_photons(a) / 2.0)] for a in alphas]
+    amp = np.cumprod(np.concatenate(
+        (first, np.asarray(alphas)[:, None] / np.sqrt(np.arange(1, cutoff))), axis=1), axis=1)
+    norm = np.sqrt(np.vecdot(amp.real, amp.real) + np.vecdot(amp.imag, amp.imag))
+    for alpha, loss in zip(alphas, 1.0 - norm * norm):
+        if not loss < max_loss:
+            raise CutoffError(
+                f"coherent(|α|={abs(alpha):.3g}) loses {loss:.2e} probability at cutoff "
+                f"{cutoff} (tolerance {max_loss:.1e})"
+            )
+    return (amp / norm[:, None]).T
+
+
 def coherent(alpha: complex, cutoff: int, max_loss: float = COHERENT_LOSS_TOL) -> FockState:
     """Coherent state |α⟩ with amplitudes e^{−|α|²/2} αⁿ/√(n!), renormalized.
 
@@ -201,18 +222,7 @@ def coherent(alpha: complex, cutoff: int, max_loss: float = COHERENT_LOSS_TOL) -
     ``max_loss`` or is not a number, so also for a NaN α and for any finite
     α, however large, that the cutoff cannot hold.
     """
-    cutoff = int(cutoff)
-    # amplitude n is the product e^{−|α|²/2}·Π_{k≤n} α/√k
-    amp = np.cumprod(np.concatenate(([math.exp(-_mean_photons(alpha) / 2.0)],
-                                     alpha / np.sqrt(np.arange(1, cutoff)))))
-    norm = np.linalg.norm(amp)
-    loss = 1.0 - norm * norm
-    if not loss < max_loss:
-        raise CutoffError(
-            f"coherent(|α|={abs(alpha):.3g}) loses {loss:.2e} probability at cutoff "
-            f"{cutoff} (tolerance {max_loss:.1e})"
-        )
-    return FockState(amp / norm, (cutoff,))
+    return FockState(coherent_columns([alpha], cutoff, max_loss)[:, 0], (int(cutoff),))
 
 
 def annihilation(cutoff: int) -> FockOperator:
@@ -247,10 +257,13 @@ def quadrature_p(cutoff: int) -> FockOperator:
     return FockOperator((a - a.conj().T) / (1j * math.sqrt(2.0)), (int(cutoff),), hermitian_hint=True)
 
 
+@lru_cache(maxsize=32)
 def quadrature_coefficients(cutoff: int) -> np.ndarray:
-    """s_n = √(n+1)/√2, n < cutoff − 1: bit for bit the off-diagonal entries of
-    ``quadrature_x``, so divided in complex as there."""
-    return (np.sqrt(np.arange(1, int(cutoff))).astype(complex) / math.sqrt(2.0)).real
+    """s_n = √(n+1)/√2, n < cutoff − 1, read-only: bit for bit the off-diagonal
+    entries of ``quadrature_x``, so divided in complex as there."""
+    s = (np.sqrt(np.arange(1, int(cutoff))).astype(complex) / math.sqrt(2.0)).real
+    s.flags.writeable = False
+    return s
 
 
 def apply_quadrature(a: np.ndarray, sign: int) -> np.ndarray:
@@ -262,6 +275,14 @@ def apply_quadrature(a: np.ndarray, sign: int) -> np.ndarray:
     out[..., :-1, :] = s * f[..., 1:, :]
     out[..., 1:, :] += (sign * s) * f[..., :-1, :]
     return out.reshape(a.shape)
+
+
+def real_matmul(m: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """m @ z for a real matrix m and complex z, a vector or a stack of matrices, as
+    one real product on z's float view: half the arithmetic of the complex product."""
+    f = np.ascontiguousarray(z[:, None] if z.ndim == 1 else z, dtype=complex)
+    out = (m @ f.view(float)).view(complex)
+    return out[:, 0] if z.ndim == 1 else out
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DegenerateOutcomeError, DimensionError
 from .gaussian import apply_x_conditioned_displacement, squeeze_gate, squeezed_vacuum, x_eigh
-from .hilbert import FockOperator, FockState, apply_quadrature, tensor
+from .hilbert import FockOperator, FockState, apply_quadrature, real_matmul, tensor
 
 
 # ---------------------------------------------------------------------------
@@ -127,9 +127,9 @@ def _feed_forward_phase(q: float, gamma: float, w: np.ndarray) -> np.ndarray:
 
 
 def _feed_forward(q: float, gamma: float, cutoff: int) -> FockOperator:
-    """U_FF = exp[−iγq³ − 3iγ(x̂+q)x̂q] of the truncated x̂, as V·diag(phase)·V† (dense)."""
+    """U_FF = exp[−iγq³ − 3iγ(x̂+q)x̂q] of the truncated x̂, as V·diag(phase)·Vᵀ (dense)."""
     w, v = x_eigh(cutoff)
-    return FockOperator((v * _feed_forward_phase(q, gamma, w)) @ v.conj().T, (int(cutoff),))
+    return FockOperator((v * _feed_forward_phase(q, gamma, w)) @ v.T, (int(cutoff),))
 
 
 def marek_gate(
@@ -156,8 +156,8 @@ def marek_gate(
     two = apply_x_conditioned_displacement(two, -1.0 / math.sqrt(2.0)).normalize()
 
     evals, evecs = x_eigh(res_c)
-    amp = two.amplitudes.reshape(sys_c, res_c) @ evecs  # columns: homodyne bins
-    probs = np.einsum("ij,ij->j", amp.conj(), amp).real
+    bins = real_matmul(evecs.T, two.amplitudes.reshape(sys_c, res_c).T)  # row j: bin of λ_j
+    probs = np.einsum("ij,ij->i", bins.conj(), bins).real
     probs = np.maximum(probs, 0.0)
     probs /= probs.sum()
 
@@ -170,11 +170,11 @@ def marek_gate(
     q = float(evals[idx])
     if abs(q) < 1e-12:  # eigensolver noise around the symmetric zero mode
         q = 0.0
-    collapsed = amp[:, idx]
+    collapsed = bins[idx]
     applied = q != 0.0
-    if applied:  # U_FF·ψ = V·(phase ∘ V†ψ), U_FF not formed
+    if applied:  # U_FF·ψ = V·(phase ∘ Vᵀψ), U_FF not formed
         w, v = x_eigh(sys_c)
-        collapsed = v @ (_feed_forward_phase(q, gamma, w) * (v.conj().T @ collapsed))
+        collapsed = real_matmul(v, _feed_forward_phase(q, gamma, w) * real_matmul(v.T, collapsed))
     return FockState(collapsed / np.linalg.norm(collapsed), (sys_c,)), q, applied
 
 

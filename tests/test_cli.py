@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cubicphase import schemes
+from cubicphase import cubic, schemes
 from cubicphase.cli import main, parse_config, run
 from cubicphase.hilbert import FockOperator, coherent
 
@@ -443,6 +443,23 @@ def _marek_shot(out):
     _, q, applied = schemes.marek_gate(coherent(0.3, 30), 1.5, 0.03,
                                        np.random.default_rng(7), (30, 40))
     return 0 if applied and q != 0.0 else 1
+
+
+def test_check_identities_shares_its_power_tables(tmp_path, monkeypatch):
+    # a warm run builds one table x̂⁰…x̂⁶ and one P⁰…P³ for all its rows, and
+    # each report row is the public report's, bit for bit
+    out = str(tmp_path / "ids.csv")
+    assert main(["check-identities", "--cutoff", "80", "--out", out]) == 0
+    calls = []
+    power_table = cubic.power_table
+    monkeypatch.setattr(cubic, "power_table", lambda m, k: calls.append(k) or power_table(m, k))
+    assert main(["check-identities", "--cutoff", "80", "--out", out]) == 0
+    assert len(calls) <= 2
+    monkeypatch.undo()
+    reports = [cubic.monomial_identity_report(m, 80) for m in (4, 5)]
+    reports += [cubic.polynomial_identity_report(m, n, 80) for m, n in ((1, 1), (2, 1), (1, 2))]
+    assert read_csv(out)[1:6] == [[r.name, repr(r.fitted_constant), repr(r.residual), "80"]
+                                  for r in reports]
 
 
 # the dense_analysis operations, at its sizes

@@ -10,6 +10,7 @@ from cubicphase.cubic import (
     factor_operator,
     gamma_factors,
     ideal_cubic_gate,
+    identity_reports,
     monomial_identity_report,
     polynomial_identity_report,
     u_n_convergence_norms,
@@ -200,6 +201,22 @@ class TestRealArithmeticReports:
         assert np.abs(rep.lhs_matrix - lhs).max() < 1e-12 * np.abs(lhs).max()
         assert np.abs(rep.rhs_matrix - rhs).max() < 1e-12 * np.abs(rhs).max()
         assert rep.residual < 1e-6 and residual < 1e-6
+
+
+class TestSharedTables:
+    @pytest.mark.parametrize("cutoff", [24, 80])
+    def test_reports_equal_the_public_ones(self, cutoff):
+        # one x̂ and one P table for all five reports: bit for bit the same fits
+        reports, xs = identity_reports(cutoff)
+        want = [monomial_identity_report(m, cutoff) for m in (4, 5)]
+        want += [polynomial_identity_report(m, n, cutoff) for m, n in ((1, 1), (2, 1), (1, 2))]
+        for got, ref in zip(reports, want, strict=True):
+            assert (got.name, got.margin, got.phase) == (ref.name, ref.margin, ref.phase)
+            assert repr((got.fitted_constant, got.residual)) == repr((ref.fitted_constant, ref.residual))
+            assert np.array_equal(got.real_lhs, ref.real_lhs)
+            assert np.array_equal(got.real_rhs, ref.real_rhs)
+        x6 = np.linalg.matrix_power(_real_quadratures(cutoff)[0], 6)
+        assert len(xs) == 7 and np.abs(xs[6] - x6).max() <= 1e-13 * np.abs(x6).max()
 
 
 class TestMonomialIdentity:

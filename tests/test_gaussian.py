@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cubicphase.errors import CutoffError
+from cubicphase.errors import CutoffError, DimensionError
 from cubicphase.gaussian import (
     _x_conditioned_gates,
     apply_x_conditioned_displacement,
@@ -61,6 +61,25 @@ class TestDisplacement:
         for lam, g in zip(lams, gates):
             ref = np.exp(1j * kick * lam) * displacement_gate(beta * lam, 24, max_loss=1.0).matrix
             assert np.abs(g - ref).max() < 1e-11
+
+
+class TestXEigh:
+    @pytest.mark.parametrize("cutoff", [8, 30, 40, 80, 120])
+    def test_real_eigenbasis_of_the_complex_x(self, cutoff):
+        # x̂ is real symmetric, so its eigenvectors are real; up to each column's
+        # sign, or a phase from a complex eigensolver, they are the complex x̂'s
+        w, v = x_eigh(cutoff)
+        assert v.dtype == np.float64 and not (w.flags.writeable or v.flags.writeable)
+        w_ref, v_ref = np.linalg.eigh(quadrature_x(cutoff).matrix)
+        overlaps = np.einsum("ij,ij->j", v, v_ref)
+        v_ref = v_ref * (overlaps.conj() / np.abs(overlaps))
+        assert np.abs(w - w_ref).max() <= 1e-13
+        assert np.abs(v - v_ref).max() <= 1e-13
+
+    @pytest.mark.parametrize("cutoff", [0, 1])
+    def test_cutoff_below_two_raises(self, cutoff):
+        with pytest.raises(DimensionError):
+            x_eigh(cutoff)
 
 
 class TestBeamsplitter:

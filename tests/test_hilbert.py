@@ -1,11 +1,13 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from cubicphase.errors import CutoffError, DimensionError
+from cubicphase.gaussian import x_eigh
 from cubicphase.hilbert import (
     COHERENT_LOSS_TOL,
     FockOperator,
@@ -14,6 +16,7 @@ from cubicphase.hilbert import (
     apply,
     apply_quadrature,
     coherent,
+    coherent_columns,
     coherent_truncation_loss,
     expectation,
     fidelity,
@@ -25,6 +28,7 @@ from cubicphase.hilbert import (
     partial_trace,
     quadrature_p,
     quadrature_x,
+    real_matmul,
     state_fidelity,
     tensor,
     vacuum,
@@ -135,6 +139,25 @@ class TestCoherent:
             raised = True
         assert raised == (coherent_truncation_loss(alpha, cutoff) >= COHERENT_LOSS_TOL)
 
+    @pytest.mark.parametrize("cutoff", [30, 120])
+    @pytest.mark.parametrize("alphas", [
+        [0.3, 1.5, 0.0, -2.0],
+        [0.4 + 0.25j, 1.5 - 0.7j, -0.2 + 0.25j, 0.25j],
+    ], ids=["real", "complex"])
+    def test_columns_are_coherent_states(self, alphas, cutoff):
+        cols = coherent_columns(alphas, cutoff)
+        assert cols.shape == (cutoff, len(alphas))
+        for alpha, col in zip(alphas, cols.T):
+            assert np.array_equal(col, coherent(alpha, cutoff).amplitudes)
+
+    @pytest.mark.parametrize("cutoff", [30, 120])
+    def test_column_beyond_its_cutoff_raises_as_coherent(self, cutoff):
+        alpha = complex(math.sqrt(cutoff), 1.0)  # mean photon number cutoff + 1
+        with pytest.raises(CutoffError) as single:
+            coherent(alpha, cutoff)
+        with pytest.raises(CutoffError, match=re.escape(str(single.value))):
+            coherent_columns([0.3 + 0.25j, alpha, 0.2j], cutoff)
+
     def test_mean_photon_number(self):
         from cubicphase.hilbert import number_op
 
@@ -190,6 +213,32 @@ class TestApplyQuadrature:
         x = apply_quadrature(np.eye(30), 1)
         assert np.array_equal(x, quadrature_x(30).matrix.real)
         assert np.array_equal(-1j * apply_quadrature(np.eye(30), -1), quadrature_p(30).matrix)
+
+
+class TestRealMatmul:
+    @pytest.mark.parametrize("shape", list(QUADRATURE_SHAPES) + ["transposed"])
+    @pytest.mark.parametrize("cutoff", [8, 40, 120])
+    def test_matches_complex_product(self, cutoff, shape):
+        rng = np.random.default_rng(cutoff)
+        dims = QUADRATURE_SHAPES[shape](cutoff) if shape != "transposed" else (7, cutoff)
+        z = rng.normal(size=dims) + 1j * rng.normal(size=dims)
+        if shape == "transposed":
+            z = z.T  # not contiguous
+        v = x_eigh(cutoff)[1]
+        for m in (v, v.T):
+            got, want = real_matmul(m, z), m.astype(complex) @ z
+            assert got.shape == want.shape
+            # the two sum in different orders: 4 ulps of the largest Σ|m||z|
+            scale = (np.abs(m) @ np.abs(z)).max()
+            assert np.abs(got - want).max() <= 4 * np.spacing(scale)
+
+    def test_nan_propagates(self):
+        z = np.ones((40, 3), dtype=complex)
+        z[5, 1] = complex(math.nan, 0.0)
+        z[7, 2] = complex(0.0, math.nan)
+        got = real_matmul(x_eigh(40)[1], z)
+        assert np.isfinite(got[:, 0]).all()
+        assert np.isnan(got[:, 1].real).all() and np.isnan(got[:, 2].imag).all()
 
 
 class TestInteriorBlock:
