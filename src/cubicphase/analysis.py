@@ -11,8 +11,7 @@ where each factor independently comes out as (1+γ_l x) (correct), 1 (a dark
 count fired before the subtraction succeeded), or (1+γ_l x)² (a click was
 missed, so one extra subtraction was applied).  With 3N factors the event
 space has 3^{3N} outcomes.  The factors are independent, so its exact mean
-and variance follow from each factor's own; the "enumerate" method computes
-them that way whenever the event space is small enough to enumerate.
+and variance follow from each factor's own, at a cost linear in N.
 """
 
 from __future__ import annotations
@@ -47,8 +46,6 @@ class ErrorEnsembleSpec:
     detector: DetectorModel = field(default_factory=DetectorModel)
     x_grid: tuple = (0.0, 0.5, 1.0, 1.5, 2.0, 2.5)
     expected_attempts: float = 100.0
-    enumeration_limit: int = 200_000
-    mc_samples: int = 20_000
 
 
 def event_probabilities(spec: ErrorEnsembleSpec) -> tuple[float, float, float]:
@@ -66,66 +63,34 @@ class ErrorStatRow:
     x: float
     mean: complex
     stddev: float
-    method: str
-    stderr: float | None = None
+    method: str = "enumerate"  # the only method: the exact product over the factors
 
 
-def _factor_values(x: float, gamma_l) -> list[tuple[complex, complex, complex]]:
-    """Per factor (correct, dark, missed) scalar values at position x."""
-    return [(1.0 + gl * x, 1.0 + 0.0j, (1.0 + gl * x) ** 2) for gl in gamma_l]
+def error_operator_stats(spec: ErrorEnsembleSpec) -> list[ErrorStatRow]:
+    """Exact mean and standard deviation of A(x) over detector-error realizations.
 
-
-def error_operator_stats(
-    spec: ErrorEnsembleSpec,
-    rng: np.random.Generator | None = None,
-    method: str = "auto",
-) -> list[ErrorStatRow]:
-    """Mean and standard deviation of A(x) over detector-error realizations.
-
-    method: "enumerate" (exact over the 3^{3N} outcomes), "monte_carlo", or
-    "auto" (enumerate when the event space is within ``enumeration_limit``).
-    The exact method uses independence: E[Πf] = ΠE[f] and E|Πf|² = ΠE|f|²,
-    with the variance of the product accumulated without cancellation.
+    The 3^{3N} outcomes need not be enumerated: by independence E[Πf] = ΠE[f]
+    and E|Πf|² = ΠE|f|², so one pass over the 3N factors costs O(N), with the
+    variance of the product accumulated without cancellation.
     """
-    if method not in ("auto", "enumerate", "monte_carlo"):
-        raise ValueError(f"unknown method '{method}'")
     probs = event_probabilities(spec)
     dec = gamma_factors(spec.gamma, spec.n)
-    n_factors = 3 * int(spec.n)
-    space = 3**n_factors
-
-    if method == "auto":
-        method = "enumerate" if space <= spec.enumeration_limit else "monte_carlo"
-    if method == "enumerate" and space > spec.enumeration_limit:
-        method = "monte_carlo"
-    if method == "monte_carlo" and rng is None:
-        rng = np.random.default_rng(0)
-
     rows = []
     for x in spec.x_grid:
         x = float(x)
         ideal = cmath.exp(1j * spec.gamma * x**3)
-        values = _factor_values(x, dec.gamma_l) * int(spec.n)
-        if method == "enumerate":
-            # Var Πf = Π(|μ_i|² + v_i) − Π|μ_i|², built factor by factor from
-            # nonnegative terms so it stays exact near zero
-            mean, var = 1.0 + 0.0j, 0.0
+        # per factor of a repetition: its (correct, dark, missed) values at x
+        values = [(1.0 + gl * x, 1.0 + 0.0j, (1.0 + gl * x) ** 2) for gl in dec.gamma_l]
+        # Var Πf = Π(|μ_i|² + v_i) − Π|μ_i|², built factor by factor from
+        # nonnegative terms so it stays exact near zero
+        mean, var = 1.0 + 0.0j, 0.0
+        for _ in range(int(spec.n)):
             for f in values:
                 mu = sum(p * v for p, v in zip(probs, f))
                 v_f = sum(p * abs(v - mu) ** 2 for p, v in zip(probs, f))
                 var = abs(mu) ** 2 * var + v_f * (abs(mean) ** 2 + var)
                 mean *= mu
-            rows.append(ErrorStatRow(x, mean - ideal, math.sqrt(var), "enumerate"))
-        else:
-            events = rng.choice(3, size=(spec.mc_samples, n_factors), p=probs)
-            amp = np.ones(spec.mc_samples, dtype=complex)
-            for i, f in enumerate(values):
-                lut = np.array(f)
-                amp *= lut[events[:, i]]
-            a = amp - ideal
-            mean = complex(a.mean())
-            std = float(np.sqrt(max(0.0, (np.abs(a) ** 2).mean() - abs(mean) ** 2)))
-            rows.append(ErrorStatRow(x, mean, std, "monte_carlo", std / math.sqrt(spec.mc_samples)))
+        rows.append(ErrorStatRow(x, mean - ideal, math.sqrt(var)))
     return rows
 
 

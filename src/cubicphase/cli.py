@@ -1,9 +1,13 @@
 """Command-line driver: config parsing, subcommand dispatch, CSV emission.
 
-Config files are ``key=value`` lines (``#`` starts a comment); command-line
-flags override file values.  Identical (config, seed) pairs produce
-byte-identical CSV output.  Exit codes: 0 success, 1 validation error,
-2 numerical-degradation error or an outcome of zero probability.
+``cubicphase SUBCOMMAND [--config FILE] [--key value]...``: a config file
+holds ``key=value`` lines (``#`` starts a comment), and every key is also a
+flag, spelled exactly ``--`` plus the key with ``_`` written as ``-``, that
+overrides the file.  Both go through one conversion loop by ``_KEYS`` and one
+check in ``RunConfig``.  Identical (config, seed) pairs produce byte-identical
+CSV output.  Exit codes: 0 success, 1 a malformed invocation or an invalid
+value (the message names the flag or the config key), 2 numerical-degradation
+error or an outcome of zero probability.
 
 Per-run RNG streams derive from the master seed as
 ``default_rng(SeedSequence(seed, spawn_key=(run_index,)))`` so ensemble
@@ -12,14 +16,14 @@ results do not depend on scheduling.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import math
 import os
 import stat
 import sys
-from dataclasses import dataclass
-from functools import lru_cache, reduce
+from dataclasses import dataclass, field
+from functools import reduce
+from itertools import chain
 
 import numpy as np
 
@@ -28,11 +32,15 @@ from .errors import CutoffError, DegenerateOutcomeError, NumericalDegradationErr
 from .hilbert import apply_quadrature
 from .protocol import DetectorModel, ProtocolConfig, check_bounds, protocol_bounds
 
-SUBCOMMANDS = ("simulate", "sweep-variance", "error-ensemble", "compare-schemes", "check-identities")
+# the largest system cutoff: check-identities, the largest in memory, peaks at
+# 1.34 GB there and fits a 1.5 GB address space, which 3100 overruns (README, CLI)
+MAX_CUTOFF = 3000
 
 
 @dataclass
 class RunConfig:
+    """A checked config, with the detector model the subcommands share."""
+
     gamma: float = 0.03
     n: int = 1
     alpha1: float = 0.2
@@ -47,85 +55,81 @@ class RunConfig:
     max_attempts: int = 10_000
     purity_tol: float = 1e-4
     out: str = ""
+    detector: DetectorModel = field(init=False)
 
-    def validate(self) -> None:
-        """Apply ProtocolConfig's and DetectorModel's rules without building a
-        ProtocolConfig, whose weak-subtraction warning concerns simulate only."""
+    def __post_init__(self):
+        # ProtocolConfig's rules without its warning, which concerns simulate only
         check_bounds([
-            ("cutoff", self.cutoff >= 4, ">= 4"),
-            ("ensemble", self.ensemble >= 1, ">= 1"),
-            ("seed", self.seed >= 0, ">= 0"),
-            ("input_alpha", math.isfinite(self.input_alpha), "finite"),
-            ("purity_tol", 0.0 < self.purity_tol < math.inf, "in (0, inf)"),
+            *((key, rule[0](getattr(self, name)), rule[1])
+              for key, (name, _, rule) in _KEYS.items() if rule),
             *protocol_bounds(self.gamma, self.n, self.alpha1, self.transmittance,
                              self.max_attempts),
         ])
-        self.detector()
+        self.detector = DetectorModel(self.eta, self.dark_rate_hz, self.window_s)
 
-    def detector(self) -> DetectorModel:
-        return DetectorModel(eta=self.eta, dark_rate_hz=self.dark_rate_hz, window_s=self.window_s)
+    def protocol(self) -> ProtocolConfig:
+        return ProtocolConfig(gamma=self.gamma, n=self.n, alpha1=self.alpha1,
+                              transmittance=self.transmittance, cutoff=self.cutoff,
+                              max_attempts_per_factor=self.max_attempts, detector=self.detector)
 
 
-# file keys -> RunConfig field and parser; each key is also a flag, "_" -> "-"
+# config key -> RunConfig field, parser, and the rule (test, text) of a key
+# that neither ProtocolConfig nor DetectorModel checks
 _KEYS = {
-    "gamma": ("gamma", float),
-    "N": ("n", int),
-    "alpha1": ("alpha1", float),
-    "transmittance": ("transmittance", float),
-    "eta": ("eta", float),
-    "dark_rate_hz": ("dark_rate_hz", float),
-    "window_s": ("window_s", float),
-    "cutoff": ("cutoff", int),
-    "ensemble": ("ensemble", int),
-    "seed": ("seed", int),
-    "input_alpha": ("input_alpha", float),
-    "max_attempts": ("max_attempts", int),
-    "purity_tol": ("purity_tol", float),  # unread, as every trajectory is pure; perfbench writes it
-    "out": ("out", str),
+    "gamma": ("gamma", float, None),
+    "N": ("n", int, None),
+    "alpha1": ("alpha1", float, None),
+    "transmittance": ("transmittance", float, None),
+    "eta": ("eta", float, None),
+    "dark_rate_hz": ("dark_rate_hz", float, None),
+    "window_s": ("window_s", float, None),
+    "cutoff": ("cutoff", int, (lambda v: 4 <= v <= MAX_CUTOFF, f"in [4, {MAX_CUTOFF}]")),
+    "ensemble": ("ensemble", int, (lambda v: v >= 1, ">= 1")),
+    "seed": ("seed", int, (lambda v: v >= 0, ">= 0")),
+    "input_alpha": ("input_alpha", float, (math.isfinite, "finite")),
+    "max_attempts": ("max_attempts", int, None),
+    # unread, as every trajectory is pure; the benchmark's config files write it
+    "purity_tol": ("purity_tol", float, (lambda v: 0.0 < v < math.inf, "in (0, inf)")),
+    "out": ("out", str, None),
 }
+_FLAGS = {"--" + key.replace("_", "-"): key for key in ("config", *_KEYS)}
+
+
+def _file_items(path: str):
+    """(where, key, raw value) for each ``key=value`` line of a config file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            key, _, val = (s.strip() for s in line.partition("="))
+            yield f"{path}:{lineno}", key, val
 
 
 def parse_config(path: str | None, overrides: dict | None = None) -> RunConfig:
-    """Build a validated RunConfig from an optional file plus flag overrides."""
+    """Build a checked RunConfig from an optional file plus flag overrides,
+    given as raw strings or as values of each key's type."""
     values: dict = {}
-    if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-                key, _, val = (s.strip() for s in line.partition("="))
-                if key not in _KEYS:
-                    raise ValueError(f"{path}:{lineno}: unknown config key '{key}'")
-                field_name, conv = _KEYS[key]
-                try:
-                    values[field_name] = conv(val)
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: key '{key}': {exc}") from None
-    for key, val in (overrides or {}).items():
-        if val is None:
-            continue
+    flags = (("command line", key, val) for key, val in (overrides or {}).items())
+    for where, key, raw in chain(_file_items(path) if path else (), flags):
         if key not in _KEYS:
-            raise ValueError(f"unknown config key '{key}'")
-        field_name, conv = _KEYS[key]
-        values[field_name] = conv(val)
-    cfg = RunConfig(**values)
-    cfg.validate()
-    return cfg
+            raise ValueError(f"{where}: unknown config key '{key}'")
+        name, conv, _ = _KEYS[key]
+        try:
+            values[name] = conv(raw)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{where}: config key '{key}': {exc}") from None
+    return RunConfig(**values)
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, (int, np.integer, np.bool_)):  # a bool is an int
         return str(int(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if value is None or value == "":
-        return ""
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
-    return str(value)
+    return "" if value is None else str(value)
 
 
 class _Utf8Sink(bytearray):
@@ -159,30 +163,18 @@ def _write_csv(path: str, header, rows) -> None:
         os.close(fd)
 
 
-def _rng_for_run(seed: int, run_index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(run_index,)))
-
-
 # ---------------------------------------------------------------------------
 # subcommand bodies
 
 
 def _run_simulate(cfg: RunConfig, out: str) -> None:
-    pconf = ProtocolConfig(
-        gamma=cfg.gamma,
-        n=cfg.n,
-        alpha1=cfg.alpha1,
-        transmittance=cfg.transmittance,
-        cutoff=cfg.cutoff,
-        max_attempts_per_factor=cfg.max_attempts,
-        detector=cfg.detector(),
-    )
+    pconf = cfg.protocol()
 
     def rows():
         # one run at a time, so memory stays at the size of the CSV text
         for run in range(cfg.ensemble):
-            [(r, _)] = analysis.run_ensemble(pconf, [cfg.input_alpha],
-                                             [_rng_for_run(cfg.seed, run)])
+            rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(run,)))
+            [(r, _)] = analysis.run_ensemble(pconf, [cfg.input_alpha], [rng])
             yield run, r.success, r.total_attempts, r.fidelity_un, r.fidelity_ideal
 
     try:
@@ -194,37 +186,23 @@ def _run_simulate(cfg: RunConfig, out: str) -> None:
 
 def _run_sweep_variance(cfg: RunConfig, out: str) -> None:
     spec = analysis.MomentSweepSpec(gamma=cfg.gamma, cutoff=max(cfg.cutoff, 30))
-    rows = analysis.variance_sweep(spec)
-    header = ("re_alpha", "ideal") + tuple(f"N{n}" for n in spec.n_list)
-    _write_csv(
-        out,
-        header,
-        [(r.re_alpha, r.ideal) + tuple(r.by_n[n] for n in spec.n_list) for r in rows],
-    )
+    _write_csv(out, ("re_alpha", "ideal") + tuple(f"N{n}" for n in spec.n_list),
+               [(r.re_alpha, r.ideal) + tuple(r.by_n[n] for n in spec.n_list)
+                for r in analysis.variance_sweep(spec)])
 
 
 def _run_error_ensemble(cfg: RunConfig, out: str) -> None:
-    spec = analysis.ErrorEnsembleSpec(gamma=cfg.gamma, n=cfg.n, detector=cfg.detector())
-    rows = analysis.error_operator_stats(spec, rng=_rng_for_run(cfg.seed, 0))
-    _write_csv(
-        out,
-        ("x", "mean_re", "mean_im", "stddev", "method"),
-        [(r.x, r.mean.real, r.mean.imag, r.stddev, r.method) for r in rows],
-    )
+    spec = analysis.ErrorEnsembleSpec(gamma=cfg.gamma, n=cfg.n, detector=cfg.detector)
+    _write_csv(out, ("x", "mean_re", "mean_im", "stddev", "method"),
+               [(r.x, r.mean.real, r.mean.imag, r.stddev, r.method)
+                for r in analysis.error_operator_stats(spec)])
 
 
 def _run_compare_schemes(cfg: RunConfig, out: str) -> None:
-    ps = (0.05, 0.1, 0.2, 0.3, 0.5, 1.0)
-    rows = []
-    for p in ps:
-        m = schemes.runtime_models(p, n=cfg.n)
-        rows.append((p, m.ours_per_factor, m.ours_total, m.marek_prep,
-                     schemes.marek_restart_mean(p), "n/a"))
-    _write_csv(
-        out,
-        ("p", "ours_per_factor", "ours_total", "marek_model", "marek_restart_exact", "gkp"),
-        rows,
-    )
+    header = ("p", "ours_per_factor", "ours_total", "marek_model", "marek_restart_exact", "gkp")
+    models = ((p, schemes.runtime_models(p, n=cfg.n)) for p in (0.05, 0.1, 0.2, 0.3, 0.5, 1.0))
+    _write_csv(out, header, [(p, m.ours_per_factor, m.ours_total, m.marek_prep,
+                              schemes.marek_restart_mean(p), "n/a") for p, m in models])
 
 
 def _run_check_identities(cfg: RunConfig, out: str) -> None:
@@ -254,34 +232,38 @@ _BODIES = {
 
 def run(subcommand: str, cfg: RunConfig) -> int:
     """Execute a subcommand against a validated config.  Returns the exit code."""
-    if subcommand not in SUBCOMMANDS:
+    if subcommand not in _BODIES:
         raise ValueError(f"unknown subcommand '{subcommand}'")
     out = cfg.out or f"{subcommand.replace('-', '_')}.csv"
     _BODIES[subcommand](cfg, out)
     return 0
 
 
-@lru_cache(maxsize=1)
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process and shared; parse_args
-    returns a fresh namespace on every call, so no flag carries over."""
-    parser = argparse.ArgumentParser(
-        prog="cubicphase",
-        description="Repeat-until-success cubic phase gate simulator",
-    )
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
-    parser.add_argument("--config", help="key=value config file")
-    for key, (_, conv) in _KEYS.items():
-        parser.add_argument("--" + key.replace("_", "-"), dest=key, type=conv)
-    return parser
+_USAGE = (f"usage: cubicphase {{{','.join(_BODIES)}}} [--config FILE] [--key value]...\n"
+         f"flags: {' '.join(_FLAGS)}")
+
+
+def _parse_argv(argv) -> tuple[str, str | None, dict]:
+    """``SUBCOMMAND [--config FILE] [--key value]...`` as (subcommand, config
+    path, raw flag values by config key); a later flag overrides an earlier one."""
+    if not argv or argv[0] not in _BODIES:
+        got = f"unknown subcommand '{argv[0]}'" if argv else "no subcommand given"
+        raise ValueError(f"{got}\n{_USAGE}")
+    flags = {}
+    for i in range(1, len(argv), 2):
+        flag = argv[i]
+        if flag not in _FLAGS:
+            raise ValueError(f"unknown flag '{flag}'\n{_USAGE}")
+        if i + 1 == len(argv) or argv[i + 1].startswith("--"):
+            raise ValueError(f"flag '{flag}' needs a value\n{_USAGE}")
+        flags[_FLAGS[flag]] = argv[i + 1]
+    return argv[0], flags.pop("config", None), flags
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    overrides = {key: getattr(args, key) for key in _KEYS}
     try:
-        cfg = parse_config(args.config, overrides)
-        return run(args.subcommand, cfg)
+        subcommand, path, flags = _parse_argv(sys.argv[1:] if argv is None else argv)
+        return run(subcommand, parse_config(path, flags))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -76,7 +76,8 @@ def protocol_bounds(gamma, n, alpha1, transmittance, max_attempts) -> list:
     return [
         ("gamma", 0.0 <= gamma < math.inf, "in [0, inf)"),
         ("N", int(n) >= 1, ">= 1"),
-        ("alpha1", 0.0 < alpha1 < math.inf, "in (0, inf)"),
+        # α₁² must be finite too: ProtocolConfig and the click tables square it
+        ("alpha1", 0.0 < alpha1 and alpha1 * alpha1 < math.inf, "in (0, inf), alpha1**2 finite"),
         ("transmittance", 0.0 < transmittance <= 1.0, "in (0, 1]"),
         ("max_attempts", 1 <= max_attempts <= MAX_ATTEMPTS, "in [1, 2**63 - 1]"),
     ]

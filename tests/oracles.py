@@ -109,6 +109,19 @@ def error_factor_moments(x: float, gamma_l, probs):
     return mean_a, mean_abs2
 
 
+def sampled_error_mean(x: float, gamma: float, gamma_l, probs, samples: int, rng):
+    """E[A(x)] and its standard error over ``samples`` draws in which each
+    factor, independently, is correct (1+γ_l x), dark (1) or missed (1+γ_l x)²
+    with ``probs``; ``gamma_l`` lists every factor's coefficient."""
+    events = rng.choice(3, size=(samples, len(gamma_l)), p=probs)
+    amp = np.ones(samples, dtype=complex)
+    for i, gl in enumerate(gamma_l):
+        f = 1.0 + gl * x
+        amp *= np.array([f, 1.0, f * f])[events[:, i]]
+    a = amp - np.exp(1j * gamma * x**3)
+    return complex(a.mean()), float(a.std() / np.sqrt(samples))
+
+
 def gamma_l_strength(gamma_l) -> float:
     """Recover γ/N from the three factor coefficients: Πγ_l = i·γ/N."""
     prod = 1.0 + 0.0j

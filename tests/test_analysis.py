@@ -11,6 +11,7 @@ from oracles import (
     gate_total_attempts,
     ideal_gate_p_mean,
     ideal_gate_p_variance,
+    sampled_error_mean,
 )
 from cubicphase import analysis, protocol
 from cubicphase.analysis import (
@@ -155,30 +156,22 @@ class TestErrorOperatorStats:
     )
     def test_closed_form_matches_brute_force(self, n, detector):
         spec = ErrorEnsembleSpec(gamma=0.03, n=n, detector=detector)
-        rows = error_operator_stats(spec, method="enumerate")
+        rows = error_operator_stats(spec)
         assert all(r.method == "enumerate" for r in rows)
         for row, (x, mean, std) in zip(rows, enumerated_error_stats(spec)):
             assert row.x == x
             assert abs(row.mean - mean) <= 1e-13
             assert abs(row.stddev - std) <= 1e-13
 
-    def test_monte_carlo_agrees_with_enumeration(self, rng):
-        spec = ErrorEnsembleSpec(detector=REALISTIC_DETECTOR, x_grid=(1.0,), mc_samples=40_000)
-        exact = error_operator_stats(spec, method="enumerate")[0]
-        mc = error_operator_stats(spec, rng=rng, method="monte_carlo")[0]
-        assert mc.stderr is not None
-        assert abs(mc.mean - exact.mean) < 3 * (mc.stderr + 1e-12)
-
-    def test_fallback_above_limit(self, rng):
-        spec = ErrorEnsembleSpec(
-            detector=REALISTIC_DETECTOR, n=4, x_grid=(0.5,), mc_samples=2000
-        )
-        row = error_operator_stats(spec, rng=rng)[0]
-        assert row.method == "monte_carlo"
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            error_operator_stats(ErrorEnsembleSpec(), method="guess")
+    def test_exact_within_sampling_error_at_n4(self, rng):
+        # 3^12 outcomes, too many to sum: the exact mean must lie within 4σ
+        # of the mean over sampled detector events
+        spec = ErrorEnsembleSpec(detector=REALISTIC_DETECTOR, n=4, x_grid=(0.5, 1.0, 2.0))
+        gamma_l = gamma_factors(spec.gamma, spec.n).gamma_l * spec.n
+        for row in error_operator_stats(spec):
+            mean, stderr = sampled_error_mean(row.x, spec.gamma, gamma_l,
+                                              event_probabilities(spec), 40_000, rng)
+            assert abs(row.mean - mean) < 4 * stderr
 
 
 class TestVarianceSweep:

@@ -33,11 +33,13 @@ INVALID_VALUES = {
 FLOAT_KEYS = ("gamma", "alpha1", "transmittance", "eta", "dark_rate_hz", "window_s",
               "input_alpha", "purity_tol")
 NONFINITE_CASES = [(key, value) for value in ("nan", "inf") for key in FLOAT_KEYS]
-# an input whose |α|² passes the float range, and an attempt budget past int64
-OUT_OF_RANGE_CASES = [("input_alpha", "1e200"), ("max_attempts", "100000000000000000000")]
+# an input whose |α|² passes the float range, an attempt budget past int64,
+# a resource whose α₁² passes it, and a cutoff past the bound
+OUT_OF_RANGE_CASES = [("input_alpha", "1e200"), ("max_attempts", "100000000000000000000"),
+                      ("alpha1", "1e200"), ("cutoff", "3001")]
 INVALID_CASES = list(INVALID_VALUES.items()) + NONFINITE_CASES + OUT_OF_RANGE_CASES
 INVALID_IDS = (list(INVALID_VALUES) + [f"{key}-{value}" for key, value in NONFINITE_CASES]
-               + ["input_alpha-1e200", "max_attempts-1e20"])
+               + ["input_alpha-1e200", "max_attempts-1e20", "alpha1-1e200", "cutoff-3001"])
 
 
 def read_csv(path):
@@ -221,13 +223,31 @@ class TestMain:
         assert "Traceback" not in err
 
     def test_successive_calls_do_not_share_flags(self, tmp_path, monkeypatch):
-        # main builds its parser once per process; a flag given to one call
-        # must not reach the next
+        # a flag given to one call must not reach the next
         monkeypatch.chdir(tmp_path)
         assert main(["check-identities", "--cutoff", "24", "--out", "a.csv"]) == 0
         assert main(["check-identities", "--out", "b.csv"]) == 0
         assert {r[3] for r in read_csv(tmp_path / "a.csv")[1:]} == {"24"}
         assert {r[3] for r in read_csv(tmp_path / "b.csv")[1:]} == {"30"}
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--cutoff", "abc"], "config key 'cutoff'"),
+        (["simulate", "--dark_rate_hz", "0"], "unknown flag '--dark_rate_hz'"),
+        (["simulate", "--cut", "30"], "unknown flag '--cut'"),
+        (["simulate", "--seed"], "flag '--seed' needs a value"),
+        (["frobnicate"], "unknown subcommand 'frobnicate'"),
+        ([], "no subcommand"),
+    ], ids=["malformed-value", "unknown-flag", "abbreviated-flag", "flag-without-value",
+            "unknown-subcommand", "no-arguments"])
+    def test_shell_error_exit_one(self, argv, message, capsys, tmp_path, monkeypatch):
+        # flags match their keys exactly, and every malformed invocation exits
+        # 1 through the same error path as a bad config file
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err.splitlines()[0]
+        assert "Traceback" not in err
+        assert not any(tmp_path.iterdir())
 
     def test_missing_config_file_exit_one(self):
         assert main(["check-identities", "--config", "/nonexistent/p.cfg"]) == 1
