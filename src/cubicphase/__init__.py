@@ -1,4 +1,8 @@
-"""Repeat-until-success cubic phase gate simulator on truncated Fock spaces."""
+"""Repeat-until-success cubic phase gate simulator on truncated Fock spaces.
+
+The dense reference oracles live in ``cubicphase.reference``, which this
+package does not import: it alone loads scipy.
+"""
 
 from .errors import (
     CutoffError,
@@ -8,50 +12,24 @@ from .errors import (
     NumericalDegradationError,
 )
 from .hilbert import (
-    CONVENTION,
-    FockOperator,
     FockState,
-    annihilation,
-    apply,
     coherent,
-    expectation,
     fidelity,
-    number_state,
-    partial_trace,
-    quadrature_p,
-    quadrature_x,
     tensor,
-    vacuum,
-)
-from .gaussian import (
-    beamsplitter_gate,
-    displacement_gate,
-    momentum_shift_gate,
-    qnd_gate,
-    qnd_prime_gate,
-    squeeze_gate,
 )
 from .cubic import (
     CubicDecomposition,
-    factor_operator,
     gamma_factors,
-    ideal_cubic_gate,
     monomial_identity_report,
     polynomial_identity_report,
-    u_n_operator,
 )
 from .protocol import (
     DetectorModel,
     IDEAL_DETECTOR,
     ProtocolConfig,
     TrialLog,
-    couple_resource,
-    detector_povm,
     full_gate,
-    ideal_project,
-    one_photon_reduce,
     rus_factor,
-    subtraction_attempt,
 )
 from .analysis import (
     ErrorEnsembleSpec,

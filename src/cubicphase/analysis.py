@@ -79,15 +79,18 @@ def error_operator_stats(spec: ErrorEnsembleSpec) -> list[ErrorStatRow]:
     for x in spec.x_grid:
         x = float(x)
         ideal = cmath.exp(1j * spec.gamma * x**3)
-        # per factor of a repetition: its (correct, dark, missed) values at x
-        values = [(1.0 + gl * x, 1.0 + 0.0j, (1.0 + gl * x) ** 2) for gl in dec.gamma_l]
+        # per factor of a repetition: the mean μ and variance v_f of its
+        # (correct, dark, missed) values at x, the same in every repetition
+        moments = []
+        for gl in dec.gamma_l:
+            f = (1.0 + gl * x, 1.0 + 0.0j, (1.0 + gl * x) ** 2)
+            mu = sum(p * v for p, v in zip(probs, f))
+            moments.append((mu, sum(p * abs(v - mu) ** 2 for p, v in zip(probs, f))))
         # Var Πf = Π(|μ_i|² + v_i) − Π|μ_i|², built factor by factor from
         # nonnegative terms so it stays exact near zero
         mean, var = 1.0 + 0.0j, 0.0
         for _ in range(int(spec.n)):
-            for f in values:
-                mu = sum(p * v for p, v in zip(probs, f))
-                v_f = sum(p * abs(v - mu) ** 2 for p, v in zip(probs, f))
+            for mu, v_f in moments:
                 var = abs(mu) ** 2 * var + v_f * (abs(mean) ** 2 + var)
                 mean *= mu
         rows.append(ErrorStatRow(x, mean - ideal, math.sqrt(var)))
@@ -193,7 +196,8 @@ DEFAULT_INPUT_ALPHAS = (0.3, 0.15 + 0.15j, 0.0, -0.2 + 0.1j)
 def _gate_targets(gamma: float, n: int, cutoff: int) -> tuple:
     """(U_N, ideal cubic gate) as diagonals in the x̂ eigenbasis, read-only.  As
     x̂³ = V·diag(λ³)·V† on the truncated space, U_N = V·diag((1 + iγλ³/N)^N)·V†
-    and e^{iγx̂³} = V·diag(e^{iγλ³})·V† (dense: u_n_operator, ideal_cubic_gate)."""
+    and e^{iγx̂³} = V·diag(e^{iγλ³})·V† (dense: reference.u_n_operator and
+    reference.ideal_cubic_gate)."""
     w, _ = x_eigh(cutoff)
     targets = ((1.0 + 1j * (gamma / n) * w**3) ** n, np.exp(1j * gamma * w**3))
     for t in targets:

@@ -59,12 +59,12 @@ class RunConfig:
 
     def __post_init__(self):
         # ProtocolConfig's rules without its warning, which concerns simulate only
-        check_bounds([
-            *((key, rule[0](getattr(self, name)), rule[1])
-              for key, (name, _, rule) in _KEYS.items() if rule),
-            *protocol_bounds(self.gamma, self.n, self.alpha1, self.transmittance,
-                             self.max_attempts),
-        ])
+        check_bounds(chain(
+            ((key, rule[0](getattr(self, name)), rule[1])
+             for key, (name, _, rule) in _KEYS.items() if rule),
+            protocol_bounds(self.gamma, self.n, self.alpha1, self.transmittance,
+                            self.max_attempts, self.cutoff),
+        ))
         self.detector = DetectorModel(self.eta, self.dark_rate_hz, self.window_s)
 
     def protocol(self) -> ProtocolConfig:

@@ -1,4 +1,4 @@
-"""Cubic-gate decomposition machinery and operator-identity verifiers.
+"""Cubic-gate decomposition coefficients and operator-identity verifiers.
 
 The target unitary is e^{iγx̂³}.  Its N-step approximant factorizes as
 
@@ -6,10 +6,10 @@ The target unitary is e^{iγx̂³}.  Its N-step approximant factorizes as
     1 + i(γ/N)x̂³ = Π_l (1 + γ_l x̂),   γ_l = e^{iπ(4l+1)/6} (γ/N)^{1/3},
 
 because the three γ_l sum to zero pairwise-products-to-zero and multiply to
-i γ/N.  Everything here is a polynomial or exponential of the *truncated* x̂
-matrix, so the factorization identities hold to machine precision at any
-cutoff; only comparisons against e^{iγx̂³} carry truncation caveats and are
-evaluated on restricted blocks.
+i γ/N.  The identity reports are polynomials of the *truncated* real x̂ and
+P = ip̂ matrices, fitted on the interior block that excludes the top Fock
+levels, where truncation corrupts p̂² and high powers of x̂.  The dense U_N,
+e^{iγx̂³} and factor matrices are test oracles in ``cubicphase.reference``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionError
-from .hilbert import FockOperator, expm, interior_block, quadrature_coefficients, quadrature_x
+from .hilbert import quadrature_coefficients
 
 
 @dataclass(frozen=True)
@@ -47,70 +47,6 @@ def gamma_factors(gamma: float, n: int) -> CubicDecomposition:
     mag = (gamma / n) ** (1.0 / 3.0)
     gl = tuple(mag * cmath.exp(1j * math.pi * (4 * l + 1) / 6.0) for l in range(3))
     return CubicDecomposition(gamma, n, gl)
-
-
-def factor_operator(gamma_l: complex, cutoff: int) -> FockOperator:
-    """Non-unitary linear factor I + γ_l x̂."""
-    x = quadrature_x(cutoff).matrix
-    return FockOperator(np.eye(int(cutoff), dtype=complex) + gamma_l * x, (int(cutoff),))
-
-
-def u_n_operator(gamma: float, n: int, cutoff: int) -> FockOperator:
-    """(I + i(γ/N)x̂³)^N as a matrix power of the truncated x̂."""
-    n = int(n)
-    if n < 1:
-        raise ValueError("N must be >= 1")
-    x = quadrature_x(cutoff).matrix
-    x3 = np.linalg.matrix_power(x, 3)
-    step = np.eye(int(cutoff), dtype=complex) + 1j * (float(gamma) / n) * x3
-    return FockOperator(np.linalg.matrix_power(step, n), (int(cutoff),))
-
-
-def ideal_cubic_gate(gamma: float, cutoff: int) -> FockOperator:
-    """e^{iγx̂³} on the truncated space."""
-    x = quadrature_x(cutoff).matrix
-    x3 = np.linalg.matrix_power(x, 3)
-    return FockOperator(expm(1j * float(gamma) * x3), (int(cutoff),))
-
-
-# Default low-Fock window for approximant-vs-ideal comparisons.  The O(1/N)
-# convergence claim applies to bounded position support; above roughly
-# γ·(2n)^{3/2} ≈ 2 the per-eigenvalue error saturates and the comparison stops
-# being informative, so at γ = 0.03 the window is the lowest ~10 levels.
-CONVERGENCE_WINDOW = 10
-
-
-def u_n_convergence_norms(gamma: float, n_list, cutoff: int,
-                          window: int = CONVERGENCE_WINDOW) -> list[float]:
-    """Max-norms of U_N(γ) − e^{iγx̂³} on the lowest ``window`` Fock levels."""
-    window = int(window)
-    if not 1 <= window <= int(cutoff):
-        raise DimensionError(f"window {window} outside [1, {cutoff}]")
-    ideal = ideal_cubic_gate(gamma, cutoff).matrix
-    out = []
-    for n in n_list:
-        diff = u_n_operator(gamma, n, cutoff).matrix - ideal
-        out.append(float(np.abs(diff[:window, :window]).max()))
-    return out
-
-
-def commutator_approx_residual(a: FockOperator, b: FockOperator, t: float,
-                               margin: int = 5) -> float:
-    """Interior max-norm of e^{iAt}e^{iBt}e^{−iAt}e^{−iBt} − e^{−[A,B]t²}.
-
-    Both inputs must be Hermitian (hint set).  The caller checks the O(t³)
-    scaling; for pairs whose commutator is central the group identity is exact
-    and the residual is pure truncation noise.
-    """
-    if not (a.hermitian_hint and b.hermitian_hint):
-        raise ValueError("commutator_approx_residual expects Hermitian operators")
-    if a.cutoffs != b.cutoffs:
-        raise DimensionError("operator cutoffs differ")
-    t = float(t)
-    am, bm = a.matrix, b.matrix
-    lhs = expm(1j * am * t) @ expm(1j * bm * t) @ expm(-1j * am * t) @ expm(-1j * bm * t)
-    rhs = expm(-(am @ bm - bm @ am) * t * t)
-    return float(np.abs(interior_block(lhs - rhs, a.cutoffs, margin)).max())
 
 
 @dataclass(frozen=True)
@@ -155,8 +91,10 @@ def _comm(u, v, parity: int):
 def _fit_report(name, lhs, rhs, cutoff, margin, phase: complex = 1.0) -> IdentityReport:
     """Fit rhs ≈ c·lhs on real matrices that equal the operators up to the
     common unit factor ``phase``, which the fit does not see."""
-    lb = interior_block(lhs, (cutoff,), margin)
-    rb = interior_block(rhs, (cutoff,), margin)
+    keep = int(cutoff) - int(margin)  # the interior block: the top ``margin`` levels go
+    if keep < 1:
+        raise DimensionError(f"margin {margin} leaves no interior block")
+    lb, rb = lhs[:keep, :keep], rhs[:keep, :keep]
     c = float(np.vdot(lb, rb) / np.vdot(lb, lb))
     residual = float(np.abs(rb - c * lb).max())
     return IdentityReport(name, int(cutoff), int(margin), c, residual, lhs, rhs, complex(phase))

@@ -27,10 +27,10 @@ photons only reweights c(λ), so unravelling the detector by photon number
 and their average the exact channel.  The system cutoff is then the only
 truncation, and ``label_gate`` checks it: its output may hold at most
 HEADROOM_BOUND of its probability in the top two Fock levels.
-``couple_resource`` and ``subtraction_attempt`` are the same steps on a
-truncated Fock resource and ancilla, with the ancilla's photon number drawn
-in the same way, kept as the reference the tests compare the label engine
-against.
+``cubicphase.reference`` holds the same steps on a truncated Fock resource and
+ancilla (``couple_resource``, ``subtraction_attempt``), with the ancilla's
+photon number drawn in the same way: the oracle the tests compare the label
+engine against.
 """
 
 from __future__ import annotations
@@ -44,24 +44,19 @@ import numpy as np
 
 from .cubic import gamma_factors
 from .errors import (
-    CutoffError,
     DegenerateOutcomeError,
     DimensionError,
     FactorFailure,
     NumericalDegradationError,
 )
-from .gaussian import (
-    apply_x_conditioned_displacement,
-    beamsplitter_gate,
-    qnd_compensation_kick,
-    x_eigh,
-)
-from .hilbert import FockOperator, FockState, coherent, tensor
+from .gaussian import x_eigh
+from .hilbert import FockState
 
 
 def check_bounds(rules) -> None:
     """Raise ValueError naming the first config key whose rule fails.  Each
-    rule states what must hold, so a NaN value fails it."""
+    rule states what must hold, so a NaN value fails it.  Rules are read in
+    turn, so a rule yielded later may assume the ones before it hold."""
     for key, ok, rule in rules:
         if not ok:
             raise ValueError(f"config key '{key}' violates constraint ({rule})")
@@ -70,17 +65,29 @@ def check_bounds(rules) -> None:
 # attempt counts are numpy int64 in the click tables
 MAX_ATTEMPTS = 2**63 - 1
 
+# the largest photon-count mean a factor may draw from.  _photon_cdf caches up
+# to 128 tables of mean + 12√mean + 40 entries each; filled at 1.2e6 they fit
+# with a cutoff-3000 simulate in a 1.5 GB address space, at 1.5e6 they do not
+# (README, CLI)
+MAX_PHOTON_MEAN = 1e6
 
-def protocol_bounds(gamma, n, alpha1, transmittance, max_attempts) -> list:
-    """The rules on the ProtocolConfig parameters, named by their config keys."""
-    return [
-        ("gamma", 0.0 <= gamma < math.inf, "in [0, inf)"),
-        ("N", int(n) >= 1, ">= 1"),
-        # α₁² must be finite too: ProtocolConfig and the click tables square it
-        ("alpha1", 0.0 < alpha1 and alpha1 * alpha1 < math.inf, "in (0, inf), alpha1**2 finite"),
-        ("transmittance", 0.0 < transmittance <= 1.0, "in (0, 1]"),
-        ("max_attempts", 1 <= max_attempts <= MAX_ATTEMPTS, "in [1, 2**63 - 1]"),
-    ]
+
+def protocol_bounds(gamma, n, alpha1, transmittance, max_attempts, cutoff):
+    """The rules on the ProtocolConfig parameters, named by their config keys,
+    in the order ``check_bounds`` reads them."""
+    # γ² and α₁² must be finite: the analyses and the click tables square them
+    yield "gamma", 0.0 <= gamma and gamma * gamma < math.inf, "in [0, inf), gamma**2 finite"
+    yield "N", int(n) >= 1, ">= 1"
+    yield "alpha1", 0.0 < alpha1 and alpha1 * alpha1 < math.inf, "in (0, inf), alpha1**2 finite"
+    yield "transmittance", 0.0 < transmittance <= 1.0, "in (0, 1]"
+    yield "max_attempts", 1 <= max_attempts <= MAX_ATTEMPTS, "in [1, 2**63 - 1]"
+    yield "cutoff", int(cutoff) >= 2, ">= 2"
+    # the largest mean: |α₁(1+γ_l λ)|² at the largest x̂ eigenvalue, which is
+    # below √(2·cutoff + 1); alpha1 is named when α₁² alone reaches the bound
+    peak = alpha1 * alpha1 * (1.0 + (gamma / int(n)) ** (1.0 / 3.0)
+                              * math.sqrt(2 * int(cutoff) + 1)) ** 2
+    yield ("alpha1" if alpha1 * alpha1 >= MAX_PHOTON_MEAN else "gamma", peak < MAX_PHOTON_MEAN,
+           f"alpha1**2 * (1 + (gamma/N)**(1/3) * sqrt(2*cutoff + 1))**2 < {MAX_PHOTON_MEAN:g}")
 
 
 @dataclass(frozen=True)
@@ -110,16 +117,6 @@ class DetectorModel:
 IDEAL_DETECTOR = DetectorModel(eta=1.0, dark_rate_hz=0.0, window_s=1e-10)
 
 
-def detector_povm(detector: DetectorModel, cutoff: int) -> tuple[FockOperator, FockOperator]:
-    """(Π₀, Π_click) with Π₀ diagonal e^{−ν}(1−η)^m and Π_click = I − Π₀."""
-    pi0 = np.diag(_povm0_diag(detector.eta, detector.nu, int(cutoff)).astype(complex))
-    pick = np.eye(int(cutoff), dtype=complex) - pi0
-    return (
-        FockOperator(pi0, (int(cutoff),), hermitian_hint=True),
-        FockOperator(pick, (int(cutoff),), hermitian_hint=True),
-    )
-
-
 # assumed |x|-range of the input in the weak-subtraction warning
 X_SUPPORT = 4.0
 
@@ -145,7 +142,7 @@ class ProtocolConfig:
 
     def __post_init__(self):
         check_bounds(protocol_bounds(self.gamma, self.n, self.alpha1, self.transmittance,
-                                     self.max_attempts_per_factor))
+                                     self.max_attempts_per_factor, self.cutoff))
         self.cutoff = int(self.cutoff)
         if self.gamma > 0.0:
             gl_mag = (self.gamma / int(self.n)) ** (1.0 / 3.0)
@@ -191,159 +188,7 @@ class TrialLog:
 
 
 # ---------------------------------------------------------------------------
-# cached building blocks (all cached values are immutable)
-
-
-@lru_cache(maxsize=64)
-def _beamsplitter(transmittance: float, res_cutoff: int, anc_cutoff: int) -> np.ndarray:
-    return beamsplitter_gate(transmittance, (res_cutoff, anc_cutoff)).matrix
-
-
-@lru_cache(maxsize=64)
-def _povm0_diag(eta: float, nu: float, cutoff: int) -> np.ndarray:
-    m = np.arange(cutoff)
-    d = math.exp(-nu) * (1.0 - eta) ** m
-    d.flags.writeable = False
-    return d
-
-
-def _apply_qnd_compensated(state: FockState, beta: complex, base_amplitude: float) -> FockState:
-    """Apply exp[(βâ†_R−β*â_R)x̂_S] with its momentum-kick compensation for a
-    resource of real base amplitude A, so |x⟩|A⟩ → |x⟩|A + βx⟩ exactly."""
-    return apply_x_conditioned_displacement(
-        state, beta, qnd_compensation_kick(beta, base_amplitude)
-    )
-
-
-# ---------------------------------------------------------------------------
-# protocol operations
-
-
-def couple_resource(state: FockState, alpha1: float, gamma_l: complex, cutoffs) -> FockState:
-    """Entangle a fresh coherent resource with the system position.
-
-    Output: ∫ψ(x)|x⟩|α₁(1+γ_l x)⟩_R on cutoffs = (system, resource).  The
-    x-dependent displacement phase is compensated so the map is exact.  The
-    resource enters as ``coherent(alpha1, res_c)``, which raises CutoffError
-    when the resource cutoff cannot hold it.  Fock reference for the tests;
-    ``rus_factor`` leaves the label amplitudes unchanged instead, which is
-    what this map does in the x̂_S eigenbasis.
-    """
-    sys_c, res_c = (int(c) for c in cutoffs)
-    if state.cutoffs != (sys_c,):
-        raise DimensionError("couple_resource expects a single-mode system state")
-    two = tensor(state, coherent(alpha1, res_c))
-    if gamma_l != 0:
-        two = _apply_qnd_compensated(two, gamma_l * alpha1, alpha1)
-    # headroom check on the state actually built: the coupled resource must not
-    # pile probability against the truncation boundary
-    occ = two.amplitudes.reshape(sys_c, res_c)
-    top = float(np.sum(np.abs(occ[:, res_c - 2:]) ** 2) / np.sum(np.abs(occ) ** 2))
-    if top > 1e-6:
-        raise CutoffError(
-            f"resource cutoff {res_c} too small: {top:.2e} of the coupled state "
-            f"sits in the top two levels"
-        )
-    return FockState(two.amplitudes, two.cutoffs, normalized=False)
-
-
-def ideal_project(state: FockState, resource_mode: int = 1,
-                  normalized: bool = True) -> tuple[FockState, float]:
-    """Project the resource onto the complement of |0⟩ (exact P₀̄ = I − |0⟩⟨0|).
-
-    Returns the post-projection state (renormalized unless ``normalized`` is
-    False) and the projection probability ‖P₀̄|Ψ⟩‖².  The one-photon reduction
-    of the resource (the small-x approximation) is a separate step:
-    ``one_photon_reduce``.
-    """
-    psi = state.amplitudes.reshape(state.cutoffs)
-    sl = [slice(None)] * state.n_modes
-    sl[resource_mode] = 0
-    out = np.array(psi, copy=True)
-    out[tuple(sl)] = 0.0
-    nrm2 = float(np.vdot(out, out).real)
-    total = float(np.vdot(psi, psi).real)
-    prob = nrm2 / total
-    if nrm2 <= 1e-300:
-        raise DegenerateOutcomeError("projection onto the non-vacuum resource subspace has zero probability")
-    if not normalized:
-        return FockState(out.reshape(-1), state.cutoffs, normalized=False), prob
-    return FockState(out.reshape(-1) / math.sqrt(nrm2), state.cutoffs), prob
-
-
-def one_photon_reduce(state: FockState, resource_mode: int = 1) -> FockState:
-    """Keep only the |1⟩ component of the resource and renormalize."""
-    psi = state.amplitudes.reshape(state.cutoffs)
-    out = np.zeros_like(psi)
-    sl = [slice(None)] * state.n_modes
-    sl[resource_mode] = 1
-    out[tuple(sl)] = psi[tuple(sl)]
-    nrm = np.linalg.norm(out)
-    if nrm <= 1e-150:
-        raise DegenerateOutcomeError("no single-photon component on the resource mode")
-    return FockState(out.reshape(-1) / nrm, state.cutoffs)
-
-
-def subtraction_attempt(
-    state: FockState,
-    resource_mode: int,
-    transmittance: float,
-    detector: DetectorModel,
-    rng: np.random.Generator,
-    ancilla_cutoff: int = 4,
-) -> tuple[FockState, str, tuple[float, float], int]:
-    """One photon-subtraction attempt on the resource mode.
-
-    Mixes a vacuum ancilla into the resource through the transmittance-T
-    beamsplitter, which leaves Σ_m |branch m⟩|m⟩_anc, and samples the
-    detector POVM on the ancilla (u = rng.random(), click iff u < p_click).
-    A second ``rng.random()`` then picks the ancilla photon number m, with
-    weight ‖branch m‖² times the sampled POVM element's diagonal at m, by
-    inverse CDF: the detector unravelled by photon number, as in
-    ``label_gate``, so the output is a pure state and the m-weighted average
-    of the outputs is the exact post-measurement state.
-
-    Returns (branch m normalized, on the original modes; "click"/"no_click";
-    (p_no_click, p_click); m).  Fock reference for the tests; ``label_gate``
-    does not call it.
-    """
-    if not 0 <= resource_mode < state.n_modes:
-        raise DimensionError(f"resource mode {resource_mode} not in state")
-    res_c = state.cutoffs[resource_mode]
-    anc_c = int(ancilla_cutoff)
-    norm_state = state if state.normalized else state.normalize()
-
-    # move the resource mode to the last axis
-    others = [m for m in range(state.n_modes) if m != resource_mode]
-    psi = norm_state.amplitudes.reshape(state.cutoffs)
-    mat = np.transpose(psi, others + [resource_mode]).reshape(-1, res_c)
-
-    bs = _beamsplitter(float(transmittance), res_c, anc_c)
-    pi0 = _povm0_diag(detector.eta, detector.nu, anc_c)
-    # the ancilla enters in vacuum, so only every anc_c-th input column counts
-    branches = (mat @ bs[:, ::anc_c].T).reshape(-1, res_c, anc_c)
-    weights = np.einsum("ijm,ijm->m", branches.conj(), branches).real
-    p_no_click = float(min(1.0, max(0.0, (weights @ pi0) / weights.sum())))
-    p_click = 1.0 - p_no_click
-
-    clicked = bool(rng.random() < p_click)
-    if clicked and p_click <= 0.0:
-        raise DegenerateOutcomeError("click branch has zero probability")
-    if not clicked and p_no_click <= 0.0:
-        raise DegenerateOutcomeError("no-click branch has zero probability")
-    photons = _inverse_cdf((weights * (1.0 - pi0 if clicked else pi0)).cumsum(), rng.random())
-    out = branches[:, :, photons]
-    out = out / np.linalg.norm(out)
-
-    out = out.reshape([state.cutoffs[m] for m in others] + [res_c])
-    inv = np.argsort(others + [resource_mode])
-    out = np.transpose(out, inv).reshape(-1)
-    return (
-        FockState(out, state.cutoffs),
-        "click" if clicked else "no_click",
-        (p_no_click, p_click),
-        photons,
-    )
+# the label engine
 
 
 def _cdf_rows(ks, intensity, nu, log_t):
@@ -569,7 +414,7 @@ def rus_factor(
 
 
 # the largest share of a state's probability that may sit in its top two Fock
-# levels, the bound couple_resource puts on the resource
+# levels, the bound reference.couple_resource puts on the resource
 HEADROOM_BOUND = 1e-6
 
 

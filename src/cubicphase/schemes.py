@@ -9,7 +9,9 @@ The resource-state scheme is simulated in full: the resource
 is coupled through exp(i x̂ p̂_R), the resource position is measured by
 homodyne (spectral decomposition of the truncated x̂, outcome binned to an
 eigenvalue), and the feed-forward unitary
-U_FF = exp[−iγq³ − 3iγ(x̂+q)x̂q] repairs the nonzero-q branch.
+U_FF = exp[−iγq³ − 3iγ(x̂+q)x̂q] repairs the nonzero-q branch.  The squeezed
+frame, the dense U_FF and the restart chain's Monte Carlo mean are test
+oracles in ``cubicphase.reference``.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateOutcomeError, DimensionError
-from .gaussian import apply_x_conditioned_displacement, squeeze_gate, squeezed_vacuum, x_eigh
-from .hilbert import FockOperator, FockState, apply_quadrature, real_matmul, tensor
+from .gaussian import apply_x_conditioned_displacement, squeezed_vacuum, x_eigh
+from .hilbert import FockState, apply_quadrature, real_matmul, tensor
 
 
 # ---------------------------------------------------------------------------
@@ -93,14 +95,6 @@ def gkp_mode_likelihood(n: int, alpha: float, sigma_x: float, sigma_p: float) ->
 # resource-state scheme
 
 
-def marek_gamma_prime(r_width: float, gamma: float) -> float:
-    """Effective cubic coefficient in the squeezed frame: γ·r^{3/2}.
-
-    S(r)†x̂S(r) = √r·x̂ under the width parameterization used here.
-    """
-    return float(gamma) * float(r_width) ** 1.5
-
-
 def marek_resource_state(r_width: float, gamma: float, cutoff: int,
                          max_loss: float = 1e-8) -> FockState:
     """Normalized (I + iγx̂³)·S(r)|0⟩."""
@@ -112,24 +106,9 @@ def marek_resource_state(r_width: float, gamma: float, cutoff: int,
     return FockState(amp / np.linalg.norm(amp), (int(cutoff),))
 
 
-def marek_frame_coefficients(state: FockState, r_width: float,
-                             max_loss: float = 1e-8) -> np.ndarray:
-    """Amplitudes of S(r)†|state⟩ (the squeezed frame of the resource)."""
-    if state.n_modes != 1:
-        raise DimensionError("expected a single-mode state")
-    sq = squeeze_gate(r_width, state.cutoffs[0], max_loss=max_loss)
-    return sq.matrix.conj().T @ state.amplitudes
-
-
 def _feed_forward_phase(q: float, gamma: float, w: np.ndarray) -> np.ndarray:
     """e^{−iγ(q³ + 3q(λ² + qλ))} at the x̂ eigenvalues λ = w: U_FF's diagonal."""
     return np.exp(-1j * gamma * (q**3 + 3.0 * q * (w**2 + q * w)))
-
-
-def _feed_forward(q: float, gamma: float, cutoff: int) -> FockOperator:
-    """U_FF = exp[−iγq³ − 3iγ(x̂+q)x̂q] of the truncated x̂, as V·diag(phase)·Vᵀ (dense)."""
-    w, v = x_eigh(cutoff)
-    return FockOperator((v * _feed_forward_phase(q, gamma, w)) @ v.T, (int(cutoff),))
 
 
 def marek_gate(
@@ -207,25 +186,3 @@ def marek_restart_mean(p: float) -> float:
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must lie in (0, 1], got {p}")
     return (1.0 + p + p * p) / p**3
-
-
-def marek_restart_mc(p: float, runs: int, rng: np.random.Generator,
-                     max_rounds: int = 10_000_000) -> float:
-    """Monte Carlo mean attempt count for the restart chain (vectorized rounds)."""
-    p = float(p)
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"p must lie in (0, 1], got {p}")
-    runs = int(runs)
-    attempts = np.zeros(runs, dtype=np.int64)
-    streak = np.zeros(runs, dtype=np.int8)
-    active = np.arange(runs)
-    rounds = 0
-    while active.size and rounds < max_rounds:
-        hit = rng.random(active.size) < p
-        attempts[active] += 1
-        streak[active] = np.where(hit, streak[active] + 1, 0)
-        active = active[streak[active] < 3]
-        rounds += 1
-    if active.size:
-        raise RuntimeError("restart-chain sampling did not terminate")
-    return float(attempts.mean())

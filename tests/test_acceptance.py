@@ -22,40 +22,35 @@ from cubicphase.analysis import (
     variance_sweep,
 )
 from cubicphase.cli import parse_config, run as cli_run
-from cubicphase.cubic import (
-    factor_operator,
-    gamma_factors,
-    monomial_identity_report,
-    polynomial_identity_report,
-    u_n_convergence_norms,
-    u_n_operator,
-)
-from cubicphase.hilbert import (
-    apply,
-    coherent,
-    fidelity,
-    interior_max_norm,
-    partial_trace,
-    quadrature_x,
-    state_fidelity,
-    vacuum,
-)
+from cubicphase.cubic import gamma_factors, monomial_identity_report, polynomial_identity_report
+from cubicphase.hilbert import coherent, fidelity
 from cubicphase.protocol import (
     IDEAL_DETECTOR,
     DetectorModel,
     ProtocolConfig,
-    couple_resource,
-    detector_povm,
     full_gate,
     rus_factor,
+)
+from cubicphase.reference import (
+    apply,
+    couple_resource,
+    detector_povm,
+    factor_operator,
+    interior_max_norm,
+    marek_frame_coefficients,
+    marek_restart_mc,
+    partial_trace,
+    quadrature_x,
+    state_fidelity,
     subtraction_attempt,
+    u_n_convergence_norms,
+    u_n_operator,
+    vacuum,
 )
 from cubicphase.schemes import (
     GkpStateSpec,
     gkp_cubic_state,
-    marek_frame_coefficients,
     marek_resource_state,
-    marek_restart_mc,
     marek_restart_mean,
 )
 

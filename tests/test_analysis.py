@@ -23,11 +23,19 @@ from cubicphase.analysis import (
     gate_fidelity_report,
     variance_sweep,
 )
-from cubicphase.cubic import gamma_factors, ideal_cubic_gate, u_n_operator
+from cubicphase.cubic import gamma_factors
 from cubicphase.errors import FactorFailure, NumericalDegradationError
 from cubicphase.gaussian import x_eigh
-from cubicphase.hilbert import apply, coherent, expectation, quadrature_p, quadrature_x
+from cubicphase.hilbert import coherent
 from cubicphase.protocol import IDEAL_DETECTOR, DetectorModel, ProtocolConfig, full_gate
+from cubicphase.reference import (
+    apply,
+    expectation,
+    ideal_cubic_gate,
+    quadrature_p,
+    quadrature_x,
+    u_n_operator,
+)
 
 REALISTIC_DETECTOR = DetectorModel(eta=0.9, dark_rate_hz=100.0, window_s=1e-10)
 

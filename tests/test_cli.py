@@ -11,7 +11,8 @@ import pytest
 
 from cubicphase import cubic, schemes
 from cubicphase.cli import main, parse_config, run
-from cubicphase.hilbert import FockOperator, coherent
+from cubicphase.hilbert import coherent
+from cubicphase.reference import FockOperator
 
 
 # one out-of-bounds value per bounded config key
@@ -34,12 +35,15 @@ FLOAT_KEYS = ("gamma", "alpha1", "transmittance", "eta", "dark_rate_hz", "window
               "input_alpha", "purity_tol")
 NONFINITE_CASES = [(key, value) for value in ("nan", "inf") for key in FLOAT_KEYS]
 # an input whose |α|² passes the float range, an attempt budget past int64,
-# a resource whose α₁² passes it, and a cutoff past the bound
+# a resource whose α₁² passes it, a cutoff past the bound, a γ whose γ²
+# passes it, and photon-count means past their bound: from α₁² and from γ
 OUT_OF_RANGE_CASES = [("input_alpha", "1e200"), ("max_attempts", "100000000000000000000"),
-                      ("alpha1", "1e200"), ("cutoff", "3001")]
+                      ("alpha1", "1e200"), ("cutoff", "3001"), ("gamma", "1e300"),
+                      ("alpha1", "1e150"), ("alpha1", "1000"), ("gamma", "1e12")]
 INVALID_CASES = list(INVALID_VALUES.items()) + NONFINITE_CASES + OUT_OF_RANGE_CASES
 INVALID_IDS = (list(INVALID_VALUES) + [f"{key}-{value}" for key, value in NONFINITE_CASES]
-               + ["input_alpha-1e200", "max_attempts-1e20", "alpha1-1e200", "cutoff-3001"])
+               + ["input_alpha-1e200", "max_attempts-1e20", "alpha1-1e200", "cutoff-3001",
+                  "gamma-1e300", "alpha1-1e150", "alpha1-1e3", "gamma-1e12"])
 
 
 def read_csv(path):
@@ -423,7 +427,8 @@ def test_subcommand_leaves_scipy_unloaded(tmp_path, subcommand):
         "assert cli.main(sys.argv[1:]) == 0\n"
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "assert not loaded, loaded\n"
-        "from cubicphase.cubic import ideal_cubic_gate\n"
+        "assert 'cubicphase.reference' not in sys.modules\n"
+        "from cubicphase.reference import ideal_cubic_gate\n"
         "assert ideal_cubic_gate(0.03, 12).matrix.shape == (12, 12)\n"
         "assert 'scipy.linalg' in sys.modules\n"
     )
@@ -449,6 +454,7 @@ def test_marek_shot_leaves_scipy_unloaded():
         "assert abs(state.norm() - 1.0) < 1e-9\n"
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "assert not loaded, loaded\n"
+        "assert 'cubicphase.reference' not in sys.modules\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -6,22 +6,22 @@ import pytest
 
 from cubicphase.cubic import (
     _real_quadratures,
-    commutator_approx_residual,
-    factor_operator,
     gamma_factors,
-    ideal_cubic_gate,
     identity_reports,
     monomial_identity_report,
     polynomial_identity_report,
-    u_n_convergence_norms,
-    u_n_operator,
 )
-from cubicphase.hilbert import (
+from cubicphase.reference import (
     FockOperator,
+    commutator_approx_residual,
+    factor_operator,
+    ideal_cubic_gate,
     interior_block,
     interior_max_norm,
     quadrature_p,
     quadrature_x,
+    u_n_convergence_norms,
+    u_n_operator,
 )
 
 

@@ -9,29 +9,15 @@ from scipy import stats
 
 from oracles import coherent_position_density, factor_attempt_stats, gate_total_attempts
 from cubicphase import protocol
-from cubicphase.cubic import factor_operator, gamma_factors, u_n_operator
+from cubicphase.cubic import gamma_factors
 from cubicphase.errors import (
     CutoffError,
     DegenerateOutcomeError,
     FactorFailure,
     NumericalDegradationError,
 )
-from cubicphase.gaussian import beamsplitter_gate, x_eigh
-from cubicphase.hilbert import (
-    FockOperator,
-    FockState,
-    apply,
-    coherent,
-    expectation,
-    fidelity,
-    identity,
-    number_state,
-    partial_trace,
-    quadrature_x,
-    state_fidelity,
-    tensor,
-    vacuum,
-)
+from cubicphase.gaussian import x_eigh
+from cubicphase.hilbert import FockState, coherent, fidelity
 from cubicphase.protocol import (
     HEADROOM_BOUND,
     IDEAL_DETECTOR,
@@ -39,22 +25,37 @@ from cubicphase.protocol import (
     FactorRecord,
     ProtocolConfig,
     TrialLog,
-    _apply_qnd_compensated,
     _attempt_rows,
-    _beamsplitter,
     _click_table,
     _factor_tables,
     _first_click,
     _photon_cdf,
     _photon_count,
+    full_gate,
+    rus_factor,
+)
+from cubicphase.reference import (
+    FockOperator,
+    _apply_qnd_compensated,
+    _beamsplitter,
     _povm0_diag,
+    apply,
+    beamsplitter_gate,
     couple_resource,
     detector_povm,
-    full_gate,
+    expectation,
+    factor_operator,
     ideal_project,
+    identity,
+    number_state,
     one_photon_reduce,
-    rus_factor,
+    partial_trace,
+    quadrature_x,
+    state_fidelity,
     subtraction_attempt,
+    tensor,
+    u_n_operator,
+    vacuum,
 )
 
 WEAK_CONFIG = dict(
@@ -294,7 +295,7 @@ class TestCoupleResource:
 
     def test_narrow_system_gives_coherent_resource(self):
         # near-position-eigenstate at x0: resource ≈ |α₁(1 + γ_l x0)⟩
-        from cubicphase.gaussian import displacement_gate, squeeze_gate
+        from cubicphase.reference import displacement_gate, squeeze_gate
 
         sys_c, res_c = 60, 20
         x0 = 0.8

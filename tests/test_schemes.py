@@ -4,19 +4,26 @@ import numpy as np
 import numpy.linalg as la
 import pytest
 
-from cubicphase import schemes
+from cubicphase import reference, schemes
 from cubicphase.errors import DegenerateOutcomeError
-from cubicphase.hilbert import FockState, apply, coherent, expm, fidelity, quadrature_x, vacuum
-from cubicphase.gaussian import squeeze_gate, x_eigh
+from cubicphase.hilbert import FockState, coherent, fidelity
+from cubicphase.gaussian import x_eigh
+from cubicphase.reference import (
+    apply,
+    expm,
+    marek_frame_coefficients,
+    marek_gamma_prime,
+    marek_restart_mc,
+    quadrature_x,
+    squeeze_gate,
+    vacuum,
+)
 from cubicphase.schemes import (
     GkpStateSpec,
     gkp_cubic_state,
     gkp_mode_likelihood,
-    marek_frame_coefficients,
-    marek_gamma_prime,
     marek_gate,
     marek_resource_state,
-    marek_restart_mc,
     marek_restart_mean,
     runtime_models,
 )
@@ -117,7 +124,7 @@ class TestMarekGate:
         assert fidelity(out, _cubic_target(psi, 0.03)) > 0.98
 
     def test_feed_forward_at_zero_is_identity(self):
-        from cubicphase.schemes import _feed_forward
+        from cubicphase.reference import _feed_forward
 
         u = _feed_forward(0.0, 0.03, 20)
         assert np.abs(u.matrix - np.eye(20)).max() < 1e-12
@@ -125,7 +132,7 @@ class TestMarekGate:
     # q = 0, an interior homodyne bin and both extreme bins of cutoff 40
     @pytest.mark.parametrize("bin_index", [None, 23, 0, -1])
     def test_feed_forward_matches_expm_of_generator(self, bin_index):
-        from cubicphase.schemes import _feed_forward
+        from cubicphase.reference import _feed_forward
 
         c, gamma = 40, 0.03
         q = 0.0 if bin_index is None else float(x_eigh(c)[0][bin_index])
@@ -140,7 +147,7 @@ class TestMarekGate:
         q_bin = float(x_eigh(40)[0][23])
         out, q, applied = marek_gate(psi, 1.5, gamma, rng, cutoffs, force_q=q_bin)
         assert applied and q == q_bin
-        dense = schemes._feed_forward(q, gamma, 30)
+        dense = reference._feed_forward(q, gamma, 30)
         monkeypatch.setattr(schemes, "_feed_forward_phase", lambda q, gamma, w: np.ones(len(w)))
         collapsed, _, _ = marek_gate(psi, 1.5, gamma, rng, cutoffs, force_q=q_bin)
         want = apply(dense, collapsed).normalize()
