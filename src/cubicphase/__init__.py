@@ -15,7 +15,6 @@ from .hilbert import (
     FockState,
     coherent,
     fidelity,
-    tensor,
 )
 from .cubic import (
     CubicDecomposition,

@@ -71,29 +71,36 @@ def error_operator_stats(spec: ErrorEnsembleSpec) -> list[ErrorStatRow]:
 
     The 3^{3N} outcomes need not be enumerated: by independence E[Πf] = ΠE[f]
     and E|Πf|² = ΠE|f|², so one pass over the 3N factors costs O(N), with the
-    variance of the product accumulated without cancellation.
+    variance of the product accumulated without cancellation.  Raises
+    ValueError naming config key 'gamma' when a row passes the float range.
     """
     probs = event_probabilities(spec)
     dec = gamma_factors(spec.gamma, spec.n)
     rows = []
     for x in spec.x_grid:
         x = float(x)
-        ideal = cmath.exp(1j * spec.gamma * x**3)
-        # per factor of a repetition: the mean μ and variance v_f of its
-        # (correct, dark, missed) values at x, the same in every repetition
-        moments = []
-        for gl in dec.gamma_l:
-            f = (1.0 + gl * x, 1.0 + 0.0j, (1.0 + gl * x) ** 2)
-            mu = sum(p * v for p, v in zip(probs, f))
-            moments.append((mu, sum(p * abs(v - mu) ** 2 for p, v in zip(probs, f))))
-        # Var Πf = Π(|μ_i|² + v_i) − Π|μ_i|², built factor by factor from
-        # nonnegative terms so it stays exact near zero
-        mean, var = 1.0 + 0.0j, 0.0
-        for _ in range(int(spec.n)):
-            for mu, v_f in moments:
-                var = abs(mu) ** 2 * var + v_f * (abs(mean) ** 2 + var)
-                mean *= mu
-        rows.append(ErrorStatRow(x, mean - ideal, math.sqrt(var)))
+        try:
+            ideal = cmath.exp(1j * spec.gamma * x**3)
+            # per factor of a repetition: the mean μ and variance v_f of its
+            # (correct, dark, missed) values at x, the same in every repetition
+            moments = []
+            for gl in dec.gamma_l:
+                f = (1.0 + gl * x, 1.0 + 0.0j, (1.0 + gl * x) ** 2)
+                mu = sum(p * v for p, v in zip(probs, f))
+                moments.append((mu, sum(p * abs(v - mu) ** 2 for p, v in zip(probs, f))))
+            # Var Πf = Π(|μ_i|² + v_i) − Π|μ_i|², built factor by factor from
+            # nonnegative terms so it stays exact near zero
+            mean, var = 1.0 + 0.0j, 0.0
+            for _ in range(int(spec.n)):
+                for mu, v_f in moments:
+                    var = abs(mu) ** 2 * var + v_f * (abs(mean) ** 2 + var)
+                    mean *= mu
+            mean, stddev = mean - ideal, math.sqrt(var)
+        except OverflowError:
+            mean = stddev = math.inf
+        if not (cmath.isfinite(mean) and math.isfinite(stddev)):
+            raise ValueError(f"config key 'gamma': error moments at x={x:g}, N={spec.n} overflow")
+        rows.append(ErrorStatRow(x, mean, stddev))
     return rows
 
 

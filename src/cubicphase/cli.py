@@ -16,7 +16,6 @@ results do not depend on scheduling.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 import stat
@@ -132,23 +131,16 @@ def _fmt(value) -> str:
     return "" if value is None else str(value)
 
 
-class _Utf8Sink(bytearray):
-    """csv.writer's file, holding only the rows' UTF-8 bytes: io.StringIO
-    before Python 3.12 keeps each write as its own str object, ~70 B apiece."""
-
-    def write(self, text: str) -> None:
-        self.extend(text.encode("utf-8"))
-
-
 def _write_csv(path: str, header, rows) -> None:
     """Write the CSV over the file's old bytes, then cut a regular file to the
     new length.  The file is never truncated to zero first: on ext4 a rewrite
     after such a truncate makes the close start a block write.  Every row is
-    formatted before the file opens, so a row that raises leaves it as it was."""
-    sink = _Utf8Sink()
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([_fmt(v) for v in row] for row in rows)
+    formatted into UTF-8 bytes before the file opens, so a row that raises
+    leaves it as it was.  No field needs CSV quoting: each is a number, a name
+    without commas or quotes, or an empty field in a row of several."""
+    sink = bytearray()
+    for row in chain((header,), rows):
+        sink += (",".join(_fmt(v) for v in row) + "\n").encode("utf-8")
     data = memoryview(sink)
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:

@@ -158,13 +158,23 @@ def polynomial_identity_report(m: int, n: int, cutoff: int,
     return _polynomial_report(m, n, cutoff, margin, power_table(x, m + 1), power_table(P, n + 1))
 
 
+@lru_cache(maxsize=1)  # one cutoff's tables: at cutoff 3000 they hold about 0.8 GB
+def _identity_tables(cutoff: int) -> tuple:
+    """The x̂⁰…x̂⁶ and P⁰…P³ tables and [x̂³, P²] of ``identity_reports``, read-only:
+    built once per cutoff, so a run frees little of what it allocates."""
+    x, P = _real_quadratures(cutoff)
+    xs, ps = tuple(power_table(x, 6)), tuple(power_table(P, 3))
+    x3_p2 = _comm(ps[2], xs[3], 1)
+    for m in (*xs, *ps, x3_p2):
+        m.flags.writeable = False
+    return xs, ps, x3_p2
+
+
 def identity_reports(cutoff: int) -> tuple:
     """An iterator over the monomial reports m = 4, 5 and the polynomial ones (m, n) =
     (1, 1), (2, 1), (1, 2), and the one table x̂⁰…x̂⁶ they share with one P⁰…P³.  The
     reports are made as the iterator is read, so one report's matrices are held at a time."""
-    x, P = _real_quadratures(cutoff)
-    xs, ps = power_table(x, 6), power_table(P, 3)
-    x3_p2 = _comm(ps[2], xs[3], 1)
+    xs, ps, x3_p2 = _identity_tables(int(cutoff))
     reports = itertools.chain(
         (_monomial_report(m, cutoff, None, xs, x3_p2) for m in (4, 5)),
         (_polynomial_report(m, n, cutoff, None, xs, ps) for m, n in ((1, 1), (2, 1), (1, 2))))

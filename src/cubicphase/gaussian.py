@@ -1,11 +1,11 @@
 """Gaussian operations in closed form: the squeezed vacuum and x̂-conditioned displacements.
 
-The simulator's QND couplings, exp[(βâ†_R − β*â_R)x̂_S] with an optional
-momentum kick exp(i·kick·x̂_S), run as ``apply_x_conditioned_displacement``, a
-cached spectral construction in the x̂_S eigenbasis; ``squeezed_vacuum`` is
-S(r)|0⟩ and ``hilbert.coherent`` D(α)|0⟩ in closed form.  The dense gates they
-equal to machine precision, exact matrix exponentials of the truncated
-generators, are the test oracles in ``cubicphase.reference``.
+The QND coupling exp[(βâ†_R − β*â_R)x̂_S] runs as
+``apply_x_conditioned_displacement``, in the one x̂ eigenbasis of ``x_eigh``
+on both modes; ``squeezed_vacuum`` is S(r)|0⟩ and ``hilbert.coherent`` D(α)|0⟩
+in closed form.  The dense gates they equal to machine precision, exact matrix
+exponentials of the truncated generators, are the test oracles in
+``cubicphase.reference``.
 
 squeezed_vacuum(r) is parameterized by the position-space Gaussian width r:
 it has ⟨x̂²⟩ = r/2 (r = 1 is the vacuum), and the usual log-squeeze parameter
@@ -45,7 +45,7 @@ def squeezed_vacuum(r_width: float, cutoff: int, max_loss: float = 1e-8) -> Fock
 
 
 # ---------------------------------------------------------------------------
-# x̂-conditioned displacements in the x̂ eigenbasis (cached; values immutable)
+# x̂-conditioned displacements in the x̂ eigenbasis
 
 
 @lru_cache(maxsize=32)
@@ -58,46 +58,20 @@ def x_eigh(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-@lru_cache(maxsize=32)
-def _displacement_eigh(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues Λ and eigenvectors V of the Hermitian i(â†−â), read-only, so
-    that D(z) = R(θ)·V e^{−i|z|Λ} V†·R(θ)† with R(θ) = diag(e^{iθn}), θ = arg z."""
-    a = np.diag(np.sqrt(np.arange(1, cutoff)), 1).astype(complex)  # â
-    w, v = np.linalg.eigh(1j * (a.conj().T - a))
-    w.flags.writeable = False
-    v.flags.writeable = False
-    return w, v
-
-
-@lru_cache(maxsize=64)
-def _x_conditioned_gates(beta: complex, kick: float, sys_c: int, res_c: int) -> np.ndarray:
-    """Per-x̂_S-eigenvalue resource displacements e^{i·kick·λ}D(βλ), stacked,
-    from the spectral form of D; equal to reference.displacement_gate to machine
-    precision."""
-    w, _ = x_eigh(sys_c)
-    lam, v = _displacement_eigh(res_c)
-    zs = beta * w
-    mags = np.abs(zs)
-    thetas = np.where(mags > 0, np.angle(zs), 0.0)
-    cores = np.einsum("ik,jk,lk->jil", v, np.exp(-1j * np.outer(mags, lam)), v.conj())
-    phases = np.exp(1j * np.outer(thetas, np.arange(res_c)))
-    gates = cores * phases[:, :, None] * phases.conj()[:, None, :]
-    gates *= np.exp(1j * kick * w)[:, None, None]
-    gates.flags.writeable = False
-    return gates
-
-
-def apply_x_conditioned_displacement(state: FockState, beta: complex, kick: float = 0.0) -> FockState:
-    """exp(i·kick·x̂_S)·exp[(βâ†_R − β*â_R)x̂_S] on a (system, resource) state.
+def apply_x_conditioned_displacement(psi: np.ndarray, beta: complex) -> np.ndarray:
+    """exp[(βâ†_R − β*â_R)x̂_S] on the (system, resource) amplitude matrix ψ.
 
     In the x̂_S eigenbasis the gate is a direct sum of resource displacements
-    D(βλ) times the scalar phase e^{i·kick·λ}.  Equal to the dense
-    momentum_shift_gate(kick) after qnd_gate(β) of ``cubicphase.reference`` to
-    machine precision, and with β = −s/√2, kick = 0 to qnd_prime_gate(strength=s).
+    D(βλ).  The truncated p̂ is R·x̂·R† with R = diag(iⁿ), so with β = |β|e^{iθ}
+    each is D(βλ) = Φ·V·diag(e^{−i√2|β|λμ})·Vᵀ·Φ†, Φ = diag(e^{i(θ+π/2)n}), in the
+    resource's x̂ eigenpairs (μ, V).  Equal to the dense qnd_gate(β) of
+    ``cubicphase.reference`` to machine precision, and with β = −s/√2 to
+    qnd_prime_gate(strength=s).
     """
-    sys_c, res_c = state.cutoffs
-    _, v = x_eigh(sys_c)
-    gates = _x_conditioned_gates(complex(beta), float(kick), sys_c, res_c)
-    psi_x = real_matmul(v.T, state.amplitudes.reshape(sys_c, res_c))
-    out = (gates @ psi_x[:, :, None]).reshape(sys_c, res_c)
-    return FockState(real_matmul(v, out).reshape(-1), state.cutoffs, normalized=False)
+    sys_c, res_c = psi.shape
+    w, v = x_eigh(sys_c)
+    mu, u = x_eigh(res_c)
+    phi = np.exp(1j * (np.angle(beta) + 0.5 * math.pi) * np.arange(res_c))
+    boosts = np.exp(-1j * math.sqrt(2.0) * abs(beta) * np.outer(mu, w))  # (resource, system)
+    labels = real_matmul(u.T, phi.conj()[:, None] * real_matmul(v.T, psi).T) * boosts
+    return real_matmul(v, (phi[:, None] * real_matmul(u, labels)).T)

@@ -25,9 +25,6 @@ import numpy as np
 
 from .errors import CutoffError, DimensionError
 
-# Refuse tensor products beyond this total dimension (dense-matrix budget).
-MAX_TENSOR_DIM = 400_000
-
 NORM_TOL = 1e-10
 
 
@@ -161,21 +158,7 @@ def real_matmul(m: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# composition and overlap
-
-
-def tensor(a: FockState, b: FockState) -> FockState:
-    """Kronecker composition of two states (mode 0 slowest); ``reference.tensor``
-    composes operators too."""
-    if not (isinstance(a, FockState) and isinstance(b, FockState)):
-        raise TypeError("tensor expects two FockStates")
-    if a.dim * b.dim > MAX_TENSOR_DIM:
-        raise DimensionError(f"tensor dimension {a.dim * b.dim} exceeds limit {MAX_TENSOR_DIM}")
-    return FockState(
-        np.kron(a.amplitudes, b.amplitudes),
-        a.cutoffs + b.cutoffs,
-        normalized=a.normalized and b.normalized,
-    )
+# overlap
 
 
 def fidelity(a: FockState, b: FockState) -> float:

@@ -30,12 +30,14 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import expm
 
-from . import hilbert
 from .errors import CutoffError, DegenerateOutcomeError, DimensionError
 from .gaussian import apply_x_conditioned_displacement, squeezed_vacuum, x_eigh
-from .hilbert import MAX_TENSOR_DIM, FockState, _as_cutoffs, _mean_photons, coherent
+from .hilbert import FockState, _as_cutoffs, _mean_photons, coherent, real_matmul
 from .protocol import DetectorModel, _inverse_cdf
 from .schemes import _feed_forward_phase
+
+# Refuse tensor products beyond this total dimension (dense-matrix budget).
+MAX_TENSOR_DIM = 400_000
 
 
 # ---------------------------------------------------------------------------
@@ -147,17 +149,17 @@ def quadrature_p(cutoff: int) -> FockOperator:
 
 
 def tensor(a, b):
-    """Kronecker composition of two states (``hilbert.tensor``) or two
-    operators (mode 0 slowest)."""
-    if not (isinstance(a, FockOperator) and isinstance(b, FockOperator)):
-        return hilbert.tensor(a, b)
+    """Kronecker composition of two states or of two operators (mode 0 slowest)."""
+    kind = type(a)
+    if kind not in (FockState, FockOperator) or type(b) is not kind:
+        raise TypeError("tensor expects two FockStates or two FockOperators")
     if a.dim * b.dim > MAX_TENSOR_DIM:
         raise DimensionError(f"tensor dimension {a.dim * b.dim} exceeds limit {MAX_TENSOR_DIM}")
-    return FockOperator(
-        np.kron(a.matrix, b.matrix),
-        a.cutoffs + b.cutoffs,
-        hermitian_hint=a.hermitian_hint and b.hermitian_hint,
-    )
+    if kind is FockState:
+        return FockState(np.kron(a.amplitudes, b.amplitudes), a.cutoffs + b.cutoffs,
+                         normalized=a.normalized and b.normalized)
+    return FockOperator(np.kron(a.matrix, b.matrix), a.cutoffs + b.cutoffs,
+                        hermitian_hint=a.hermitian_hint and b.hermitian_hint)
 
 
 def apply(op: FockOperator, state: FockState, modes=None) -> FockState:
@@ -304,9 +306,9 @@ def interior_max_norm(matrix, cutoffs=None, margin: int = 2) -> float:
 
 
 # ---------------------------------------------------------------------------
-# dense Gaussian gates: the simulator's displacements are the cached spectral
-# ones of ``gaussian.apply_x_conditioned_displacement``, and the Marek resource
-# is ``gaussian.squeezed_vacuum`` in closed form
+# dense Gaussian gates: the engine's displacements run in the x̂ eigenbasis
+# (``gaussian.apply_x_conditioned_displacement``), and the Marek resource is
+# ``gaussian.squeezed_vacuum`` in closed form
 
 
 def displacement_gate(alpha: complex, cutoff: int, max_loss: float = 1e-8) -> FockOperator:
@@ -322,9 +324,8 @@ def displacement_gate(alpha: complex, cutoff: int, max_loss: float = 1e-8) -> Fo
 
 
 def momentum_shift_gate(c: float, cutoff: int) -> FockOperator:
-    """exp(i c x̂): displaces p̂ by c.  Compensates QND coupling phases; the
-    simulator applies it as the ``kick`` phase of
-    ``apply_x_conditioned_displacement``."""
+    """exp(i c x̂): displaces p̂ by c.  Compensates QND coupling phases, which
+    ``_apply_qnd_compensated`` applies as a phase in the x̂ eigenbasis."""
     x = quadrature_x(cutoff).matrix
     return FockOperator(expm(1j * float(c) * x), (int(cutoff),))
 
@@ -369,7 +370,7 @@ def qnd_gate(beta: complex, cutoffs, system_mode: int = 0, resource_mode: int = 
     """exp[(β â†_R − β* â_R) x̂_S]: QND coupling of system position to the resource.
 
     Commutes with x̂_S, so the system position distribution is untouched.
-    The simulator uses ``apply_x_conditioned_displacement(state, β, kick)``.
+    The engine's form is ``apply_x_conditioned_displacement(ψ, β)``.
     """
     cutoffs = _two_mode_order(cutoffs, system_mode, resource_mode)
     xs = quadrature_x(cutoffs[system_mode])
@@ -389,7 +390,7 @@ def qnd_prime_gate(cutoffs, system_mode: int = 0, resource_mode: int = 1,
 
     On wavefunctions, Ψ(x, x_R) → Ψ(x, x_R + s·x), which is the coupling that
     writes the system position onto the resource homodyne record.  The
-    simulator uses ``apply_x_conditioned_displacement(state, −s/√2)``, since
+    Marek shot uses ``apply_x_conditioned_displacement(ψ, −s/√2)``, since
     e^{isλp̂} = D(−sλ/√2).
     """
     cutoffs = _two_mode_order(cutoffs, system_mode, resource_mode)
@@ -518,11 +519,15 @@ def _povm0_diag(eta: float, nu: float, cutoff: int) -> np.ndarray:
 
 
 def _apply_qnd_compensated(state: FockState, beta: complex, base_amplitude: float) -> FockState:
-    """Apply exp[(βâ†_R−β*â_R)x̂_S] with its momentum-kick compensation for a
-    resource of real base amplitude A, so |x⟩|A⟩ → |x⟩|A + βx⟩ exactly."""
-    return apply_x_conditioned_displacement(
-        state, beta, qnd_compensation_kick(beta, base_amplitude)
-    )
+    """Apply exp[(βâ†_R−β*â_R)x̂_S], then its momentum-kick compensation
+    e^{i·kick·x̂_S} for a resource of real base amplitude A as a phase in the
+    system's x̂ eigenbasis, so |x⟩|A⟩ → |x⟩|A + βx⟩ exactly."""
+    sys_c, res_c = state.cutoffs
+    w, v = x_eigh(sys_c)
+    psi = apply_x_conditioned_displacement(state.amplitudes.reshape(sys_c, res_c), beta)
+    kick = np.exp(1j * qnd_compensation_kick(beta, base_amplitude) * w)
+    psi = real_matmul(v, kick[:, None] * real_matmul(v.T, psi))
+    return FockState(psi.reshape(-1), state.cutoffs, normalized=False)
 
 
 def couple_resource(state: FockState, alpha1: float, gamma_l: complex, cutoffs) -> FockState:

@@ -6,9 +6,9 @@ displacement α, and only the phase coefficients are checkable at desk scale.
 
 The resource-state scheme is simulated in full: the resource
 (1 + iγx̂³)S(r)|0⟩ = S(r)[|0⟩ + iγ′(3/(2√2))|1⟩ + iγ′(√3/2)|3⟩], γ′ = γr^{3/2},
-is coupled through exp(i x̂ p̂_R), the resource position is measured by
-homodyne (spectral decomposition of the truncated x̂, outcome binned to an
-eigenvalue), and the feed-forward unitary
+is coupled through exp(i x̂ p̂_R) in the x̂ eigenbasis of both modes, the
+resource position is measured by homodyne (spectral decomposition of the
+truncated x̂, outcome binned to an eigenvalue), and the feed-forward unitary
 U_FF = exp[−iγq³ − 3iγ(x̂+q)x̂q] repairs the nonzero-q branch.  The squeezed
 frame, the dense U_FF and the restart chain's Monte Carlo mean are test
 oracles in ``cubicphase.reference``.
@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DegenerateOutcomeError, DimensionError
 from .gaussian import apply_x_conditioned_displacement, squeezed_vacuum, x_eigh
-from .hilbert import FockState, apply_quadrature, real_matmul, tensor
+from .hilbert import FockState, apply_quadrature, real_matmul
 
 
 # ---------------------------------------------------------------------------
@@ -130,14 +130,13 @@ def marek_gate(
     if input_state.cutoffs != (sys_c,):
         raise DimensionError("input must be a single-mode state on the system cutoff")
     resource = marek_resource_state(r_width, gamma, res_c, max_loss=max_loss)
-    two = tensor(input_state if input_state.normalized else input_state.normalize(), resource)
     # exp(i x̂_S p̂_R): a resource momentum boost e^{iλp̂_R} = D(−λ/√2) per x̂_S eigenvalue λ
-    two = apply_x_conditioned_displacement(two, -1.0 / math.sqrt(2.0)).normalize()
+    two = apply_x_conditioned_displacement(
+        np.outer(input_state.amplitudes, resource.amplitudes), -1.0 / math.sqrt(2.0))
 
     evals, evecs = x_eigh(res_c)
-    bins = real_matmul(evecs.T, two.amplitudes.reshape(sys_c, res_c).T)  # row j: bin of λ_j
-    probs = np.einsum("ij,ij->i", bins.conj(), bins).real
-    probs = np.maximum(probs, 0.0)
+    bins = real_matmul(evecs.T, two.T)  # row j: bin of λ_j, unnormalized
+    probs = np.einsum("ij,ij->i", bins.conj(), bins).real  # each term a² + b² ≥ 0
     probs /= probs.sum()
 
     if force_q is None:

@@ -226,6 +226,23 @@ class TestMain:
         assert f"config key '{key}'" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["error-ensemble", "--gamma", "1e5", "--N", "1000"],
+        ["error-ensemble", "--gamma", "1e8", "--N", "100000"],
+        ["error-ensemble", "--gamma", "1e300"],
+        ["check-identities", "--gamma", "1e300"],
+    ], ids=["errors-overflow", "errors-overflow-large-N", "errors-gamma-1e300",
+            "identities-gamma-1e300"])
+    def test_subcommand_gamma_out_of_range_exit_one(self, argv, capsys, tmp_path, monkeypatch):
+        # the first two pass every config rule, but their error moments pass
+        # the float range; the named subcommand runs, not simulate
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "config key 'gamma'" in err
+        assert "Traceback" not in err
+        assert not any(tmp_path.iterdir())
+
     def test_successive_calls_do_not_share_flags(self, tmp_path, monkeypatch):
         # a flag given to one call must not reach the next
         monkeypatch.chdir(tmp_path)

@@ -153,6 +153,23 @@ class TestMarekGate:
         want = apply(dense, collapsed).normalize()
         assert np.abs(out.amplitudes - want.amplitudes).max() <= 1e-13
 
+    # q = 0: the middle bin of the odd resource cutoff is x̂'s zero eigenvalue
+    @pytest.mark.parametrize("res_c, bin_index", [(15, 7), (14, 4)])
+    def test_shot_matches_dense_route(self, rng, res_c, bin_index):
+        # the whole shot against the dense route: expm's coupling, projection on
+        # the resource's x̂ eigenvector, then the dense feed-forward
+        sys_c, gamma = 16, 0.03
+        psi = coherent(0.3, sys_c)
+        mu, u = x_eigh(res_c)
+        out, q, applied = marek_gate(psi, 1.5, gamma, rng, (sys_c, res_c), force_q=mu[bin_index])
+        assert applied == (q != 0.0) == (res_c == 14)
+        two = apply(reference.qnd_prime_gate((sys_c, res_c)),
+                    reference.tensor(psi, marek_resource_state(1.5, gamma, res_c)))
+        want = two.amplitudes.reshape(sys_c, res_c) @ u[:, bin_index]
+        if applied:
+            want = reference._feed_forward(q, gamma, sys_c).matrix @ want
+        assert np.abs(out.amplitudes - want / np.linalg.norm(want)).max() < 1e-10
+
     def test_gamma_zero_fidelity_grows_with_r(self, rng):
         # pure Gaussian smearing: wider resource disturbs the input less
         psi = coherent(0.3, 25)
