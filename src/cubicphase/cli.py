@@ -21,18 +21,16 @@ import os
 import stat
 import sys
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import chain
 
 import numpy as np
 
 from . import analysis, cubic, schemes
 from .errors import CutoffError, DegenerateOutcomeError, NumericalDegradationError
-from .hilbert import apply_quadrature
 from .protocol import DetectorModel, ProtocolConfig, check_bounds, protocol_bounds
 
 # the largest system cutoff: check-identities, the largest in memory, peaks at
-# 1.34 GB there and fits a 1.5 GB address space, which 3100 overruns (README, CLI)
+# 1.27 GB RSS there and fits a 1.5 GB address space (README, CLI)
 MAX_CUTOFF = 3000
 
 
@@ -200,16 +198,15 @@ def _run_compare_schemes(cfg: RunConfig, out: str) -> None:
 def _run_check_identities(cfg: RunConfig, out: str) -> None:
     c = max(cfg.cutoff, 24)
     gamma = cfg.gamma if cfg.gamma > 0 else 0.03
-    reports, xs = cubic.identity_reports(c)
-    rows = [(rep.name, rep.fitted_constant, rep.residual, rep.cutoff) for rep in reports]
-    # decomposition identities at the configured gamma/N; only the γ_l products are complex
-    dec = cubic.gamma_factors(gamma, cfg.n)
-    prod = reduce(lambda m, gl: m + gl * apply_quadrature(m, 1), dec.gamma_l, xs[0])
-    target = xs[0] + 1j * (gamma / cfg.n) * xs[3]
-    rows.append(("factorization", 1.0, float(np.abs(prod - target).max()), c))
-    norm_lhs = prod.conj().T @ prod
-    norm_rhs = xs[0] + (gamma / cfg.n) ** 2 * xs[6]
-    rows.append(("norm_identity", 1.0, float(np.abs(norm_lhs - norm_rhs).max()), c))
+    rows = [(rep.name, rep.fitted_constant, rep.residual, rep.cutoff)
+            for rep in cubic.identity_reports(c)]
+    # the decomposition identities at the configured gamma/N hold between the
+    # coefficients of polynomials in x̂, so they are checked there, at any cutoff
+    g = gamma / cfg.n
+    e = cubic.factor_coefficients(cubic.gamma_factors(gamma, cfg.n))
+    norm = np.convolve(e.conj(), e)  # (Σ e_k x̂^k)†(Σ e_k x̂^k), as x̂ is Hermitian
+    rows.append(("factorization", 1.0, float(np.abs(e - (1, 0, 0, 1j * g)).max()), c))
+    rows.append(("norm_identity", 1.0, float(np.abs(norm - (1, 0, 0, 0, 0, 0, g * g)).max()), c))
     _write_csv(out, ("identity_name", "fitted_constant", "residual", "cutoff"), rows)
 
 

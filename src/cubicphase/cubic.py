@@ -6,10 +6,12 @@ The target unitary is e^{iγx̂³}.  Its N-step approximant factorizes as
     1 + i(γ/N)x̂³ = Π_l (1 + γ_l x̂),   γ_l = e^{iπ(4l+1)/6} (γ/N)^{1/3},
 
 because the three γ_l sum to zero pairwise-products-to-zero and multiply to
-i γ/N.  The identity reports are polynomials of the *truncated* real x̂ and
-P = ip̂ matrices, fitted on the interior block that excludes the top Fock
-levels, where truncation corrupts p̂² and high powers of x̂.  The dense U_N,
-e^{iγx̂³} and factor matrices are test oracles in ``cubicphase.reference``.
+i γ/N.  These are identities between polynomial coefficients, which
+``factor_coefficients`` multiplies out.  The identity reports are polynomials
+of the *truncated* real x̂ and P = ip̂ matrices, formed and fitted only on the
+interior block that excludes the top Fock levels, where truncation corrupts p̂²
+and high powers of x̂.  The dense U_N, e^{iγx̂³} and factor matrices are test
+oracles in ``cubicphase.reference``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -49,11 +51,17 @@ def gamma_factors(gamma: float, n: int) -> CubicDecomposition:
     return CubicDecomposition(gamma, n, gl)
 
 
+def factor_coefficients(dec: CubicDecomposition) -> np.ndarray:
+    """e₀…e₃ of Π_l (1 + γ_l x) = Σ_k e_k x^k, which equals 1 + i(γ/N)x³ up to rounding."""
+    return reduce(np.convolve, ((1.0, gl) for gl in dec.gamma_l))
+
+
 @dataclass(frozen=True)
 class IdentityReport:
     """Best-fit proportionality between a target operator, phase·real_lhs, and a
-    nested-commutator construction, phase·real_rhs, with the interior residual
-    after removing the fitted part; the complex matrices are formed when read."""
+    nested-commutator construction, phase·real_rhs, with the residual after
+    removing the fitted part.  Both hold the interior block, the top-left
+    (cutoff − margin)² entries; the complex matrices are formed when read."""
 
     name: str
     cutoff: int
@@ -82,43 +90,57 @@ def _real_quadratures(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     return up + up.T, up - up.T
 
 
-def _comm(u, v, parity: int):
-    """[u, v] by one product: vu = parity·(uv)ᵀ when uᵀ = ±u, vᵀ = ±v (signs' product)."""
-    uv = u @ v
-    return uv - parity * uv.T
+def _comm(u, v, parity: int, keep: int | None = None):
+    """The top-left keep×keep block of [u, v] (all of it by default) by one product
+    u[:keep] @ v[:, :keep]: vu = parity·(uv)ᵀ when uᵀ = ±u, vᵀ = ±v (signs' product)."""
+    uv = u[:keep] @ v[:, :keep]
+    return uv - uv.T if parity == 1 else uv + uv.T
 
 
-def _fit_report(name, lhs, rhs, cutoff, margin, phase: complex = 1.0) -> IdentityReport:
-    """Fit rhs ≈ c·lhs on real matrices that equal the operators up to the
-    common unit factor ``phase``, which the fit does not see."""
-    keep = int(cutoff) - int(margin)  # the interior block: the top ``margin`` levels go
+def _interior(cutoff: int, margin: int) -> int:
+    """The size of the interior block, which leaves out the top ``margin`` levels."""
+    keep = int(cutoff) - int(margin)
     if keep < 1:
         raise DimensionError(f"margin {margin} leaves no interior block")
-    lb, rb = lhs[:keep, :keep], rhs[:keep, :keep]
+    return keep
+
+
+def _fit_report(name, lb, rb, cutoff, margin, phase: complex = 1.0) -> IdentityReport:
+    """Fit rb ≈ c·lb on the interior blocks of real matrices that equal the
+    operators up to the common unit factor ``phase``, which the fit does not see."""
     c = float(np.vdot(lb, rb) / np.vdot(lb, lb))
-    residual = float(np.abs(rb - c * lb).max())
-    return IdentityReport(name, int(cutoff), int(margin), c, residual, lhs, rhs, complex(phase))
+    dev = c * lb  # in place from here: each temporary is another k×k block
+    dev -= rb
+    residual = float(np.abs(dev, out=dev).max())
+    return IdentityReport(name, int(cutoff), int(margin), c, residual, lb, rb, complex(phase))
 
 
 def _monomial_report(m: int, cutoff: int, margin, xs, x3_p2) -> IdentityReport:
     """The monomial fit from the x̂ table ``xs`` and x3_p2 = [x̂³, p̂²] = −[x̂³, P²]."""
     if margin is None:
         margin = max(5, m + 2)
-    rhs = (-2.0 / (3.0 * (m - 1))) * _comm(xs[m - 1], x3_p2, -1)
-    return _fit_report(f"monomial_m{m}", xs[m], rhs, cutoff, margin)
+    keep = _interior(cutoff, margin)
+    rhs = _comm(xs[m - 1], x3_p2, -1, keep)
+    rhs *= -2.0 / (3.0 * (m - 1))
+    lhs = xs[m][:keep, :keep].copy()  # contiguous, and not a view that holds the whole table
+    return _fit_report(f"monomial_m{m}", lhs, rhs, cutoff, margin)
 
 
 def _polynomial_report(m: int, n: int, cutoff: int, margin, xs, ps) -> IdentityReport:
     """The polynomial fit from the x̂ table ``xs`` and the P table ``ps``."""
     if margin is None:
         margin = max(5, m + n + 3)
-    lhs = xs[m] @ ps[n]  # x̂^k is symmetric and P^k has transpose parity (−1)^k
-    lhs = lhs + (-1) ** n * lhs.T
-    # −4i·(−i)^{n+1} = −4·(−i)ⁿ
-    rhs = (-4.0 / ((n + 1) * (m + 1))) * _comm(xs[m + 1], ps[n + 1], (-1) ** (n + 1))
-    for k in range(1, n):  # [x̂^m, P^k] has parity (−1)^{k+1}
+    keep = _interior(cutoff, margin)
+    # x̂^k is symmetric and P^k has transpose parity (−1)^k, so the anticommutator
+    # {x̂^m, P^n} is the commutator's construction with the opposite sign
+    lhs = _comm(xs[m], ps[n], (-1) ** (n + 1), keep)
+    rhs = _comm(xs[m + 1], ps[n + 1], (-1) ** (n + 1), keep)
+    rhs *= -4.0 / ((n + 1) * (m + 1))  # −4i·(−i)^{n+1} = −4·(−i)ⁿ
+    for k in range(1, n):  # [x̂^m, P^k] has parity (−1)^{k+1}; the outer one reads all of it
         inner = _comm(xs[m], ps[k], (-1) ** k)
-        rhs = rhs - (1.0 / (n + 1)) * _comm(ps[n - k], inner, (-1) ** (n + 1))
+        outer = _comm(ps[n - k], inner, (-1) ** (n + 1), keep)
+        outer *= 1.0 / (n + 1)
+        rhs -= outer
     return _fit_report(f"polynomial_m{m}_n{n}", lhs, rhs, cutoff, margin, phase=(-1j) ** n)
 
 
@@ -160,22 +182,21 @@ def polynomial_identity_report(m: int, n: int, cutoff: int,
 
 @lru_cache(maxsize=1)  # one cutoff's tables: at cutoff 3000 they hold about 0.8 GB
 def _identity_tables(cutoff: int) -> tuple:
-    """The x̂⁰…x̂⁶ and P⁰…P³ tables and [x̂³, P²] of ``identity_reports``, read-only:
+    """The x̂⁰…x̂⁵ and P⁰…P³ tables and [x̂³, P²] of ``identity_reports``, read-only:
     built once per cutoff, so a run frees little of what it allocates."""
     x, P = _real_quadratures(cutoff)
-    xs, ps = tuple(power_table(x, 6)), tuple(power_table(P, 3))
+    xs, ps = tuple(power_table(x, 5)), tuple(power_table(P, 3))
     x3_p2 = _comm(ps[2], xs[3], 1)
     for m in (*xs, *ps, x3_p2):
         m.flags.writeable = False
     return xs, ps, x3_p2
 
 
-def identity_reports(cutoff: int) -> tuple:
+def identity_reports(cutoff: int):
     """An iterator over the monomial reports m = 4, 5 and the polynomial ones (m, n) =
-    (1, 1), (2, 1), (1, 2), and the one table x̂⁰…x̂⁶ they share with one P⁰…P³.  The
-    reports are made as the iterator is read, so one report's matrices are held at a time."""
+    (1, 1), (2, 1), (1, 2), which share one x̂⁰…x̂⁵ table and one P⁰…P³.  The reports
+    are made as the iterator is read, so one report's blocks are held at a time."""
     xs, ps, x3_p2 = _identity_tables(int(cutoff))
-    reports = itertools.chain(
+    return itertools.chain(
         (_monomial_report(m, cutoff, None, xs, x3_p2) for m in (4, 5)),
         (_polynomial_report(m, n, cutoff, None, xs, ps) for m, n in ((1, 1), (2, 1), (1, 2))))
-    return reports, xs

@@ -505,6 +505,32 @@ def test_check_identities_shares_its_power_tables(tmp_path, monkeypatch):
                                   for r in reports]
 
 
+def _decomposition_rows(out: str, *flags) -> dict:
+    assert main(["check-identities", "--cutoff", "24", *flags, "--out", out]) == 0
+    return {r[0]: float(r[2]) for r in read_csv(out)[1:] if r[0] in ("factorization", "norm_identity")}
+
+
+@pytest.mark.parametrize("n", [1, 3, 7])
+@pytest.mark.parametrize("gamma", [1e-4, 0.03, 0.1, 1.0])
+def test_decomposition_rows_are_coefficient_residuals(tmp_path, gamma, n):
+    # Π_l (1 + γ_l x̂) and its Hermitian square against 1 + i(γ/N)x̂³ and
+    # 1 + (γ/N)²x̂⁶, coefficient by coefficient: rounding alone, at any cutoff
+    rows = _decomposition_rows(str(tmp_path / "ids.csv"), "--gamma", repr(gamma), "--N", str(n))
+    assert len(rows) == 2 and max(rows.values()) <= 1e-15
+
+
+def test_decomposition_rows_see_a_wrong_factor(tmp_path, monkeypatch):
+    gamma_factors = cubic.gamma_factors
+
+    def shifted(gamma, n):
+        dec = gamma_factors(gamma, n)
+        return cubic.CubicDecomposition(gamma, n, (dec.gamma_l[0] + 1e-6, *dec.gamma_l[1:]))
+
+    monkeypatch.setattr(cubic, "gamma_factors", shifted)
+    rows = _decomposition_rows(str(tmp_path / "ids.csv"))
+    assert len(rows) == 2 and min(rows.values()) >= 1e-7
+
+
 # the dense_analysis operations, at its sizes
 DENSE_ANALYSIS_RUNS = {
     "sweep-variance": lambda out: main(["sweep-variance", "--cutoff", "120", "--out", out]),

@@ -5,12 +5,16 @@ import numpy as np
 import pytest
 
 from cubicphase.cubic import (
+    CubicDecomposition,
+    _identity_tables,
     _real_quadratures,
+    factor_coefficients,
     gamma_factors,
     identity_reports,
     monomial_identity_report,
     polynomial_identity_report,
 )
+from cubicphase.errors import DimensionError
 from cubicphase.reference import (
     FockOperator,
     commutator_approx_residual,
@@ -50,6 +54,25 @@ class TestGammaFactors:
             gamma_factors(0.0, 1)
         with pytest.raises(ValueError):
             gamma_factors(0.03, 0)
+
+
+class TestFactorCoefficients:
+    @pytest.mark.parametrize("shift", [0.0, 1e-3])
+    @pytest.mark.parametrize("gamma, n", [(0.03, 1), (1.0, 3)])
+    def test_coefficient_residual_is_the_matrix_residual(self, gamma, n, shift):
+        # Π_l (I + γ_l x̂) is the polynomial Σ e_k x̂^k of the truncated x̂, so the
+        # coefficient residual e_k − t_k, summed against x̂^k, is the dense one at
+        # cutoff 40; a shifted γ₀ makes both nonzero
+        cutoff, g = 40, gamma / n
+        dec = gamma_factors(gamma, n)
+        dec = CubicDecomposition(gamma, n, (dec.gamma_l[0] + shift, *dec.gamma_l[1:]))
+        x = quadrature_x(cutoff).matrix
+        xk = [np.linalg.matrix_power(x, k) for k in range(4)]
+        got = sum(d * m for d, m in zip(factor_coefficients(dec) - (1, 0, 0, 1j * g), xk))
+        f0, f1, f2 = (factor_operator(gl, cutoff).matrix for gl in dec.gamma_l)
+        want = f0 @ f1 @ f2 - (xk[0] + 1j * g * xk[3])
+        assert np.abs(got - want).max() <= 1e-12
+        assert (np.abs(want).max() > 1e-6) == (shift > 0)
 
 
 class TestFactorOperator:
@@ -157,7 +180,7 @@ class TestCommutatorApprox:
 
 def complex_route(name, cutoff, margin):
     """The reports' constructions in complex Fock matrices, p̂ = (â − â†)/(i√2):
-    (lhs, rhs, fitted constant, residual)."""
+    (lhs and rhs interior blocks, fitted constant, residual)."""
     x, p = quadrature_x(cutoff).matrix, quadrature_p(cutoff).matrix
     mp = np.linalg.matrix_power
 
@@ -177,7 +200,7 @@ def complex_route(name, cutoff, margin):
     lb = interior_block(lhs, (cutoff,), margin)
     rb = interior_block(rhs, (cutoff,), margin)
     c = float((np.vdot(lb, rb) / np.vdot(lb, lb)).real)
-    return lhs, rhs, c, float(np.abs(rb - c * lb).max())
+    return lb, rb, c, float(np.abs(rb - c * lb).max())
 
 
 class TestRealArithmeticReports:
@@ -202,12 +225,18 @@ class TestRealArithmeticReports:
         assert np.abs(rep.rhs_matrix - rhs).max() < 1e-12 * np.abs(rhs).max()
         assert rep.residual < 1e-6 and residual < 1e-6
 
+    @pytest.mark.parametrize("report", [lambda: monomial_identity_report(4, 24, margin=24),
+                                        lambda: polynomial_identity_report(1, 2, 24, margin=30)])
+    def test_margin_leaving_no_interior_block(self, report):
+        with pytest.raises(DimensionError, match="leaves no interior block"):
+            report()
+
 
 class TestSharedTables:
     @pytest.mark.parametrize("cutoff", [24, 80])
     def test_reports_equal_the_public_ones(self, cutoff):
         # one x̂ and one P table for all five reports: bit for bit the same fits
-        reports, xs = identity_reports(cutoff)
+        reports = identity_reports(cutoff)
         want = [monomial_identity_report(m, cutoff) for m in (4, 5)]
         want += [polynomial_identity_report(m, n, cutoff) for m, n in ((1, 1), (2, 1), (1, 2))]
         for got, ref in zip(reports, want, strict=True):
@@ -215,8 +244,9 @@ class TestSharedTables:
             assert repr((got.fitted_constant, got.residual)) == repr((ref.fitted_constant, ref.residual))
             assert np.array_equal(got.real_lhs, ref.real_lhs)
             assert np.array_equal(got.real_rhs, ref.real_rhs)
-        x6 = np.linalg.matrix_power(_real_quadratures(cutoff)[0], 6)
-        assert len(xs) == 7 and np.abs(xs[6] - x6).max() <= 1e-13 * np.abs(x6).max()
+        xs = _identity_tables(cutoff)[0]
+        x5 = np.linalg.matrix_power(_real_quadratures(cutoff)[0], 5)
+        assert len(xs) == 6 and np.abs(xs[5] - x5).max() <= 1e-13 * np.abs(x5).max()
 
 
 class TestMonomialIdentity:
