@@ -19,8 +19,6 @@ from .hilbert import (
 from .cubic import (
     CubicDecomposition,
     gamma_factors,
-    monomial_identity_report,
-    polynomial_identity_report,
 )
 from .protocol import (
     DetectorModel,
@@ -34,13 +32,9 @@ from .analysis import (
     ErrorEnsembleSpec,
     MomentSweepSpec,
     error_operator_stats,
-    gate_fidelity_report,
     variance_sweep,
 )
 from .schemes import (
-    GkpStateSpec,
-    gkp_cubic_state,
-    gkp_mode_likelihood,
     marek_gate,
     marek_resource_state,
     marek_restart_mean,

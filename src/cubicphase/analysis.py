@@ -1,4 +1,4 @@
-"""Quantitative analyses: detector-error ensembles, variance sweeps, gate fidelity.
+"""Quantitative analyses: detector-error ensembles, variance sweeps, scored gate runs.
 
 The detector-error analysis exploits that every operator in the protocol is a
 function of x̂: conditioned on a position value x, one run of the gate is the
@@ -184,21 +184,6 @@ class RunResult:
     fidelity_ideal: float | None
 
 
-@dataclass(frozen=True)
-class GateFidelityReport:
-    runs: tuple
-    mean_fidelity_un: float
-    mean_fidelity_ideal: float
-    mean_total_attempts: float
-    first_attempt_click_prob: float
-    predicted_attempts: float       # 3N / p_first
-    attempts_ratio: float           # mean_total / predicted
-    failures: int
-
-
-DEFAULT_INPUT_ALPHAS = (0.3, 0.15 + 0.15j, 0.0, -0.2 + 0.1j)
-
-
 @lru_cache(maxsize=8)
 def _gate_targets(gamma: float, n: int, cutoff: int) -> tuple:
     """(U_N, ideal cubic gate) as diagonals in the x̂ eigenbasis, read-only.  As
@@ -253,43 +238,3 @@ def run_ensemble(config: ProtocolConfig, alphas, rngs) -> list[tuple[RunResult, 
         f_un, f_id = (abs(np.vdot(c_out, t)) ** 2 for t in (un, ideal))
         results.append((RunResult(alpha, True, log.total_attempts, f_un, f_id), log))
     return results
-
-
-def gate_fidelity_report(
-    config: ProtocolConfig,
-    ensemble_size: int,
-    rng: np.random.Generator,
-    input_alphas=DEFAULT_INPUT_ALPHAS,
-) -> GateFidelityReport:
-    """Run the full gate over an ensemble of coherent inputs.
-
-    Reports output-state fidelity against the normalized U_N target and the
-    ideal cubic gate, plus attempt statistics compared with 3N/p, where p is
-    the mean over heralded factors of F(1), the first row of the factor's
-    click table: the exact probability of a click at its first attempt.
-    Runs whose factor exhausts its attempt budget count as failures and carry
-    no fidelity.  Each run draws from its own child of ``rng`` (``rng.spawn``).
-    """
-    alphas = (complex(input_alphas[i % len(input_alphas)]) for i in range(int(ensemble_size)))
-    results = run_ensemble(config, alphas, rng.spawn(int(ensemble_size)))
-    runs = tuple(r for r, _ in results)
-    done = [(r, log) for r, log in results if r.success]
-    first_ps = [f.first_click_prob for _, log in done for f in log.factors if f.attempts > 0]
-    fid_un = [r.fidelity_un for r, _ in done]
-    fid_ideal = [r.fidelity_ideal for r, _ in done]
-    attempts = [r.total_attempts for r, _ in done]
-    failures = len(runs) - len(done)
-
-    p_first = float(np.mean(first_ps)) if first_ps else float("nan")
-    mean_attempts = float(np.mean(attempts)) if attempts else float("nan")
-    predicted = 3.0 * int(config.n) / p_first if p_first > 0 else float("nan")
-    return GateFidelityReport(
-        runs=runs,
-        mean_fidelity_un=float(np.mean(fid_un)) if fid_un else float("nan"),
-        mean_fidelity_ideal=float(np.mean(fid_ideal)) if fid_ideal else float("nan"),
-        mean_total_attempts=mean_attempts,
-        first_attempt_click_prob=p_first,
-        predicted_attempts=predicted,
-        attempts_ratio=mean_attempts / predicted if predicted and not math.isnan(predicted) else float("nan"),
-        failures=failures,
-    )

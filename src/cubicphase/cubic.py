@@ -11,7 +11,8 @@ i γ/N.  These are identities between polynomial coefficients, which
 of the *truncated* real x̂ and P = ip̂ matrices, formed and fitted only on the
 interior block that excludes the top Fock levels, where truncation corrupts p̂²
 and high powers of x̂.  The dense U_N, e^{iγx̂³} and factor matrices are test
-oracles in ``cubicphase.reference``.
+oracles in ``cubicphase.reference``, as are the one-report wrappers
+``monomial_identity_report`` and ``polynomial_identity_report``.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ class IdentityReport:
     """Best-fit proportionality between a target operator, phase·real_lhs, and a
     nested-commutator construction, phase·real_rhs, with the residual after
     removing the fitted part.  Both hold the interior block, the top-left
-    (cutoff − margin)² entries; the complex matrices are formed when read."""
+    (cutoff − margin)² entries."""
 
     name: str
     cutoff: int
@@ -71,9 +72,6 @@ class IdentityReport:
     real_lhs: np.ndarray
     real_rhs: np.ndarray
     phase: complex
-
-    lhs_matrix = property(lambda self: self.phase * self.real_lhs)
-    rhs_matrix = property(lambda self: self.phase * self.real_rhs)
 
 
 def power_table(m: np.ndarray, k: int) -> list[np.ndarray]:
@@ -142,42 +140,6 @@ def _polynomial_report(m: int, n: int, cutoff: int, margin, xs, ps) -> IdentityR
         outer *= 1.0 / (n + 1)
         rhs -= outer
     return _fit_report(f"polynomial_m{m}_n{n}", lhs, rhs, cutoff, margin, phase=(-1j) ** n)
-
-
-def monomial_identity_report(m: int, cutoff: int, margin: int | None = None) -> IdentityReport:
-    """Fit c in c·x̂^m ≈ (−2/(3(m−1)))·[x̂^{m−1}, [x̂³, p̂²]].
-
-    The constant is reported, not asserted: under this package's [x̂,p̂] = i
-    convention the construction evaluates to 4·x̂^m.  Computed in real
-    arithmetic: p̂² = −P².
-    """
-    m = int(m)
-    if m < 4:
-        raise ValueError("monomial identity requires m >= 4")
-    x, P = _real_quadratures(cutoff)
-    xs = power_table(x, m)
-    return _monomial_report(m, cutoff, margin, xs, _comm(P @ P, xs[3], 1))
-
-
-def polynomial_identity_report(m: int, n: int, cutoff: int,
-                               margin: int | None = None) -> IdentityReport:
-    """Fit c in c·(x̂^m p̂^n + p̂^n x̂^m) ≈ the commutator construction
-
-        (−4i/((n+1)(m+1)))[x̂^{m+1}, p̂^{n+1}]
-            − (1/(n+1)) Σ_{k=1}^{n−1} [p̂^{n−k}, [x̂^m, p̂^k]].
-
-    Evaluates to 2·LHS under this convention for the small (m, n) exercised
-    here; for n ≥ 2 with m ≥ 2 the construction additionally carries a scalar
-    (identity) remainder which inflates the reported residual.
-
-    Computed in real arithmetic: with p̂ = −iP every term of both sides
-    carries the factor (−i)ⁿ, which the fit does not see.
-    """
-    m, n = int(m), int(n)
-    if m < 1 or n < 1:
-        raise ValueError("polynomial identity requires m, n >= 1")
-    x, P = _real_quadratures(cutoff)
-    return _polynomial_report(m, n, cutoff, margin, power_table(x, m + 1), power_table(P, n + 1))
 
 
 @lru_cache(maxsize=1)  # one cutoff's tables: at cutoff 3000 they hold about 0.8 GB

@@ -66,27 +66,6 @@ class FockState:
         amp.flags.writeable = False
         object.__setattr__(self, "amplitudes", amp)
 
-    @property
-    def n_modes(self) -> int:
-        return len(self.cutoffs)
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def normalize(self) -> "FockState":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return FockState(self.amplitudes / n, self.cutoffs, normalized=True)
-
-    def density_matrix(self) -> np.ndarray:
-        a = self.amplitudes
-        return np.outer(a, a.conj())
-
 
 def _mean_photons(alpha: complex) -> float:
     """|α|², and inf where it passes the float range (``**`` raises there)."""

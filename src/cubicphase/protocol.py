@@ -158,18 +158,14 @@ class ProtocolConfig:
 
 @dataclass
 class FactorRecord:
-    """Per-factor trial record: attempts, outcomes, and bookkeeping."""
+    """Per-factor trial record: the attempts, whether the last one clicked
+    (only the last can), and the exact first-attempt click probability."""
 
     factor_index: int
     repetition: int
     attempts: int
     success: bool
     first_click_prob: float
-
-    @property
-    def outcomes(self) -> list[bool]:
-        """Click or not at each attempt: only the last can click, iff ``success``."""
-        return [False] * (self.attempts - 1) + [self.success] if self.attempts else []
 
 
 @dataclass

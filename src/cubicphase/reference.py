@@ -1,12 +1,15 @@
 """Dense reference oracles: the Fock-matrix constructions the engine replaces.
 
-The engine modules hold only what a CLI subcommand, a Marek shot or a library
-entry point runs.  Everything here is the independent, dense route the tests
-check the engine against: operators as ``FockOperator`` matrices, gates as
-exact matrix exponentials of their truncated generators (scipy's
-scaling-and-squaring), and the subtraction protocol on a truncated Fock
-resource and ancilla.  No engine module imports this one, so scipy loads only
-with it.
+The engine modules hold only what a CLI subcommand, a Marek shot or the
+library entry points ``full_gate`` and ``rus_factor`` run.  Everything here is
+the independent, dense route the tests check the engine against: operators as
+``FockOperator`` matrices, gates as exact matrix exponentials of their
+truncated generators (scipy's scaling-and-squaring), and the subtraction
+protocol on a truncated Fock resource and ancilla.  So are the library
+functions no subcommand runs: gate-fidelity reports over an input ensemble,
+one operator-identity report at a time, and the photon-counting scheme's
+analytic phase record.  No engine module imports this one, so scipy loads
+only with it.
 
 Conventions fixed here:
 
@@ -24,16 +27,20 @@ Conventions fixed here:
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm
 
+from .analysis import run_ensemble
+from .cubic import (IdentityReport, _comm, _monomial_report, _polynomial_report,
+                    _real_quadratures, power_table)
 from .errors import CutoffError, DegenerateOutcomeError, DimensionError
 from .gaussian import apply_x_conditioned_displacement, squeezed_vacuum, x_eigh
 from .hilbert import FockState, _as_cutoffs, _mean_photons, coherent, real_matmul
-from .protocol import DetectorModel, _inverse_cdf
+from .protocol import DetectorModel, ProtocolConfig, _inverse_cdf
 from .schemes import _feed_forward_phase
 
 # Refuse tensor products beyond this total dimension (dense-matrix budget).
@@ -91,6 +98,20 @@ def number_state(ns, cutoffs) -> FockState:
     amp = np.zeros(int(np.prod(cutoffs)), dtype=complex)
     amp[int(np.ravel_multi_index(ns, cutoffs))] = 1.0
     return FockState(amp, cutoffs)
+
+
+def normalize(state: FockState) -> FockState:
+    """The state divided by its norm."""
+    n = float(np.linalg.norm(state.amplitudes))
+    if n == 0.0:
+        raise ValueError("cannot normalize the zero vector")
+    return FockState(state.amplitudes / n, state.cutoffs, normalized=True)
+
+
+def density_matrix(state: FockState) -> np.ndarray:
+    """|ψ⟩⟨ψ| of the state's amplitudes, unnormalized."""
+    a = state.amplitudes
+    return np.outer(a, a.conj())
 
 
 def coherent_truncation_loss(alpha: complex, cutoff: int) -> float:
@@ -153,8 +174,9 @@ def tensor(a, b):
     kind = type(a)
     if kind not in (FockState, FockOperator) or type(b) is not kind:
         raise TypeError("tensor expects two FockStates or two FockOperators")
-    if a.dim * b.dim > MAX_TENSOR_DIM:
-        raise DimensionError(f"tensor dimension {a.dim * b.dim} exceeds limit {MAX_TENSOR_DIM}")
+    dim = math.prod(a.cutoffs + b.cutoffs)
+    if dim > MAX_TENSOR_DIM:
+        raise DimensionError(f"tensor dimension {dim} exceeds limit {MAX_TENSOR_DIM}")
     if kind is FockState:
         return FockState(np.kron(a.amplitudes, b.amplitudes), a.cutoffs + b.cutoffs,
                          normalized=a.normalized and b.normalized)
@@ -169,21 +191,21 @@ def apply(op: FockOperator, state: FockState, modes=None) -> FockState:
     own mode order.  Default: the operator spans all modes of the state.
     """
     if modes is None:
-        modes = tuple(range(state.n_modes))
+        modes = tuple(range(len(state.cutoffs)))
     modes = tuple(int(m) for m in modes)
     if len(modes) != len(op.cutoffs):
         raise DimensionError("operator mode count differs from `modes`")
     if len(set(modes)) != len(modes):
         raise DimensionError("duplicate mode index")
     for m, c in zip(modes, op.cutoffs):
-        if not 0 <= m < state.n_modes:
+        if not 0 <= m < len(state.cutoffs):
             raise DimensionError(f"mode {m} not in state")
         if state.cutoffs[m] != c:
             raise DimensionError(f"cutoff mismatch on mode {m}: {state.cutoffs[m]} vs {c}")
 
     psi = state.amplitudes.reshape(state.cutoffs)
     # move acted-on modes to the front, flatten, matmul, restore
-    rest = [m for m in range(state.n_modes) if m not in modes]
+    rest = [m for m in range(len(state.cutoffs)) if m not in modes]
     perm = list(modes) + rest
     psi = np.transpose(psi, perm)
     front = int(np.prod([state.cutoffs[m] for m in modes]))
@@ -238,7 +260,7 @@ def partial_trace(state_or_dm, cutoffs, keep) -> np.ndarray:
 
 def expectation(op: FockOperator, state: FockState) -> complex:
     """⟨s|Ô|s⟩ / ⟨s|s⟩."""
-    if int(np.prod(op.cutoffs)) != state.dim:
+    if int(np.prod(op.cutoffs)) != state.amplitudes.size:
         raise DimensionError("operator and state dimensions differ")
     a = state.amplitudes
     return complex(np.vdot(a, op.matrix @ a) / np.vdot(a, a))
@@ -490,6 +512,47 @@ def commutator_approx_residual(a: FockOperator, b: FockOperator, t: float,
 
 
 # ---------------------------------------------------------------------------
+# one operator-identity report at a time, on the private helpers that
+# ``cubic.identity_reports`` runs for check-identities
+
+
+def monomial_identity_report(m: int, cutoff: int, margin: int | None = None) -> IdentityReport:
+    """Fit c in c·x̂^m ≈ (−2/(3(m−1)))·[x̂^{m−1}, [x̂³, p̂²]].
+
+    The constant is reported, not asserted: under this package's [x̂,p̂] = i
+    convention the construction evaluates to 4·x̂^m.  Computed in real
+    arithmetic: p̂² = −P².
+    """
+    m = int(m)
+    if m < 4:
+        raise ValueError("monomial identity requires m >= 4")
+    x, P = _real_quadratures(cutoff)
+    xs = power_table(x, m)
+    return _monomial_report(m, cutoff, margin, xs, _comm(P @ P, xs[3], 1))
+
+
+def polynomial_identity_report(m: int, n: int, cutoff: int,
+                               margin: int | None = None) -> IdentityReport:
+    """Fit c in c·(x̂^m p̂^n + p̂^n x̂^m) ≈ the commutator construction
+
+        (−4i/((n+1)(m+1)))[x̂^{m+1}, p̂^{n+1}]
+            − (1/(n+1)) Σ_{k=1}^{n−1} [p̂^{n−k}, [x̂^m, p̂^k]].
+
+    Evaluates to 2·LHS under this convention for the small (m, n) exercised
+    here; for n ≥ 2 with m ≥ 2 the construction additionally carries a scalar
+    (identity) remainder which inflates the reported residual.
+
+    Computed in real arithmetic: with p̂ = −iP every term of both sides
+    carries the factor (−i)ⁿ, which the fit does not see.
+    """
+    m, n = int(m), int(n)
+    if m < 1 or n < 1:
+        raise ValueError("polynomial identity requires m, n >= 1")
+    x, P = _real_quadratures(cutoff)
+    return _polynomial_report(m, n, cutoff, margin, power_table(x, m + 1), power_table(P, n + 1))
+
+
+# ---------------------------------------------------------------------------
 # the subtraction protocol on a truncated Fock resource and ancilla: the same
 # steps as ``protocol.label_gate``, with the ancilla's photon number drawn in
 # the same way
@@ -568,7 +631,7 @@ def ideal_project(state: FockState, resource_mode: int = 1,
     ``one_photon_reduce``.
     """
     psi = state.amplitudes.reshape(state.cutoffs)
-    sl = [slice(None)] * state.n_modes
+    sl = [slice(None)] * len(state.cutoffs)
     sl[resource_mode] = 0
     out = np.array(psi, copy=True)
     out[tuple(sl)] = 0.0
@@ -586,7 +649,7 @@ def one_photon_reduce(state: FockState, resource_mode: int = 1) -> FockState:
     """Keep only the |1⟩ component of the resource and renormalize."""
     psi = state.amplitudes.reshape(state.cutoffs)
     out = np.zeros_like(psi)
-    sl = [slice(None)] * state.n_modes
+    sl = [slice(None)] * len(state.cutoffs)
     sl[resource_mode] = 1
     out[tuple(sl)] = psi[tuple(sl)]
     nrm = np.linalg.norm(out)
@@ -617,14 +680,14 @@ def subtraction_attempt(
     Returns (branch m normalized, on the original modes; "click"/"no_click";
     (p_no_click, p_click); m).
     """
-    if not 0 <= resource_mode < state.n_modes:
+    if not 0 <= resource_mode < len(state.cutoffs):
         raise DimensionError(f"resource mode {resource_mode} not in state")
     res_c = state.cutoffs[resource_mode]
     anc_c = int(ancilla_cutoff)
-    norm_state = state if state.normalized else state.normalize()
+    norm_state = state if state.normalized else normalize(state)
 
     # move the resource mode to the last axis
-    others = [m for m in range(state.n_modes) if m != resource_mode]
+    others = [m for m in range(len(state.cutoffs)) if m != resource_mode]
     psi = norm_state.amplitudes.reshape(state.cutoffs)
     mat = np.transpose(psi, others + [resource_mode]).reshape(-1, res_c)
 
@@ -671,7 +734,7 @@ def marek_gamma_prime(r_width: float, gamma: float) -> float:
 def marek_frame_coefficients(state: FockState, r_width: float,
                              max_loss: float = 1e-8) -> np.ndarray:
     """Amplitudes of S(r)†|state⟩ (the squeezed frame of the resource)."""
-    if state.n_modes != 1:
+    if len(state.cutoffs) != 1:
         raise DimensionError("expected a single-mode state")
     sq = squeeze_gate(r_width, state.cutoffs[0], max_loss=max_loss)
     return sq.matrix.conj().T @ state.amplitudes
@@ -705,3 +768,130 @@ def marek_restart_mc(p: float, runs: int, rng: np.random.Generator,
     if active.size:
         raise RuntimeError("restart-chain sampling did not terminate")
     return float(attempts.mean())
+
+
+# ---------------------------------------------------------------------------
+# gate-fidelity reports over an ensemble of coherent inputs, on the engine's
+# ``analysis.run_ensemble``
+
+
+@dataclass(frozen=True)
+class GateFidelityReport:
+    runs: tuple
+    mean_fidelity_un: float
+    mean_fidelity_ideal: float
+    mean_total_attempts: float
+    first_attempt_click_prob: float
+    predicted_attempts: float       # 3N / p_first
+    attempts_ratio: float           # mean_total / predicted
+    failures: int
+
+
+DEFAULT_INPUT_ALPHAS = (0.3, 0.15 + 0.15j, 0.0, -0.2 + 0.1j)
+
+
+def gate_fidelity_report(
+    config: ProtocolConfig,
+    ensemble_size: int,
+    rng: np.random.Generator,
+    input_alphas=DEFAULT_INPUT_ALPHAS,
+) -> GateFidelityReport:
+    """Run the full gate over an ensemble of coherent inputs.
+
+    Reports output-state fidelity against the normalized U_N target and the
+    ideal cubic gate, plus attempt statistics compared with 3N/p, where p is
+    the mean over heralded factors of F(1), the first row of the factor's
+    click table: the exact probability of a click at its first attempt.
+    Runs whose factor exhausts its attempt budget count as failures and carry
+    no fidelity.  Each run draws from its own child of ``rng`` (``rng.spawn``).
+    """
+    alphas = (complex(input_alphas[i % len(input_alphas)]) for i in range(int(ensemble_size)))
+    results = run_ensemble(config, alphas, rng.spawn(int(ensemble_size)))
+    runs = tuple(r for r, _ in results)
+    done = [(r, log) for r, log in results if r.success]
+    first_ps = [f.first_click_prob for _, log in done for f in log.factors if f.attempts > 0]
+    fid_un = [r.fidelity_un for r, _ in done]
+    fid_ideal = [r.fidelity_ideal for r, _ in done]
+    attempts = [r.total_attempts for r, _ in done]
+    failures = len(runs) - len(done)
+
+    p_first = float(np.mean(first_ps)) if first_ps else float("nan")
+    mean_attempts = float(np.mean(attempts)) if attempts else float("nan")
+    predicted = 3.0 * int(config.n) / p_first if p_first > 0 else float("nan")
+    return GateFidelityReport(
+        runs=runs,
+        mean_fidelity_un=float(np.mean(fid_un)) if fid_un else float("nan"),
+        mean_fidelity_ideal=float(np.mean(fid_ideal)) if fid_ideal else float("nan"),
+        mean_total_attempts=mean_attempts,
+        first_attempt_click_prob=p_first,
+        predicted_attempts=predicted,
+        attempts_ratio=mean_attempts / predicted if predicted and not math.isnan(predicted) else float("nan"),
+        failures=failures,
+    )
+
+
+# ---------------------------------------------------------------------------
+# the photon-counting (EPR + number measurement) scheme, kept analytic: its
+# output is a WKB phase function exp[i x³/(6√(2E)) − i(√(2E)−α)x] with
+# E = n + 1/2, valid for large displacement α, and only the phase coefficients
+# are checkable at desk scale
+
+
+@dataclass
+class GkpStateSpec:
+    """Detected photon number n, momentum-shift amplitude α, and an optional
+    x-grid on which to evaluate the resulting phase function."""
+
+    n: int
+    alpha: float
+    domain: tuple = ()
+
+    def __post_init__(self):
+        if int(self.n) < 0:
+            raise ValueError("photon number must be >= 0")
+        if self.alpha < 10.0:
+            warnings.warn(
+                f"alpha = {self.alpha:g} is outside the α ≫ 1 validity regime",
+                stacklevel=2,
+            )
+
+    @property
+    def energy(self) -> float:
+        return int(self.n) + 0.5
+
+
+@dataclass(frozen=True)
+class GkpPhaseRecord:
+    cubic_coeff: float
+    linear_coeff: float
+    energy: float
+    domain: tuple
+    phase: tuple
+
+
+def gkp_cubic_state(spec: GkpStateSpec) -> GkpPhaseRecord:
+    """Phase coefficients of the heralded state: x³/(6√(2E)) − (√(2E)−α)x."""
+    e = spec.energy
+    cubic = 1.0 / (6.0 * math.sqrt(2.0 * e))
+    linear = -(math.sqrt(2.0 * e) - spec.alpha)
+    xs = tuple(float(x) for x in spec.domain)
+    phase = tuple(cubic * x**3 + linear * x for x in xs)
+    return GkpPhaseRecord(cubic, linear, e, xs, phase)
+
+
+@dataclass(frozen=True)
+class LikelihoodRange:
+    lo: float
+    hi: float
+    inside: bool
+
+
+def gkp_mode_likelihood(n: int, alpha: float, sigma_x: float, sigma_p: float) -> LikelihoodRange:
+    """Whether n + 1/2 falls in the likely window ½(α ± σ_x⁻¹)² + ½σ_p⁻²."""
+    if not (0.0 < sigma_x < 1.0 and 0.0 < sigma_p < 1.0):
+        raise ValueError("sigma_x and sigma_p must lie in (0, 1)")
+    base = 0.5 / sigma_p**2
+    lo = 0.5 * (alpha - 1.0 / sigma_x) ** 2 + base
+    hi = 0.5 * (alpha + 1.0 / sigma_x) ** 2 + base
+    e = int(n) + 0.5
+    return LikelihoodRange(lo, hi, lo <= e <= hi)

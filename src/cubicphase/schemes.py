@@ -1,8 +1,4 @@
-"""Comparison gate implementations: photon-counting (analytic) and resource-state routes.
-
-The photon-counting scheme is kept analytic: its output is a WKB phase
-function exp[i x³/(6√(2E)) − i(√(2E)−α)x] with E = n + 1/2, valid for large
-displacement α, and only the phase coefficients are checkable at desk scale.
+"""The comparison gate: the resource-state route, and the running-time models.
 
 The resource-state scheme is simulated in full: the resource
 (1 + iγx̂³)S(r)|0⟩ = S(r)[|0⟩ + iγ′(3/(2√2))|1⟩ + iγ′(√3/2)|3⟩], γ′ = γr^{3/2},
@@ -11,13 +7,13 @@ resource position is measured by homodyne (spectral decomposition of the
 truncated x̂, outcome binned to an eigenvalue), and the feed-forward unitary
 U_FF = exp[−iγq³ − 3iγ(x̂+q)x̂q] repairs the nonzero-q branch.  The squeezed
 frame, the dense U_FF and the restart chain's Monte Carlo mean are test
-oracles in ``cubicphase.reference``.
+oracles in ``cubicphase.reference``, which also keeps the photon-counting
+scheme's analytic phase record.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,70 +21,6 @@ import numpy as np
 from .errors import DegenerateOutcomeError, DimensionError
 from .gaussian import apply_x_conditioned_displacement, squeezed_vacuum, x_eigh
 from .hilbert import FockState, apply_quadrature, real_matmul
-
-
-# ---------------------------------------------------------------------------
-# photon-counting (EPR + number measurement) scheme, analytic
-
-
-@dataclass
-class GkpStateSpec:
-    """Detected photon number n, momentum-shift amplitude α, and an optional
-    x-grid on which to evaluate the resulting phase function."""
-
-    n: int
-    alpha: float
-    domain: tuple = ()
-
-    def __post_init__(self):
-        if int(self.n) < 0:
-            raise ValueError("photon number must be >= 0")
-        if self.alpha < 10.0:
-            warnings.warn(
-                f"alpha = {self.alpha:g} is outside the α ≫ 1 validity regime",
-                stacklevel=2,
-            )
-
-    @property
-    def energy(self) -> float:
-        return int(self.n) + 0.5
-
-
-@dataclass(frozen=True)
-class GkpPhaseRecord:
-    cubic_coeff: float
-    linear_coeff: float
-    energy: float
-    domain: tuple
-    phase: tuple
-
-
-def gkp_cubic_state(spec: GkpStateSpec) -> GkpPhaseRecord:
-    """Phase coefficients of the heralded state: x³/(6√(2E)) − (√(2E)−α)x."""
-    e = spec.energy
-    cubic = 1.0 / (6.0 * math.sqrt(2.0 * e))
-    linear = -(math.sqrt(2.0 * e) - spec.alpha)
-    xs = tuple(float(x) for x in spec.domain)
-    phase = tuple(cubic * x**3 + linear * x for x in xs)
-    return GkpPhaseRecord(cubic, linear, e, xs, phase)
-
-
-@dataclass(frozen=True)
-class LikelihoodRange:
-    lo: float
-    hi: float
-    inside: bool
-
-
-def gkp_mode_likelihood(n: int, alpha: float, sigma_x: float, sigma_p: float) -> LikelihoodRange:
-    """Whether n + 1/2 falls in the likely window ½(α ± σ_x⁻¹)² + ½σ_p⁻²."""
-    if not (0.0 < sigma_x < 1.0 and 0.0 < sigma_p < 1.0):
-        raise ValueError("sigma_x and sigma_p must lie in (0, 1)")
-    base = 0.5 / sigma_p**2
-    lo = 0.5 * (alpha - 1.0 / sigma_x) ** 2 + base
-    hi = 0.5 * (alpha + 1.0 / sigma_x) ** 2 + base
-    e = int(n) + 0.5
-    return LikelihoodRange(lo, hi, lo <= e <= hi)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +100,6 @@ class RuntimeModels:
     ours_per_factor: float   # 1/p
     ours_total: float        # 3N/p
     marek_prep: float        # 1/p^3 (three simultaneous subtractions)
-    gkp: None = None         # photon-counting route: no subtraction loop
 
 
 def runtime_models(p: float, n: int = 1) -> RuntimeModels:

@@ -22,7 +22,7 @@ from cubicphase.analysis import (
     variance_sweep,
 )
 from cubicphase.cli import parse_config, run as cli_run
-from cubicphase.cubic import gamma_factors, monomial_identity_report, polynomial_identity_report
+from cubicphase.cubic import gamma_factors
 from cubicphase.hilbert import coherent, fidelity
 from cubicphase.protocol import (
     IDEAL_DETECTOR,
@@ -32,14 +32,19 @@ from cubicphase.protocol import (
     rus_factor,
 )
 from cubicphase.reference import (
+    GkpStateSpec,
     apply,
     couple_resource,
     detector_povm,
     factor_operator,
+    gkp_cubic_state,
     interior_max_norm,
     marek_frame_coefficients,
     marek_restart_mc,
+    monomial_identity_report,
+    normalize,
     partial_trace,
+    polynomial_identity_report,
     quadrature_x,
     state_fidelity,
     subtraction_attempt,
@@ -48,8 +53,6 @@ from cubicphase.reference import (
     vacuum,
 )
 from cubicphase.schemes import (
-    GkpStateSpec,
-    gkp_cubic_state,
     marek_resource_state,
     marek_restart_mean,
 )
@@ -115,10 +118,10 @@ def test_criterion_3_protocol_correctness():
     single_fids = []
     for l in range(3):
         out, _ = rus_factor(psi, dec.gamma_l[l], cfg, ForceClick(), factor_index=l)
-        target = apply(factor_operator(dec.gamma_l[l], 30), psi).normalize()
+        target = normalize(apply(factor_operator(dec.gamma_l[l], 30), psi))
         single_fids.append(fidelity(out, target))
     out, _ = full_gate(psi, cfg, ForceClick())
-    full_fid = fidelity(out, apply(u_n_operator(0.03, 1, 30), psi).normalize())
+    full_fid = fidelity(out, normalize(apply(u_n_operator(0.03, 1, 30), psi)))
     check(
         3,
         f"single-factor fidelities {min(single_fids):.6f} (> 0.99), "
@@ -178,7 +181,7 @@ def test_criterion_4_rus_statistics(stats_config):
 def test_criterion_5_no_click_invariance():
     psi = coherent(0.3, 30)
     gl = gamma_factors(0.03, 1).gamma_l[0]
-    coupled = couple_resource(psi, 0.2, gl, (30, 25)).normalize()
+    coupled = normalize(couple_resource(psi, 0.2, gl, (30, 25)))
     rho_before = partial_trace(coupled, None, keep=(0,))
 
     class ForceNoClick:

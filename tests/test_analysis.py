@@ -20,7 +20,6 @@ from cubicphase.analysis import (
     _gate_targets,
     error_operator_stats,
     event_probabilities,
-    gate_fidelity_report,
     variance_sweep,
 )
 from cubicphase.cubic import gamma_factors
@@ -31,7 +30,9 @@ from cubicphase.protocol import IDEAL_DETECTOR, DetectorModel, ProtocolConfig, f
 from cubicphase.reference import (
     apply,
     expectation,
+    gate_fidelity_report,
     ideal_cubic_gate,
+    normalize,
     quadrature_p,
     quadrature_x,
     u_n_operator,
@@ -101,7 +102,7 @@ def dense_sweep_moments(spec):
     rows = []
     for re_a in spec.re_alpha_grid:
         inp = coherent(complex(re_a, spec.im_alpha), c)
-        outs = [apply(g, inp).normalize() for g in gates]
+        outs = [normalize(apply(g, inp)) for g in gates]
         rows.append([(expectation(x, o).real, expectation(p, o).real,
                       expectation(p2, o).real - expectation(p, o).real ** 2) for o in outs])
     return rows

@@ -1,7 +1,9 @@
-"""Every module-level function of the engine modules runs on some path: a CLI
-subcommand, a Marek shot or a library entry point.  Code that only the tests
-reach belongs in ``cubicphase.reference``, the dense oracles."""
+"""Every function, method and property the engine modules define runs on some
+path: a CLI subcommand, a Marek shot or the library entry points ``full_gate``
+and ``rus_factor``.  Code that only the tests reach belongs in
+``cubicphase.reference``, the dense oracles."""
 
+import functools
 import inspect
 import sys
 import warnings
@@ -9,10 +11,10 @@ import warnings
 import numpy as np
 import pytest
 
-from cubicphase import analysis, cli, cubic, gaussian, hilbert, protocol, schemes
+from cubicphase import analysis, cli, cubic, errors, gaussian, hilbert, protocol, schemes
 from cubicphase.errors import FactorFailure
 
-ENGINE = (hilbert, gaussian, cubic, protocol, analysis, schemes, cli)
+ENGINE = (errors, hilbert, gaussian, cubic, protocol, analysis, schemes, cli)
 
 # the rus_herald benchmark physics, which only a config file can set in full
 HERALD_LINES = ("gamma=0.001\nN=2\nalpha1=3.3\ntransmittance=0.9734\ncutoff=8\neta=1.0\n"
@@ -26,21 +28,40 @@ TRUNCATED = ["--alpha1", "60", "--transmittance", "0.5", "--eta", "1", "--dark-r
              "--cutoff", "8", "--max-attempts", "50"]
 
 
+def _code(value):
+    """The code object a module or class attribute runs, or None: a function's,
+    an lru_cache'd one's body, a property's getter or a cached_property's."""
+    if isinstance(value, property):
+        value = value.fget
+    elif isinstance(value, functools.cached_property):
+        value = value.func
+    fn = inspect.unwrap(value) if callable(value) else value
+    return fn.__code__ if inspect.isfunction(fn) else None
+
+
 def engine_functions() -> dict:
     """{code object: 'module.name'} of each function an engine module defines
-    at module level, the bodies of lru_cache'd ones included."""
+    at module level, and of each function, property and cached_property in the
+    body of a class it defines.  Code compiled from another file, such as the
+    methods a dataclass generates, is left out."""
     found = {}
     for module in ENGINE:
+        short = module.__name__.split(".")[-1]
         for name, value in vars(module).items():
-            fn = inspect.unwrap(value) if callable(value) else value
-            if inspect.isfunction(fn) and fn.__module__ == module.__name__:
-                found[fn.__code__] = f"{module.__name__.split('.')[-1]}.{name}"
+            if getattr(value, "__module__", None) != module.__name__:
+                continue
+            members = vars(value).items() if inspect.isclass(value) else [("", value)]
+            for attr, member in members:
+                code = _code(member)
+                if code is not None and code.co_filename == module.__file__:
+                    found[code] = f"{short}.{name}" + (f".{attr}" if attr else "")
     return found
 
 
 def run_paths(tmp_path) -> None:
-    """Every subcommand, the CLI's error exits, a Marek shot and one call of
-    each library entry point."""
+    """Every subcommand, the CLI's error exits, a Marek shot and the library
+    entry points ``full_gate`` and ``rus_factor``, whose results and failure
+    are read as a caller would."""
     out = str(tmp_path / "out.csv")
     bad = tmp_path / "bad.cfg"
     bad.write_text("gammma=0.1\n")
@@ -67,19 +88,14 @@ def run_paths(tmp_path) -> None:
     config = protocol.ProtocolConfig(**LATE_CLICK)
     _, record = protocol.rus_factor(state, gl, config, np.random.default_rng(1))
     assert record.success and record.attempts > 4080
-    with pytest.raises(FactorFailure):
+    with pytest.raises(FactorFailure) as failure:
         protocol.rus_factor(state, gl, config, np.random.default_rng(0))
+    assert failure.value.state.cutoffs == state.cutoffs
     herald_config = protocol.ProtocolConfig(gamma=0.001, n=2, alpha1=3.3, transmittance=0.9734,
                                             cutoff=8, max_attempts_per_factor=500,
                                             detector=protocol.IDEAL_DETECTOR)
     _, log = protocol.full_gate(hilbert.coherent(0.0, 8), herald_config, np.random.default_rng(0))
     assert log.success
-    analysis.gate_fidelity_report(protocol.ProtocolConfig(max_attempts_per_factor=50), 2,
-                                  np.random.default_rng(0))
-    cubic.monomial_identity_report(4, 24)
-    cubic.polynomial_identity_report(1, 1, 24)
-    schemes.gkp_cubic_state(schemes.GkpStateSpec(3, 12.0, (0.0, 0.5)))
-    schemes.gkp_mode_likelihood(3, 12.0, 0.5, 0.5)
 
 
 def test_every_engine_function_runs(tmp_path, monkeypatch):

@@ -9,19 +9,20 @@ from cubicphase.errors import DegenerateOutcomeError
 from cubicphase.hilbert import FockState, coherent, fidelity
 from cubicphase.gaussian import x_eigh
 from cubicphase.reference import (
+    GkpStateSpec,
     apply,
     expm,
+    gkp_cubic_state,
+    gkp_mode_likelihood,
     marek_frame_coefficients,
     marek_gamma_prime,
     marek_restart_mc,
+    normalize,
     quadrature_x,
     squeeze_gate,
     vacuum,
 )
 from cubicphase.schemes import (
-    GkpStateSpec,
-    gkp_cubic_state,
-    gkp_mode_likelihood,
     marek_gate,
     marek_resource_state,
     marek_restart_mean,
@@ -97,7 +98,7 @@ class TestMarekResource:
 
     def test_gamma_zero_is_squeezed_vacuum(self):
         st = marek_resource_state(2.0, 0.0, 30)
-        sq = apply(squeeze_gate(2.0, 30), vacuum([30])).normalize()
+        sq = normalize(apply(squeeze_gate(2.0, 30), vacuum([30])))
         assert fidelity(st, sq) > 1 - 1e-12
 
     def test_even_component_vanishes(self):
@@ -150,7 +151,7 @@ class TestMarekGate:
         dense = reference._feed_forward(q, gamma, 30)
         monkeypatch.setattr(schemes, "_feed_forward_phase", lambda q, gamma, w: np.ones(len(w)))
         collapsed, _, _ = marek_gate(psi, 1.5, gamma, rng, cutoffs, force_q=q_bin)
-        want = apply(dense, collapsed).normalize()
+        want = normalize(apply(dense, collapsed))
         assert np.abs(out.amplitudes - want.amplitudes).max() <= 1e-13
 
     # q = 0: the middle bin of the odd resource cutoff is x̂'s zero eigenvalue
