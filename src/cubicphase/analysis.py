@@ -134,17 +134,25 @@ class SweepRow:
     mean_p_by_n: dict
 
 
+@lru_cache(maxsize=4)
+def _momentum_labels(cutoff: int) -> np.ndarray:
+    """A = VᵀPV, P = ip̂ in the x̂ eigenbasis, read-only: real and antisymmetric."""
+    _, v = x_eigh(cutoff)
+    a = v.T @ apply_quadrature(v, -1)
+    a.flags.writeable = False
+    return a
+
+
 def variance_sweep(spec: MomentSweepSpec) -> list[SweepRow]:
     """σ_p² after U_N and after the ideal gate, per Re(α) grid point.
 
     Both gates are diagonal in the x̂ eigenbasis (``_gate_targets``), so every
-    output is a stack of label amplitudes: slice 0 holds the ideal gate's
+    output is a stack of label amplitudes L: slice 0 holds the ideal gate's
     outputs and slice 1 + i those of U_N for n_list[i], one column per Re(α).
-    One real V @ maps the stack to Fock, where P = ip̂ acts by its recurrence; each
-    moment is a column reduction, with ⟨p̂⟩ = Im⟨ψ|Pψ⟩ and ⟨p̂²⟩ = ‖Pψ‖².  Each
-    slice is its own matmul and P acts entrywise, so a column's values do not
-    depend on how many N are swept.  Every column must pass ``check_headroom``.
-    """
+    Each moment is a column reduction in labels: ⟨p̂⟩ = Im(Lᴴ·A·L) and ⟨p̂²⟩ = ‖A·L‖²
+    with A = VᵀPV, P = ip̂.  Each slice is its own matmul, so a column's values do
+    not depend on how many N are swept.  Every column must pass ``check_headroom``,
+    on its top two Fock rows V[−2:]·L, and in full (V·L) when they near the bound."""
     c = int(spec.cutoff)
     w, v = x_eigh(c)
     n_list = [int(n) for n in spec.n_list]
@@ -152,23 +160,21 @@ def variance_sweep(spec: MomentSweepSpec) -> list[SweepRow]:
     diags = [_gate_targets(spec.gamma, 1, c)[1]] + [_gate_targets(spec.gamma, n, c)[0] for n in n_list]
     labels = np.stack(diags)[:, :, None] * real_matmul(v.T, inputs)
     labels /= np.linalg.norm(labels, axis=1, keepdims=True)
-    psi = real_matmul(v, labels)
     # the columns are normalized: one under half the bound passes check_headroom
-    top = (np.abs(psi[:, -2:]) ** 2).sum(axis=1)
+    top = (np.abs(real_matmul(v[-2:], labels)) ** 2).sum(axis=1)
     for i, j in zip(*np.nonzero(top > 0.5 * HEADROOM_BOUND)):
         name = "ideal" if i == 0 else f"N{n_list[i - 1]}"
-        check_headroom(psi[i, :, j], f"sweep column {name} at re_alpha={spec.re_alpha_grid[j]}")
-    big_p_psi = apply_quadrature(psi, -1)
+        check_headroom(real_matmul(v, labels[i, :, j]),
+                       f"sweep column {name} at re_alpha={spec.re_alpha_grid[j]}")
+    a_labels = real_matmul(_momentum_labels(c), labels)
     mean_x = (w[:, None] * np.abs(labels) ** 2).sum(axis=1)
-    mean_p = (psi.conj() * big_p_psi).imag.sum(axis=1)
-    var_p = (np.abs(big_p_psi) ** 2).sum(axis=1) - mean_p**2
-    rows = []
-    for j, re_a in enumerate(spec.re_alpha_grid):
-        by_n, mx_n, mp_n = ({n: float(m[1 + i, j]) for i, n in enumerate(n_list)}
-                            for m in (var_p, mean_x, mean_p))
-        rows.append(SweepRow(float(re_a), float(var_p[0, j]), by_n,
-                             float(mean_x[0, j]), float(mean_p[0, j]), mx_n, mp_n))
-    return rows
+    mean_p = (labels.conj() * a_labels).imag.sum(axis=1)
+    var_p = (np.abs(a_labels) ** 2).sum(axis=1) - mean_p**2
+    # one list per Re(α): the ideal gate's value, then U_N's for each N
+    var_p, mean_x, mean_p = (m.T.tolist() for m in (var_p, mean_x, mean_p))
+    return [SweepRow(float(re_a), var[0], dict(zip(n_list, var[1:])), mx[0], mp[0],
+                     dict(zip(n_list, mx[1:])), dict(zip(n_list, mp[1:])))
+            for re_a, var, mx, mp in zip(spec.re_alpha_grid, var_p, mean_x, mean_p)]
 
 
 # ---------------------------------------------------------------------------

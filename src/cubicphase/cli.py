@@ -30,7 +30,7 @@ from .errors import CutoffError, DegenerateOutcomeError, NumericalDegradationErr
 from .protocol import DetectorModel, ProtocolConfig, check_bounds, protocol_bounds
 
 # the largest system cutoff: check-identities, the largest in memory, peaks at
-# 1.27 GB RSS there and fits a 1.5 GB address space (README, CLI)
+# 1.14 GB RSS there and fits a 1.5 GB address space (README, CLI)
 MAX_CUTOFF = 3000
 
 
@@ -74,7 +74,7 @@ class RunConfig:
 # that neither ProtocolConfig nor DetectorModel checks
 _KEYS = {
     "gamma": ("gamma", float, None),
-    "N": ("n", int, None),
+    "N": ("n", int, (lambda v: v <= 10**6, "<= 10**6")),  # O(N) error-ensemble: 3 s at 10**6
     "alpha1": ("alpha1", float, None),
     "transmittance": ("transmittance", float, None),
     "eta": ("eta", float, None),

@@ -74,9 +74,9 @@ class IdentityReport:
     phase: complex
 
 
-def power_table(m: np.ndarray, k: int) -> list[np.ndarray]:
-    """[I, m, m², …, m^k] by repeated matmul."""
-    table = [np.eye(len(m), dtype=m.dtype), m]
+def power_table(m: np.ndarray, k: int) -> list:
+    """[None, m, m², …, m^k] by repeated matmul; no report reads the identity."""
+    table = [None, m]
     for _ in range(k - 1):
         table.append(table[-1] @ m)
     return table
@@ -142,21 +142,21 @@ def _polynomial_report(m: int, n: int, cutoff: int, margin, xs, ps) -> IdentityR
     return _fit_report(f"polynomial_m{m}_n{n}", lhs, rhs, cutoff, margin, phase=(-1j) ** n)
 
 
-@lru_cache(maxsize=1)  # one cutoff's tables: at cutoff 3000 they hold about 0.8 GB
+@lru_cache(maxsize=1)  # one cutoff's tables: at cutoff 3000 they hold about 0.65 GB
 def _identity_tables(cutoff: int) -> tuple:
-    """The x̂⁰…x̂⁵ and P⁰…P³ tables and [x̂³, P²] of ``identity_reports``, read-only:
-    built once per cutoff, so a run frees little of what it allocates."""
+    """The x̂¹…x̂⁵ and P¹…P³ tables (by power) and [x̂³, P²] of ``identity_reports``,
+    read-only: built once per cutoff, so a run frees little of what it allocates."""
     x, P = _real_quadratures(cutoff)
     xs, ps = tuple(power_table(x, 5)), tuple(power_table(P, 3))
     x3_p2 = _comm(ps[2], xs[3], 1)
-    for m in (*xs, *ps, x3_p2):
+    for m in (*xs[1:], *ps[1:], x3_p2):
         m.flags.writeable = False
     return xs, ps, x3_p2
 
 
 def identity_reports(cutoff: int):
     """An iterator over the monomial reports m = 4, 5 and the polynomial ones (m, n) =
-    (1, 1), (2, 1), (1, 2), which share one x̂⁰…x̂⁵ table and one P⁰…P³.  The reports
+    (1, 1), (2, 1), (1, 2), which share one x̂¹…x̂⁵ table and one P¹…P³.  The reports
     are made as the iterator is read, so one report's blocks are held at a time."""
     xs, ps, x3_p2 = _identity_tables(int(cutoff))
     return itertools.chain(

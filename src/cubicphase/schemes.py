@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,6 +44,21 @@ def _feed_forward_phase(q: float, gamma: float, w: np.ndarray) -> np.ndarray:
     return np.exp(-1j * gamma * (q**3 + 3.0 * q * (w**2 + q * w)))
 
 
+@lru_cache(maxsize=4)
+def _marek_kernel(r_width: float, gamma: float, sys_c: int, res_c: int, max_loss: float) -> tuple:
+    """(K, |K|²), read-only: K[j, k] = ⟨μ_j|D(−λ_k/√2)|resource⟩, so the coupled state's
+    resource bin j is K[j] ∘ Vᵀψ in system labels.  Built by coupling V·1, whose labels are all 1."""
+    resource = marek_resource_state(r_width, gamma, res_c, max_loss=max_loss)
+    v, u = x_eigh(sys_c)[1], x_eigh(res_c)[1]
+    # exp(i x̂_S p̂_R): a resource momentum boost e^{iλp̂_R} = D(−λ/√2) per x̂_S eigenvalue λ
+    two = apply_x_conditioned_displacement(
+        np.outer(v.sum(axis=1), resource.amplitudes), -1.0 / math.sqrt(2.0))
+    kernel = real_matmul(u.T, real_matmul(v.T, two).T)  # uᵀ·twoᵀ·V
+    weights = kernel.real**2 + kernel.imag**2
+    kernel.flags.writeable = weights.flags.writeable = False
+    return kernel, weights
+
+
 def marek_gate(
     input_state: FockState,
     r_width: float,
@@ -61,14 +77,11 @@ def marek_gate(
     sys_c, res_c = (int(c) for c in cutoffs)
     if input_state.cutoffs != (sys_c,):
         raise DimensionError("input must be a single-mode state on the system cutoff")
-    resource = marek_resource_state(r_width, gamma, res_c, max_loss=max_loss)
-    # exp(i x̂_S p̂_R): a resource momentum boost e^{iλp̂_R} = D(−λ/√2) per x̂_S eigenvalue λ
-    two = apply_x_conditioned_displacement(
-        np.outer(input_state.amplitudes, resource.amplitudes), -1.0 / math.sqrt(2.0))
-
-    evals, evecs = x_eigh(res_c)
-    bins = real_matmul(evecs.T, two.T)  # row j: bin of λ_j, unnormalized
-    probs = np.einsum("ij,ij->i", bins.conj(), bins).real  # each term a² + b² ≥ 0
+    kernel, weights = _marek_kernel(r_width, gamma, sys_c, res_c, max_loss)
+    w, v = x_eigh(sys_c)
+    evals, _ = x_eigh(res_c)
+    labels = real_matmul(v.T, input_state.amplitudes)
+    probs = weights @ (labels.real**2 + labels.imag**2)  # bin j: Σ_k |K[j, k]|²·|labels_k|²
     probs /= probs.sum()
 
     if force_q is None:
@@ -80,11 +93,11 @@ def marek_gate(
     q = float(evals[idx])
     if abs(q) < 1e-12:  # eigensolver noise around the symmetric zero mode
         q = 0.0
-    collapsed = bins[idx]
+    collapsed = kernel[idx] * labels
     applied = q != 0.0
-    if applied:  # U_FF·ψ = V·(phase ∘ Vᵀψ), U_FF not formed
-        w, v = x_eigh(sys_c)
-        collapsed = real_matmul(v, _feed_forward_phase(q, gamma, w) * real_matmul(v.T, collapsed))
+    if applied:  # U_FF is diagonal in the labels: U_FF·ψ = V·(phase ∘ Vᵀψ)
+        collapsed *= _feed_forward_phase(q, gamma, w)
+    collapsed = real_matmul(v, collapsed)
     return FockState(collapsed / np.linalg.norm(collapsed), (sys_c,)), q, applied
 
 

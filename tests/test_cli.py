@@ -11,6 +11,7 @@ import pytest
 
 from cubicphase import cubic, reference, schemes
 from cubicphase.cli import main, parse_config, run
+from cubicphase.gaussian import x_eigh
 from cubicphase.hilbert import coherent
 from cubicphase.reference import FockOperator
 from test_reachability import HERALD_LINES
@@ -37,14 +38,16 @@ FLOAT_KEYS = ("gamma", "alpha1", "transmittance", "eta", "dark_rate_hz", "window
 NONFINITE_CASES = [(key, value) for value in ("nan", "inf") for key in FLOAT_KEYS]
 # an input whose |α|² passes the float range, an attempt budget past int64,
 # a resource whose α₁² passes it, a cutoff past the bound, a γ whose γ²
-# passes it, and photon-count means past their bound: from α₁² and from γ
+# passes it, photon-count means past their bound: from α₁² and from γ, and
+# an N past its bound
 OUT_OF_RANGE_CASES = [("input_alpha", "1e200"), ("max_attempts", "100000000000000000000"),
                       ("alpha1", "1e200"), ("cutoff", "3001"), ("gamma", "1e300"),
-                      ("alpha1", "1e150"), ("alpha1", "1000"), ("gamma", "1e12")]
+                      ("alpha1", "1e150"), ("alpha1", "1000"), ("gamma", "1e12"),
+                      ("N", "1000001")]
 INVALID_CASES = list(INVALID_VALUES.items()) + NONFINITE_CASES + OUT_OF_RANGE_CASES
 INVALID_IDS = (list(INVALID_VALUES) + [f"{key}-{value}" for key, value in NONFINITE_CASES]
                + ["input_alpha-1e200", "max_attempts-1e20", "alpha1-1e200", "cutoff-3001",
-                  "gamma-1e300", "alpha1-1e150", "alpha1-1e3", "gamma-1e12"])
+                  "gamma-1e300", "alpha1-1e150", "alpha1-1e3", "gamma-1e12", "N-1000001"])
 
 
 def read_csv(path):
@@ -465,6 +468,48 @@ def test_rus_herald_outcomes_are_pinned(tmp_path):
     assert outcomes == HERALD_OUTCOMES
 
 
+# the dense_analysis Marek shot: the homodyne bin, an index into the resource's
+# x̂ eigenvalues, of seeds 0-199.  The resource cutoff 40 is even, so no bin is
+# the zero mode and every shot applies the feed-forward.
+MAREK_BINS = [
+    19, 18, 16, 14, 23, 21, 19, 19, 17, 22, 24, 15, 16, 22, 21, 20, 19, 22, 17, 18,
+    16, 21, 17, 20, 17, 15, 18, 20, 22, 13, 16, 22, 15, 18, 10, 17, 15, 20, 18, 18,
+    20, 24, 21, 20, 15, 19, 23, 20, 17, 17, 21, 23, 19, 11, 16, 21, 20, 20, 17, 19,
+    17, 17, 19, 19, 23, 13, 23, 18, 18, 19, 17, 16, 21, 18, 22, 16, 21, 21, 18, 23,
+    20, 18, 27, 17, 20, 13, 19, 19, 16, 19, 17, 16, 19, 25, 16, 19, 20, 20, 23, 18,
+    21, 23, 15, 17, 21, 19, 25, 20, 22, 19, 23, 15, 14, 14, 20, 20, 15, 22, 23, 24,
+    22, 19, 21, 20, 21, 22, 10, 13, 20, 17, 18, 19, 15, 25, 24, 19, 15, 22, 19, 18,
+    20, 20, 12, 18, 21, 19, 21, 26, 19, 14, 10, 18, 16, 23, 19, 17, 15, 16, 24, 21,
+    19, 18, 14, 21, 14, 18, 20, 14, 16, 18, 21, 14, 15, 14, 23, 19, 23, 18, 21, 23,
+    19, 21, 15, 24, 12, 16, 19, 16, 14, 18, 19, 24, 20, 18, 22, 13, 22, 23, 21, 20,
+]
+
+
+def _dense_marek_shot(seed, r_width=1.5, gamma=0.03, cutoffs=(30, 40), max_loss=1e-8):
+    return schemes.marek_gate(coherent(0.3, cutoffs[0]), r_width, gamma,
+                              np.random.default_rng(seed), cutoffs, max_loss=max_loss)
+
+
+def test_marek_shot_outcomes_are_pinned():
+    evals = x_eigh(40)[0]
+    outcomes = [_dense_marek_shot(seed)[1:] for seed in range(200)]
+    assert outcomes == [(float(evals[b]), True) for b in MAREK_BINS]
+
+
+@pytest.mark.parametrize("other", [dict(r_width=2.0), dict(gamma=0.05), dict(cutoffs=(30, 41)),
+                                   dict(cutoffs=(31, 40)), dict(max_loss=1e-6)],
+                         ids=["r_width", "gamma", "res_cutoff", "sys_cutoff", "max_loss"])
+def test_marek_shot_does_not_depend_on_an_earlier_configuration(other):
+    # the shot's cached kernel is keyed on every parameter that builds it
+    schemes._marek_kernel.cache_clear()
+    want = _dense_marek_shot(3)
+    schemes._marek_kernel.cache_clear()
+    _dense_marek_shot(3, **other)
+    got = _dense_marek_shot(3)
+    assert got[1:] == want[1:]
+    assert got[0].amplitudes.tobytes() == want[0].amplitudes.tobytes()
+
+
 # per subcommand: extra flags and the CSV line count, header included
 SCIPY_FREE_RUNS = {
     "simulate": (["--ensemble", "2", "--max-attempts", "50"], 3),
@@ -530,7 +575,7 @@ def _marek_shot(out):
 
 
 def test_check_identities_shares_its_power_tables(tmp_path, monkeypatch):
-    # a warm run builds one table x̂⁰…x̂⁶ and one P⁰…P³ for all its rows, and
+    # a warm run builds one table x̂¹…x̂⁵ and one P¹…P³ for all its rows, and
     # each report row is the public report's, bit for bit
     out = str(tmp_path / "ids.csv")
     assert main(["check-identities", "--cutoff", "80", "--out", out]) == 0
