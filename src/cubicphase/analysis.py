@@ -25,10 +25,10 @@ import numpy as np
 
 from .cubic import gamma_factors
 from .errors import FactorFailure
-from .gaussian import x_eigh
+from .gaussian import x_eigh, x_labels
 from .hilbert import apply_quadrature, coherent, coherent_columns, fidelity, real_matmul
 from .protocol import (HEADROOM_BOUND, DetectorModel, ProtocolConfig, TrialLog, check_headroom,
-                       label_gate)
+                       label_gate, top_share)
 
 
 @dataclass
@@ -165,7 +165,7 @@ def variance_sweep(spec: MomentSweepSpec) -> list[SweepRow]:
     for i, j in zip(*np.nonzero(top > 0.5 * HEADROOM_BOUND)):
         name = "ideal" if i == 0 else f"N{n_list[i - 1]}"
         check_headroom(real_matmul(v, labels[i, :, j]),
-                       f"sweep column {name} at re_alpha={spec.re_alpha_grid[j]}")
+                       lambda: f"sweep column {name} at re_alpha={spec.re_alpha_grid[j]}")
     a_labels = real_matmul(_momentum_labels(c), labels)
     mean_x = (w[:, None] * np.abs(labels) ** 2).sum(axis=1)
     mean_p = (labels.conj() * a_labels).imag.sum(axis=1)
@@ -205,15 +205,15 @@ def _gate_targets(gamma: float, n: int, cutoff: int) -> tuple:
 
 @lru_cache(maxsize=16, typed=True)
 def _scored_input(alpha: complex, gamma: float, n: int, cutoff: int) -> tuple:
-    """The labels V†ψ of the input |α⟩, its normalized U_N and ideal targets,
-    and V @ its U_N target, read-only; typed, so 1.0 and 1+0j differ."""
+    """log V†ψ of the input |α⟩, its normalized U_N and ideal targets, V @ its U_N
+    target and that target's ``top_share``, read-only; typed, so 1.0 and 1+0j differ."""
     _, v = x_eigh(cutoff)
-    c_in = v.T.astype(complex) @ coherent(alpha, cutoff).amplitudes  # a complex Vᵀ's bits
+    c_in, log_c_in = x_labels(coherent(alpha, cutoff).amplitudes)
     un, ideal = (t * c_in for t in _gate_targets(gamma, n, cutoff))
-    arrays = (c_in, un / np.linalg.norm(un), ideal / np.linalg.norm(ideal), v @ un)
+    arrays = (log_c_in, un / np.linalg.norm(un), ideal / np.linalg.norm(ideal), v @ un)
     for a in arrays:
         a.flags.writeable = False
-    return arrays
+    return (*arrays, top_share(arrays[-1]))
 
 
 def run_ensemble(config: ProtocolConfig, alphas, rngs) -> list[tuple[RunResult, TrialLog]]:
@@ -223,9 +223,9 @@ def run_ensemble(config: ProtocolConfig, alphas, rngs) -> list[tuple[RunResult, 
     and the ideal cubic gate applied to its input (against the input itself
     when γ = 0), all in the x̂ eigenbasis, where both are diagonal: from the
     cached input labels through ``label_gate``; after the gate's checks, the
-    U_N target must pass ``check_headroom``.  A run whose factor exhausts its
-    attempt budget is a failure and carries no fidelity.  Seeding stays with
-    the caller, which gives each run its own generator.
+    U_N target must pass ``check_headroom`` (its share is cached).  A run whose
+    factor exhausts its attempt budget is a failure and carries no fidelity.
+    Seeding stays with the caller, which gives each run its own generator.
     """
     results = []
     for alpha, rng in zip(alphas, rngs):
@@ -234,13 +234,14 @@ def run_ensemble(config: ProtocolConfig, alphas, rngs) -> list[tuple[RunResult, 
             inp = coherent(alpha, config.cutoff)
             results.append((RunResult(alpha, True, 0, *[fidelity(inp, inp)] * 2), log))
             continue
-        c_in, un, ideal, v_un = _scored_input(alpha, config.gamma, config.n, config.cutoff)
+        log_c, un, ideal, v_un, share = _scored_input(alpha, config.gamma, config.n, config.cutoff)
         try:
-            c_out, _ = label_gate(c_in, config, rng, log)
+            c_out, _ = label_gate(log_c, config, rng, log)
         except FactorFailure:
             results.append((RunResult(alpha, False, log.total_attempts, None, None), log))
             continue
-        check_headroom(v_un, f"the U_N target of input {alpha}")
+        if share > HEADROOM_BOUND:
+            check_headroom(v_un, lambda: f"the U_N target of input {alpha}")
         f_un, f_id = (abs(np.vdot(c_out, t)) ** 2 for t in (un, ideal))
         results.append((RunResult(alpha, True, log.total_attempts, f_un, f_id), log))
     return results

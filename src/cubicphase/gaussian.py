@@ -1,11 +1,10 @@
 """Gaussian operations in closed form: the squeezed vacuum and x̂-conditioned displacements.
 
-The QND coupling exp[(βâ†_R − β*â_R)x̂_S] runs as
-``apply_x_conditioned_displacement``, in the one x̂ eigenbasis of ``x_eigh``
-on both modes; ``squeezed_vacuum`` is S(r)|0⟩ and ``hilbert.coherent`` D(α)|0⟩
-in closed form.  The dense gates they equal to machine precision, exact matrix
-exponentials of the truncated generators, are the test oracles in
-``cubicphase.reference``.
+The QND coupling exp[(βâ†_R − β*â_R)x̂_S] runs as ``displace_columns`` on the
+labels ``x_labels`` reads, in the one x̂ eigenbasis of ``x_eigh``;
+``squeezed_vacuum`` is S(r)|0⟩ and ``hilbert.coherent`` D(α)|0⟩ in closed form.
+The dense gates they equal to machine precision, exact matrix exponentials of
+the truncated generators, are the test oracles in ``cubicphase.reference``.
 
 squeezed_vacuum(r) is parameterized by the position-space Gaussian width r:
 it has ⟨x̂²⟩ = r/2 (r = 1 is the vacuum), and the usual log-squeeze parameter
@@ -58,20 +57,21 @@ def x_eigh(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def apply_x_conditioned_displacement(psi: np.ndarray, beta: complex) -> np.ndarray:
-    """exp[(βâ†_R − β*â_R)x̂_S] on the (system, resource) amplitude matrix ψ.
+def x_labels(amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(c, log c) for the labels c = Vᵀψ of single-mode Fock amplitudes ψ in
+    ``x_eigh``'s eigenbasis, with a complex Vᵀ's bits: every RUS run starts there."""
+    c = x_eigh(amplitudes.size)[1].T.astype(complex) @ amplitudes
+    with np.errstate(divide="ignore"):  # a label of zero amplitude has log-weight −inf
+        return c, np.log(c)
 
-    In the x̂_S eigenbasis the gate is a direct sum of resource displacements
-    D(βλ).  The truncated p̂ is R·x̂·R† with R = diag(iⁿ), so with β = |β|e^{iθ}
-    each is D(βλ) = Φ·V·diag(e^{−i√2|β|λμ})·Vᵀ·Φ†, Φ = diag(e^{i(θ+π/2)n}), in the
-    resource's x̂ eigenpairs (μ, V).  Equal to the dense qnd_gate(β) of
-    ``cubicphase.reference`` to machine precision, and with β = −s/√2 to
-    qnd_prime_gate(strength=s).
-    """
-    sys_c, res_c = psi.shape
-    w, v = x_eigh(sys_c)
+
+def displace_columns(chi: np.ndarray, beta: complex, lam: np.ndarray) -> np.ndarray:
+    """D(βλ_k) on column k of the resource Fock amplitudes χ (one column serves every k):
+    the coupling exp[(βâ†_R − β*â_R)x̂_S] at system label λ_k.  As p̂ = R·x̂·R†, R = diag(iⁿ),
+    D(βλ) = Φ·U·diag(e^{−i√2|β|λμ})·Uᵀ·Φ† with β = |β|e^{iθ}, Φ = diag(e^{i(θ+π/2)n}) and
+    the resource's x̂ eigenpairs (μ, U)."""
+    res_c = chi.shape[0]
     mu, u = x_eigh(res_c)
     phi = np.exp(1j * (np.angle(beta) + 0.5 * math.pi) * np.arange(res_c))
-    boosts = np.exp(-1j * math.sqrt(2.0) * abs(beta) * np.outer(mu, w))  # (resource, system)
-    labels = real_matmul(u.T, phi.conj()[:, None] * real_matmul(v.T, psi).T) * boosts
-    return real_matmul(v, (phi[:, None] * real_matmul(u, labels)).T)
+    boosts = np.exp(-1j * math.sqrt(2.0) * abs(beta) * np.outer(mu, lam))  # (resource, system)
+    return phi[:, None] * real_matmul(u, real_matmul(u.T, phi.conj()[:, None] * chi) * boosts)

@@ -49,7 +49,7 @@ from .errors import (
     FactorFailure,
     NumericalDegradationError,
 )
-from .gaussian import x_eigh
+from .gaussian import x_eigh, x_labels
 from .hilbert import FockState
 
 
@@ -191,53 +191,6 @@ def _cdf_rows(ks, intensity, nu, log_t):
     return -np.expm1(-nu * ks + intensity * np.expm1(ks * log_t))
 
 
-def _first_click(q, table, intensity, nu, log_t, max_attempts, u):
-    """(M, F(1)), M = None if no click: M is the first k ≤ ``max_attempts``
-    with u < F(k), the click CDF F(k) = Σ_λ q_λ (1 − exp(−νk − ``intensity``_λ
-    (1 − T^k))) with ``intensity`` = η|α₁(1+γ_l λ)|² (no dark count and no
-    tapped photon seen).  ``table`` @ q gives F(1…16) and F(max_attempts); a
-    later click is searched for in blocks of growing length, up to 4,096
-    rows.  F grows with k, so galloping and bisecting over F at the last row
-    of each 4,096-row block skips the blocks that cannot hold the click.  The
-    block sums F(max_attempts) in another order: if the table's says a click
-    comes and no block finds one, it comes at ``max_attempts``."""
-    cdf = table @ q
-    first_p = float(cdf[0])
-    hit = u < cdf[:16]
-    if hit.any():
-        return 1 + int(hit.argmax()), first_p
-    if not u < cdf[-1]:
-        return None, first_p
-    # F(k) alone and F(k) in a block sum the same terms, each within a few
-    # ulps, in orders that differ by less than `slack`: F(k) alone at or below
-    # u − slack rules out a click by attempt k in any block
-    slack = 4 * q.size * np.finfo(float).eps * u
-
-    def may_click_by(k):
-        return k >= max_attempts or u - slack < (
-            _cdf_rows(np.array([[k]]), intensity, nu, log_t) @ q)[0]
-
-    start, size = 17, 32
-    while start <= max_attempts:
-        if size == 4096:
-            # counting blocks from start, blocks up to lo cannot hold the click
-            # (lo = −1: no block); block hi may
-            lo, hi = -1, 0
-            while not may_click_by(start + 4096 * hi + 4095):
-                lo, hi = hi, 2 * hi + 1
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                lo, hi = (lo, mid) if may_click_by(start + 4096 * mid + 4095) else (mid, hi)
-            start += 4096 * hi
-        ks = np.arange(start, min(start + size, max_attempts + 1))[:, None]
-        hit = u < _cdf_rows(ks, intensity, nu, log_t) @ q
-        if hit.any():
-            return start + int(hit.argmax()), first_p
-        start += size
-        size = min(2 * size, 4096)
-    return max_attempts, first_p
-
-
 def _cumulative(log_weights: np.ndarray) -> np.ndarray:
     """The cumulative weights, given as logarithms and shifted by their
     largest, so that weights which would each underflow still draw exactly."""
@@ -279,51 +232,100 @@ def _photon_count(mean: float, u: float, nu: float | None = None) -> int:
     return 1 - k if nu is not None and k < 2 else k
 
 
-@lru_cache(maxsize=64)
-def _factor_tables(gamma_l: complex, alpha1: float, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """I_λ = |α₁(1+γ_l λ)|² and log(1+γ_l λ) over the labels λ, read-only."""
-    w, _ = x_eigh(cutoff)
-    tables = np.abs(alpha1 * (1.0 + gamma_l * w)) ** 2, np.log1p(gamma_l * w)
-    for t in tables:
-        t.flags.writeable = False
-    return tables
+class FactorModel:
+    """One factor at (γ_l, α₁, cutoff, η, ν, T, budget), built once by ``factor_model``.  It
+    owns, over the labels λ and read-only, I_λ = |α₁(1+γ_l λ)|² (``intensity``), log(1+γ_l λ),
+    ηI_λ (``seen``) and ``first_click``'s CDF rows for attempts 1…16 and ``budget`` (at most
+    17).  Rows after M attempts come from caches bounded over all factors."""
 
+    def __init__(self, gamma_l: complex, alpha1: float, cutoff: int, eta: float, nu: float,
+                 transmittance: float, budget: int):
+        w, _ = x_eigh(cutoff)
+        self.eta, self.nu, self.transmittance, self.budget = eta, nu, transmittance, budget
+        self.log_t = math.log(transmittance)
+        self.intensity = np.abs(alpha1 * (1.0 + gamma_l * w)) ** 2
+        self.log_factor = np.log1p(gamma_l * w)
+        self.seen = eta * self.intensity
+        ks = [*range(1, min(16, budget) + 1)] + [budget] * (budget > 16)
+        self.table = _cdf_rows(np.array(ks)[:, None], self.seen, nu, self.log_t)
+        for t in (self.intensity, self.log_factor, self.seen, self.table):
+            t.flags.writeable = False
 
-@lru_cache(maxsize=64)
-def _click_table(gamma_l: complex, alpha1: float, cutoff: int, eta: float, nu: float,
-                 transmittance: float, max_attempts: int) -> np.ndarray:
-    """``_first_click``'s CDF rows over the labels λ for attempts 1…16 and
-    ``max_attempts``, at most 17 rows whatever the budget; read-only."""
-    ks = [*range(1, min(16, max_attempts) + 1)] + [max_attempts] * (max_attempts > 16)
-    intensity = eta * _factor_tables(gamma_l, alpha1, cutoff)[0]
-    table = _cdf_rows(np.array(ks)[:, None], intensity, nu, math.log(transmittance))
-    table.flags.writeable = False
-    return table
+    def first_click(self, q: np.ndarray, u: float) -> tuple:
+        """(M, F(1)), M = None if no click: M is the first k ≤ ``budget`` with
+        u < F(k), the click CDF F(k) = Σ_λ q_λ (1 − exp(−νk − ηI_λ(1 − T^k)))
+        (no dark count and no tapped photon seen).  The click table @ q gives
+        F(1…16) and F(budget), compared with u as Python floats; a later click
+        is searched for in blocks of growing length, up to 4,096 rows.  F grows
+        with k, so galloping and bisecting over F at the last row of each
+        4,096-row block skips the blocks that cannot hold the click.  The block
+        sums F(budget) in another order: if the table's says a click comes and
+        no block finds one, it comes at ``budget``."""
+        cdf = (self.table @ q).tolist()
+        for k, f in enumerate(cdf[:16], 1):
+            if u < f:
+                return k, cdf[0]
+        if not u < cdf[-1]:
+            return None, cdf[0]
+        budget, seen, nu, log_t = self.budget, self.seen, self.nu, self.log_t
+        # F(k) alone and F(k) in a block sum the same terms, each within a few
+        # ulps, in orders that differ by less than `slack`: F(k) alone at or below
+        # u − slack rules out a click by attempt k in any block
+        slack = 4 * q.size * np.finfo(float).eps * u
 
+        def may_click_by(k):
+            return k >= budget or u - slack < (_cdf_rows(np.array([[k]]), seen, nu, log_t) @ q)[0]
 
-@lru_cache(maxsize=64)
-def _attempt_rows(gamma_l: complex, alpha1: float, cutoff: int, eta: float, nu: float,
-                  transmittance: float, attempts: int, clicked: bool) -> tuple:
-    """A factor's rows over λ at M = ``attempts``, read-only: the λ* reweighting
-    ηI_λ(T^{M−clicked} − 1), the click log(1 − e^{−ν−η·tapped_λ}), tapped_λ =
-    I_λ(1−T)T^{M−1}, and the envelope ½I_λ(T^M − 1)."""
-    intensity = _factor_tables(gamma_l, alpha1, cutoff)[0]
-    log_t = math.log(transmittance)
-    tapped = intensity * (1.0 - transmittance) * transmittance ** (attempts - 1)
-    with np.errstate(divide="ignore"):  # a label no tap can click at has log-weight −inf
-        rows = (eta * intensity * np.expm1((attempts - clicked) * log_t),
-                np.log(-np.expm1(-nu - eta * tapped)), tapped,
-                0.5 * intensity * np.expm1(attempts * log_t))
-    for row in rows:
+        start, size = 17, 32
+        while start <= budget:
+            if size == 4096:
+                # counting blocks from start, blocks up to lo cannot hold the click
+                # (lo = −1: no block); block hi may
+                lo, hi = -1, 0
+                while not may_click_by(start + 4096 * hi + 4095):
+                    lo, hi = hi, 2 * hi + 1
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    lo, hi = (lo, mid) if may_click_by(start + 4096 * mid + 4095) else (mid, hi)
+                start += 4096 * hi
+            ks = np.arange(start, min(start + size, budget + 1))[:, None]
+            hit = u < _cdf_rows(ks, seen, nu, log_t) @ q
+            if hit.any():
+                return start + int(hit.argmax()), cdf[0]
+            start += size
+            size = min(2 * size, 4096)
+        return budget, cdf[0]
+
+    @lru_cache(maxsize=64)
+    def attempt_rows(self, attempts: int, clicked: bool) -> tuple:
+        """The rows over λ at M = ``attempts``, read-only: the λ* reweighting
+        ηI_λ(T^{M−clicked} − 1), the click log(1 − e^{−ν−η·tapped_λ}), tapped_λ =
+        I_λ(1−T)T^{M−1}, and the envelope ½I_λ(T^M − 1)."""
+        tapped = self.intensity * (1.0 - self.transmittance) * self.transmittance ** (attempts - 1)
+        with np.errstate(divide="ignore"):  # a label no tap can click at has log-weight −inf
+            rows = (self.seen * np.expm1((attempts - clicked) * self.log_t),
+                    np.log(-np.expm1(-self.nu - self.eta * tapped)), tapped,
+                    0.5 * self.intensity * np.expm1(attempts * self.log_t))
+        for row in rows:
+            row.flags.writeable = False
+        return rows
+
+    @lru_cache(maxsize=128)
+    def update_row(self, attempts: int, clicked: bool, photons: int) -> np.ndarray:
+        """log c's change, K·log(1+γ_l λ) + envelope, at K = ``photons``; read-only."""
+        row = photons * self.log_factor + self.attempt_rows(attempts, clicked)[3]
         row.flags.writeable = False
-    return rows
+        return row
 
 
-def label_gate(c: np.ndarray, config: ProtocolConfig, rng, log: TrialLog, factors=None,
+factor_model = lru_cache(maxsize=64)(FactorModel)
+
+
+def label_gate(log_c: np.ndarray, config: ProtocolConfig, rng, log: TrialLog, factors=None,
                headroom: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """Apply the gate's factors, or the (γ_l, l, repetition) ``factors`` given,
-    in turn to the label amplitudes c(λ) = ⟨λ|ψ⟩, each as one exact trajectory,
-    appending their records to ``log``; returns the normalized output c and V @ c.
+    in turn to the labels c(λ) = ⟨λ|ψ⟩ given as ``log_c``, each as one exact trajectory
+    of its ``factor_model``, appending their records to ``log``; returns c and V @ c.
 
     With I_λ = |α₁(1+γ_l λ)|² and μ_λ = I_λ(1−T)T^{M−1}, four ``rng.random()``
     draws pick the click attempt M, a label λ* ∝ |c_λ|²·e^{−ηI_λ(1−T^{M−1})}·
@@ -339,33 +341,28 @@ def label_gate(c: np.ndarray, config: ProtocolConfig, rng, log: TrialLog, factor
         dec = gamma_factors(config.gamma, config.n)
         # made one at a time, so a huge N costs no memory before its first factor
         factors = ((dec.gamma_l[l], l, rep) for rep in range(int(config.n)) for l in (2, 1, 0))
-    T, budget = config.transmittance, config.max_attempts_per_factor
     eta, nu = config.detector.eta, config.detector.nu
-    log_t = math.log(T)
-    with np.errstate(divide="ignore"):  # a label of zero amplitude has log-weight −inf
-        log_c = np.log(c)
+    key = (float(config.alpha1), log_c.size, eta, nu, config.transmittance,
+           config.max_attempts_per_factor)
     for gamma_l, factor_index, repetition in factors:
-        key = (complex(gamma_l), float(config.alpha1), log_c.size)
-        intensity, log_factor = _factor_tables(*key)
-        log_c -= log_c.real.max()
+        model = factor_model(complex(gamma_l), *key)
+        log_c = log_c - log_c.real.max()
         log_w = 2.0 * log_c.real
         q = np.exp(log_w)
-        clicked_at, first_p = _first_click(q / q.sum(), _click_table(*key, eta, nu, T, budget),
-                                           eta * intensity, nu, log_t, budget, rng.random())
+        clicked_at, first_p = model.first_click(q / q.sum(), rng.random())
         clicked = clicked_at is not None
-        attempts = clicked_at if clicked else budget
-        reweight, click, tapped, envelope = _attempt_rows(*key, eta, nu, T, attempts, clicked)
+        attempts = clicked_at if clicked else model.budget
+        reweight, click, tapped, _ = model.attempt_rows(attempts, clicked)
         # two additions: one pre-summed row would round differently and move the draws
         log_w += reweight
         if clicked:
             log_w += click
         star = _inverse_cdf(_cumulative(log_w), rng.random())
-        lost = -(1.0 - eta) * intensity[star] * math.expm1(attempts * log_t)
+        lost = -(1.0 - eta) * model.intensity[star] * math.expm1(attempts * model.log_t)
         photons = _photon_count(lost, rng.random())
         if clicked:
             photons += _photon_count(eta * tapped[star], rng.random(), nu)
-
-        log_c += photons * log_factor + envelope
+        log_c += model.update_row(attempts, clicked, photons)
         log.factors.append(FactorRecord(factor_index, repetition, attempts, clicked, first_p))
         if not clicked:
             break
@@ -375,8 +372,8 @@ def label_gate(c: np.ndarray, config: ProtocolConfig, rng, log: TrialLog, factor
     if not np.isfinite(psi.view(float)).all():
         raise ValueError("amplitudes contain NaN/Inf")
     if headroom:
-        where = "the gate output" if clicked else "the failure state"
-        check_headroom(psi, f"{where} {_after(log.factors[-1])}")
+        check_headroom(psi, lambda: (f"{'the gate output' if clicked else 'the failure state'} "
+                                     f"{_after(log.factors[-1])}"))
     if not clicked:
         raise FactorFailure(f"factor l={factor_index} saw no click in {attempts} attempts",
                             psi, log.factors[-1], log)
@@ -384,10 +381,10 @@ def label_gate(c: np.ndarray, config: ProtocolConfig, rng, log: TrialLog, factor
 
 
 def _labels(state: FockState, config: ProtocolConfig) -> np.ndarray:
-    """The label amplitudes V†ψ of a single-mode state at the config's cutoff."""
+    """log V†ψ of a single-mode state at the config's cutoff, as ``label_gate`` reads it."""
     if state.cutoffs != (config.cutoff,):
         raise DimensionError(f"expected a single-mode state of cutoff {config.cutoff}")
-    return x_eigh(config.cutoff)[1].conj().T @ state.amplitudes
+    return x_labels(state.amplitudes)[1]
 
 
 def rus_factor(
@@ -414,14 +411,19 @@ def rus_factor(
 HEADROOM_BOUND = 1e-6
 
 
-def check_headroom(amplitudes: np.ndarray, where: str) -> None:
+def top_share(amplitudes: np.ndarray) -> float:
+    """The share of a state's probability in the top two levels of its Fock amplitudes."""
+    return float(np.sum(np.abs(amplitudes[-2:]) ** 2) / np.vdot(amplitudes, amplitudes).real)
+
+
+def check_headroom(amplitudes: np.ndarray, where) -> None:
     """Raise NumericalDegradationError when the state with these Fock
     amplitudes holds more than HEADROOM_BOUND of its probability in its top
-    two levels; ``where`` names the state in the message."""
-    mass = float(np.sum(np.abs(amplitudes[-2:]) ** 2) / np.vdot(amplitudes, amplitudes).real)
+    two levels; ``where()`` names the state in the message, built only then."""
+    mass = top_share(amplitudes)
     if mass > HEADROOM_BOUND:
         raise NumericalDegradationError(
-            f"truncation headroom: {where} holds {mass:.2e} of its probability in the top two "
+            f"truncation headroom: {where()} holds {mass:.2e} of its probability in the top two "
             f"Fock levels of cutoff {amplitudes.size}, above the bound {HEADROOM_BOUND:.0e}"
         )
 

@@ -38,7 +38,7 @@ from .analysis import run_ensemble
 from .cubic import (IdentityReport, _comm, _monomial_report, _polynomial_report,
                     _real_quadratures, power_table)
 from .errors import CutoffError, DegenerateOutcomeError, DimensionError
-from .gaussian import apply_x_conditioned_displacement, squeezed_vacuum, x_eigh
+from .gaussian import displace_columns, squeezed_vacuum, x_eigh
 from .hilbert import FockState, _as_cutoffs, _mean_photons, coherent, real_matmul
 from .protocol import DetectorModel, ProtocolConfig, _inverse_cdf
 from .schemes import _feed_forward_phase
@@ -329,8 +329,16 @@ def interior_max_norm(matrix, cutoffs=None, margin: int = 2) -> float:
 
 # ---------------------------------------------------------------------------
 # dense Gaussian gates: the engine's displacements run in the x̂ eigenbasis
-# (``gaussian.apply_x_conditioned_displacement``), and the Marek resource is
+# (``gaussian.displace_columns``), and the Marek resource is
 # ``gaussian.squeezed_vacuum`` in closed form
+
+
+def apply_x_conditioned_displacement(psi: np.ndarray, beta: complex) -> np.ndarray:
+    """exp[(βâ†_R − β*â_R)x̂_S] on the (system, resource) amplitude matrix ψ: the engine's
+    ``gaussian.displace_columns`` in the system's x̂ eigenbasis (λ, V).  Equal to the dense
+    qnd_gate(β) to machine precision, and with β = −s/√2 to qnd_prime_gate(strength=s)."""
+    w, v = x_eigh(psi.shape[0])
+    return real_matmul(v, displace_columns(real_matmul(v.T, psi).T, beta, w).T)
 
 
 def displacement_gate(alpha: complex, cutoff: int, max_loss: float = 1e-8) -> FockOperator:
@@ -392,7 +400,7 @@ def qnd_gate(beta: complex, cutoffs, system_mode: int = 0, resource_mode: int = 
     """exp[(β â†_R − β* â_R) x̂_S]: QND coupling of system position to the resource.
 
     Commutes with x̂_S, so the system position distribution is untouched.
-    The engine's form is ``apply_x_conditioned_displacement(ψ, β)``.
+    Its form in the x̂ eigenbasis is ``apply_x_conditioned_displacement(ψ, β)``.
     """
     cutoffs = _two_mode_order(cutoffs, system_mode, resource_mode)
     xs = quadrature_x(cutoffs[system_mode])
@@ -412,7 +420,7 @@ def qnd_prime_gate(cutoffs, system_mode: int = 0, resource_mode: int = 1,
 
     On wavefunctions, Ψ(x, x_R) → Ψ(x, x_R + s·x), which is the coupling that
     writes the system position onto the resource homodyne record.  The
-    Marek shot uses ``apply_x_conditioned_displacement(ψ, −s/√2)``, since
+    Marek shot uses ``gaussian.displace_columns(χ, −s/√2, λ)``, since
     e^{isλp̂} = D(−sλ/√2).
     """
     cutoffs = _two_mode_order(cutoffs, system_mode, resource_mode)

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DegenerateOutcomeError, DimensionError
-from .gaussian import apply_x_conditioned_displacement, squeezed_vacuum, x_eigh
+from .gaussian import displace_columns, squeezed_vacuum, x_eigh
 from .hilbert import FockState, apply_quadrature, real_matmul
 
 
@@ -47,13 +47,11 @@ def _feed_forward_phase(q: float, gamma: float, w: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=4)
 def _marek_kernel(r_width: float, gamma: float, sys_c: int, res_c: int, max_loss: float) -> tuple:
     """(K, |K|²), read-only: K[j, k] = ⟨μ_j|D(−λ_k/√2)|resource⟩, so the coupled state's
-    resource bin j is K[j] ∘ Vᵀψ in system labels.  Built by coupling V·1, whose labels are all 1."""
-    resource = marek_resource_state(r_width, gamma, res_c, max_loss=max_loss)
-    v, u = x_eigh(sys_c)[1], x_eigh(res_c)[1]
+    resource bin j is K[j] ∘ Vᵀψ in system labels: the coupling of system labels all 1."""
+    resource = marek_resource_state(r_width, gamma, res_c, max_loss=max_loss).amplitudes[:, None]
+    w, u = x_eigh(sys_c)[0], x_eigh(res_c)[1]
     # exp(i x̂_S p̂_R): a resource momentum boost e^{iλp̂_R} = D(−λ/√2) per x̂_S eigenvalue λ
-    two = apply_x_conditioned_displacement(
-        np.outer(v.sum(axis=1), resource.amplitudes), -1.0 / math.sqrt(2.0))
-    kernel = real_matmul(u.T, real_matmul(v.T, two).T)  # uᵀ·twoᵀ·V
+    kernel = real_matmul(u.T, displace_columns(resource, -1.0 / math.sqrt(2.0), w))
     weights = kernel.real**2 + kernel.imag**2
     kernel.flags.writeable = weights.flags.writeable = False
     return kernel, weights

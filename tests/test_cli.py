@@ -4,12 +4,13 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cubicphase import cubic, reference, schemes
+from cubicphase import analysis, cubic, protocol, reference, schemes
 from cubicphase.cli import main, parse_config, run
 from cubicphase.gaussian import x_eigh
 from cubicphase.hilbert import coherent
@@ -466,6 +467,91 @@ def test_rus_herald_outcomes_are_pinned(tmp_path):
         [row] = read_csv(tmp_path / "sim.csv")[1:]
         outcomes.append((int(row[1]), int(row[2])))
     assert outcomes == HERALD_OUTCOMES
+
+
+# the rus_exhaust benchmark physics: the CLI defaults with a 400-attempt budget
+EXHAUST_FLAGS = ["--ensemble", "1", "--max-attempts", "400", "--purity-tol", "1e-3"]
+# simulate's CSV rows at the rus_herald and rus_exhaust physics, seeds 1-20,
+# under the default OpenBLAS kernel.  Integer and empty fields are draws and
+# must match exactly; float fields moved by at most 1.5e-15 relative under
+# other kernels, and are held to 1e-13.
+SIMULATE_ROWS = {
+    "herald": [
+        '0,1,28,0.998306909404183,0.9983069699075592',
+        '0,1,27,0.9990673347416308,0.9990673941900382',
+        '0,1,18,0.9984033089367761,0.9984033480477085',
+        '0,1,37,0.982816593020139,0.9828166280030121',
+        '0,1,34,0.9642031151347931,0.9642030836924658',
+        '0,1,76,0.9087060685077932,0.9087059491985324',
+        '0,1,22,0.991920741962101,0.9919207716279009',
+        '0,1,32,0.9982482798906914,0.9982483552090728',
+        '0,1,17,0.998455327107451,0.9984553722921209',
+        '0,1,35,0.9986290580593264,0.9986291364430844',
+        '0,1,31,0.9888525059845534,0.9888525705183713',
+        '0,1,19,0.9953522252284684,0.9953522666384191',
+        '0,1,16,0.999219324820759,0.9992193618227776',
+        '0,1,17,0.9920592124672476,0.9920592307782565',
+        '0,1,26,0.9964894574659239,0.9964895073764549',
+        '0,1,21,0.996780131841905,0.9967801804862987',
+        '0,1,17,0.9985173241759017,0.9985173608551137',
+        '0,1,22,0.9988666518154055,0.9988667087408029',
+        '0,1,51,0.9884619496304378,0.988462031979157',
+        '0,1,32,0.9988630748232198,0.9988631502412002',
+    ],
+    "exhaust": ["0,0,400,,"] * 20,
+}
+
+
+def _simulate_row(tmp_path, case, seed) -> str:
+    if case == "herald":
+        assert _herald_simulate(tmp_path, seed) == 0
+    else:
+        assert main(["simulate", *EXHAUST_FLAGS, "--seed", str(seed),
+                     "--out", str(tmp_path / "sim.csv")]) == 0
+    [row] = (tmp_path / "sim.csv").read_text().splitlines()[1:]
+    return row
+
+
+@pytest.mark.parametrize("case", list(SIMULATE_ROWS))
+def test_simulate_rows_are_pinned(case, tmp_path):
+    for seed, want in enumerate(SIMULATE_ROWS[case], start=1):
+        got = _simulate_row(tmp_path, case, seed).split(",")
+        assert len(got) == len(want.split(",")), (seed, got)
+        for g, w in zip(got, want.split(",")):
+            if "." in w:
+                assert float(g) == pytest.approx(float(w), rel=1e-13, abs=0.0), (seed, got)
+            else:
+                assert g == w, (seed, got)
+
+
+# one flag per config key a run's caches may read, at a value other than the
+# rus_herald config's: a dark rate of 1e9 Hz is ν = 0.1 per window, and a
+# budget of 2 cuts off factors that click later, so a cache keyed without ν or
+# the budget would move seed 3's row
+OTHER_CONFIGS = {"gamma": "0.002", "N": "1", "alpha1": "3.0", "transmittance": "0.97",
+                 "eta": "0.9", "dark_rate_hz": "1e9", "window_s": "1e-9", "cutoff": "10",
+                 "max_attempts": "2", "input_alpha": "0.3"}
+
+
+def _clear_simulate_caches():
+    for cache in (protocol.factor_model, protocol.FactorModel.attempt_rows,
+                  protocol.FactorModel.update_row, protocol._photon_cdf,
+                  analysis._scored_input, analysis._gate_targets):
+        cache.cache_clear()
+
+
+@pytest.mark.parametrize("key", list(OTHER_CONFIGS))
+def test_simulate_does_not_depend_on_an_earlier_configuration(key, tmp_path):
+    # the engine's caches are keyed on every parameter that builds them
+    _clear_simulate_caches()
+    want = _simulate_row(tmp_path, "herald", 3)
+    _clear_simulate_caches()
+    herald = tmp_path / "herald.cfg"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        main(["simulate", "--config", str(herald), "--" + key.replace("_", "-"),
+              OTHER_CONFIGS[key], "--seed", "3", "--out", str(tmp_path / "other.csv")])
+    assert _simulate_row(tmp_path, "herald", 3) == want
 
 
 # the dense_analysis Marek shot: the homodyne bin, an index into the resource's

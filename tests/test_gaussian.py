@@ -5,7 +5,6 @@ import pytest
 
 from cubicphase.errors import CutoffError, DimensionError
 from cubicphase.gaussian import (
-    apply_x_conditioned_displacement,
     squeezed_vacuum,
     x_eigh,
 )
@@ -13,6 +12,7 @@ from cubicphase.hilbert import coherent, fidelity
 from cubicphase.reference import (
     _apply_qnd_compensated,
     apply,
+    apply_x_conditioned_displacement,
     beamsplitter_gate,
     displacement_gate,
     expectation,

@@ -8,7 +8,7 @@ import pytest
 from scipy import stats
 
 from oracles import coherent_position_density, factor_attempt_stats, gate_total_attempts
-from cubicphase import protocol
+from cubicphase import analysis, protocol
 from cubicphase.cubic import gamma_factors
 from cubicphase.errors import (
     CutoffError,
@@ -16,7 +16,7 @@ from cubicphase.errors import (
     FactorFailure,
     NumericalDegradationError,
 )
-from cubicphase.gaussian import x_eigh
+from cubicphase.gaussian import x_labels
 from cubicphase.hilbert import FockState, coherent, fidelity
 from cubicphase.protocol import (
     HEADROOM_BOUND,
@@ -25,12 +25,9 @@ from cubicphase.protocol import (
     FactorRecord,
     ProtocolConfig,
     TrialLog,
-    _attempt_rows,
-    _click_table,
-    _factor_tables,
-    _first_click,
     _photon_cdf,
     _photon_count,
+    factor_model,
     full_gate,
     rus_factor,
 )
@@ -848,7 +845,7 @@ class TestOneEngine:
 
 
 class TestClickTable:
-    """``_first_click`` answers from the per-factor click table; the block
+    """``FactorModel.first_click`` answers from the per-factor click table; the block
     search it replaced is the reference."""
 
     CASES = {
@@ -865,8 +862,9 @@ class TestClickTable:
         gamma, alpha1, T, cutoff, eta, nu = self.CASES[case]
         rng = np.random.default_rng(np.random.SeedSequence(13, spawn_key=(max_attempts,)))
         for gl in gamma_factors(gamma, 1).gamma_l:
-            table = _click_table(complex(gl), alpha1, cutoff, eta, nu, T, max_attempts)
-            intensity = eta * _factor_tables(complex(gl), alpha1, cutoff)[0]
+            model = factor_model(complex(gl), alpha1, cutoff, eta, nu, T, max_attempts)
+            table = model.table
+            intensity = eta * model.intensity
             for _ in range(10):
                 q = rng.random(cutoff) ** 3
                 q /= q.sum()
@@ -881,7 +879,7 @@ class TestClickTable:
                 us = list(rng.random(20) * 1.2 * f_last) + edges
                 us += [np.nextafter(f, d) for f in edges for d in (0.0, 1.0)]
                 for u in us:
-                    got = _first_click(q, table, intensity, nu, math.log(T), max_attempts, u)
+                    got = model.first_click(q, u)
                     want = block_search_first_click(q, intensity, nu, T, max_attempts, u)
                     assert got[0] is None or 1 <= got[0] <= max_attempts
                     assert got[1] == want[1]
@@ -899,8 +897,9 @@ class TestClickTable:
         alpha1, T, cutoff, budget = 3.3, 0.999, 8, 60_000
         rng = np.random.default_rng(29)
         for gl in gamma_factors(0.001, 1).gamma_l:
-            table = _click_table(complex(gl), alpha1, cutoff, 1.0, nu, T, budget)
-            intensity = _factor_tables(complex(gl), alpha1, cutoff)[0]
+            model = factor_model(complex(gl), alpha1, cutoff, 1.0, nu, T, budget)
+            table = model.table
+            intensity = model.intensity
             for _ in range(5):
                 q = rng.random(cutoff) ** 3
                 q /= q.sum()
@@ -909,7 +908,7 @@ class TestClickTable:
                 us = [v for f in (f_last, f_block) for v in (np.nextafter(f, 0.0), f)]
                 us += list(f_last * (1.0 - rng.random(5) * 1e-13))
                 for u in us:
-                    got = _first_click(q, table, intensity, nu, math.log(T), budget, u)[0]
+                    got = model.first_click(q, u)[0]
                     want = block_search_first_click(q, intensity, nu, T, budget, u)[0]
                     if min(f_last, f_block) <= u < max(f_last, f_block):
                         assert got == (budget if u < f_last else None)
@@ -925,8 +924,9 @@ class TestClickTable:
         budget = 10**8
         rng = np.random.default_rng(17)
         for gl in gamma_factors(gamma, 1).gamma_l:
-            table = _click_table(complex(gl), alpha1, cutoff, eta, nu, T, budget)
-            intensity = eta * _factor_tables(complex(gl), alpha1, cutoff)[0]
+            model = factor_model(complex(gl), alpha1, cutoff, eta, nu, T, budget)
+            table = model.table
+            intensity = eta * model.intensity
 
             def closed_cdf(k, q):
                 return math.fsum(w * -math.expm1(-nu * k + i * math.expm1(k * math.log(T)))
@@ -937,18 +937,19 @@ class TestClickTable:
                 q /= q.sum()
                 cdf = table @ q
                 for u in cdf[15] + rng.random(5) * (cdf[-1] - cdf[15]):
-                    got, _ = _first_click(q, table, intensity, nu, math.log(T), budget, u)
+                    got, _ = model.first_click(q, u)
                     assert 17 <= got <= budget
                     assert u < closed_cdf(got, q) and not u < closed_cdf(got - 1, q)
 
     @pytest.mark.parametrize("max_attempts, rows", [(1, 1), (16, 16), (17, 17), (10_000, 17)])
     def test_rows_do_not_grow_with_the_budget(self, max_attempts, rows):
         gl = complex(gamma_factors(0.03, 1).gamma_l[0])
-        table = _click_table(gl, 0.2, 30, 0.9, 1e-8, 0.99, max_attempts)
+        model = factor_model(gl, 0.2, 30, 0.9, 1e-8, 0.99, max_attempts)
+        table = model.table
         assert table.shape == (rows, 30)
         assert not table.flags.writeable
         ks = list(range(1, min(16, max_attempts) + 1)) + [max_attempts] * (max_attempts > 16)
-        intensity = 0.9 * _factor_tables(gl, 0.2, 30)[0]
+        intensity = 0.9 * model.intensity
         for row, k in zip(table, ks):
             want = [1.0 - math.exp(-1e-8 * k - i * (1.0 - 0.99**k)) for i in intensity]
             assert row == pytest.approx(want, rel=1e-12)
@@ -967,10 +968,11 @@ class TestAttemptRows:
     def test_rows_match_closed_form(self, case, attempts, clicked):
         gamma, alpha1, T, cutoff, eta, nu = self.CASES[case]
         for gl in gamma_factors(gamma, 1).gamma_l:
-            rows = _attempt_rows(complex(gl), alpha1, cutoff, eta, nu, T, attempts, clicked)
-            assert rows is _attempt_rows(complex(gl), alpha1, cutoff, eta, nu, T, attempts, clicked)
+            model = factor_model(complex(gl), alpha1, cutoff, eta, nu, T, 10_000)
+            rows = model.attempt_rows(attempts, clicked)
+            assert rows is model.attempt_rows(attempts, clicked)
             reweight, click, tapped, envelope = rows
-            intensity = _factor_tables(complex(gl), alpha1, cutoff)[0]
+            intensity = model.intensity
             misses = attempts - 1 if clicked else attempts
             assert reweight == pytest.approx(
                 [eta * i * math.expm1(misses * math.log(T)) for i in intensity], rel=1e-12)
@@ -1000,16 +1002,52 @@ class TestAttemptRows:
         real_inverse_cdf = protocol._inverse_cdf
         monkeypatch.setattr(protocol, "_inverse_cdf",
                             lambda cdf, u: cdfs.append(cdf) or real_inverse_cdf(cdf, u))
-        log_c = np.log(x_eigh(cutoff)[1].conj().T @ psi.amplitudes)
+        log_c = x_labels(psi.amplitudes)[1]
         q = np.abs(np.exp(log_c)) ** 2
-        f_1, f_2 = _click_table(gl, alpha1, cutoff, eta, nu, T, 10_000)[:2] @ (q / q.sum())
+        model = factor_model(gl, alpha1, cutoff, eta, nu, T, 10_000)
+        f_1, f_2 = model.table[:2] @ (q / q.sum())
         _, rec = rus_factor(psi, gl, cfg, OutcomeSequenceRng([0.5 * (f_1 + f_2), 0.5, 0.5, 0.5]))
         assert rec.success and rec.attempts == 2
-        intensity = _factor_tables(gl, alpha1, cutoff)[0]
+        intensity = model.intensity
         log_w = 2.0 * (log_c - log_c.real.max()).real
         log_w += eta * intensity * np.expm1((rec.attempts - 1) * math.log(T))
         log_w += np.log(-np.expm1(-nu - eta * (intensity * (1.0 - T) * T ** (rec.attempts - 1))))
         assert np.array_equal(cdfs[0], np.exp(log_w - log_w.max()).cumsum())
+
+
+@pytest.mark.parametrize("case", sorted(TestClickTable.CASES))
+def test_run_ensemble_runs_full_gate_bit_for_bit(case, monkeypatch):
+    # run_ensemble starts from its cached input labels, full_gate from the
+    # FockState; from the same generator both must reach the same output
+    # labels and trial log, bit for bit, on success and on failure alike
+    gamma, alpha1, T, cutoff, eta, nu = TestClickTable.CASES[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        cfg = ProtocolConfig(gamma=gamma, alpha1=alpha1, transmittance=T, cutoff=cutoff,
+                             max_attempts_per_factor=10_000,
+                             detector=DetectorModel(eta=eta, dark_rate_hz=nu, window_s=1.0))
+    label_gate, outputs = protocol.label_gate, []
+
+    def recorded(*args, **kwargs):
+        try:
+            c, psi = label_gate(*args, **kwargs)
+        except FactorFailure as err:
+            outputs.append((None, err.amplitudes.tobytes()))
+            raise
+        outputs.append((c.tobytes(), psi.tobytes()))
+        return c, psi
+
+    monkeypatch.setattr(protocol, "label_gate", recorded)
+    monkeypatch.setattr(analysis, "label_gate", recorded)
+    for seed in range(40):
+        [(_, log)] = analysis.run_ensemble(cfg, [0.3], [np.random.default_rng(seed)])
+        try:
+            _, full_log = full_gate(coherent(0.3, cutoff), cfg, np.random.default_rng(seed))
+        except FactorFailure as err:
+            full_log = err.log
+        assert outputs[-2] == outputs[-1], f"seed {seed}"
+        assert log == full_log, f"seed {seed}"
+    assert len(outputs) == 80
 
 
 class TestPhotonCdf:
