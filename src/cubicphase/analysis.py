@@ -41,8 +41,8 @@ class ErrorEnsembleSpec:
     and the factor is applied twice), p_correct = remainder.
     """
 
-    gamma: float = 0.03
-    n: int = 1
+    gamma: float = ProtocolConfig.gamma
+    n: int = ProtocolConfig.n
     detector: DetectorModel = field(default_factory=DetectorModel)
     x_grid: tuple = (0.0, 0.5, 1.0, 1.5, 2.0, 2.5)
     expected_attempts: float = 100.0
@@ -54,7 +54,8 @@ def event_probabilities(spec: ErrorEnsembleSpec) -> tuple[float, float, float]:
     p_miss = 1.0 - spec.detector.eta
     p_correct = 1.0 - p_dark - p_miss
     if p_correct < 0.0:
-        raise ValueError("event probabilities exceed 1; detector model too noisy")
+        raise ValueError(f"config keys 'eta', 'dark_rate_hz' and 'window_s': p_miss = {p_miss:g} "
+                         f"and p_dark = {p_dark:g} sum past 1; detector model too noisy")
     return p_correct, p_dark, p_miss
 
 
@@ -112,7 +113,7 @@ def error_operator_stats(spec: ErrorEnsembleSpec) -> list[ErrorStatRow]:
 class MomentSweepSpec:
     """Coherent-input sweep: Im(α) fixed, Re(α) on a grid, N over a list."""
 
-    gamma: float = 0.03
+    gamma: float = ProtocolConfig.gamma
     n_list: tuple = (1, 3, 5, 7)
     re_alpha_grid: tuple = (0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5)
     im_alpha: float = 0.25

@@ -3,8 +3,10 @@
 ``cubicphase SUBCOMMAND [--config FILE] [--key value]...``: a config file
 holds ``key=value`` lines (``#`` starts a comment), and every key is also a
 flag, spelled exactly ``--`` plus the key with ``_`` written as ``-``, that
-overrides the file.  Both go through one conversion loop by ``_KEYS`` and one
-check in ``RunConfig``.  Identical (config, seed) pairs produce byte-identical
+overrides the file.  Both go through one conversion loop by ``_KEYS`` into a
+``DetectorModel`` and a ``RunConfig``: a ``ProtocolConfig`` that adds a run's
+five keys, so every physics default has one home, and each checks its rules
+once, when it is built.  Identical (config, seed) pairs produce byte-identical
 CSV output.  Exit codes: 0 success, 1 a malformed invocation or an invalid
 value (the message names the flag or the config key), 2 numerical-degradation
 error or an outcome of zero probability.
@@ -20,14 +22,14 @@ import math
 import os
 import stat
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from itertools import chain
 
 import numpy as np
 
 from . import analysis, cubic, schemes
 from .errors import CutoffError, DegenerateOutcomeError, NumericalDegradationError
-from .protocol import DetectorModel, ProtocolConfig, check_bounds, protocol_bounds
+from .protocol import DetectorModel, ProtocolConfig, check_bounds
 
 # the largest system cutoff: check-identities, the largest in memory, peaks at
 # 1.14 GB RSS there and fits a 1.5 GB address space (README, CLI)
@@ -35,43 +37,26 @@ MAX_CUTOFF = 3000
 
 
 @dataclass
-class RunConfig:
-    """A checked config, with the detector model the subcommands share."""
+class RunConfig(ProtocolConfig):
+    """A checked config: the gate's parameters and the five keys a run adds."""
 
-    gamma: float = 0.03
-    n: int = 1
-    alpha1: float = 0.2
-    transmittance: float = 0.99
-    eta: float = 0.9
-    dark_rate_hz: float = 100.0
-    window_s: float = 1e-10
-    cutoff: int = 30
     ensemble: int = 8
     seed: int = 0
     input_alpha: float = 0.3
-    max_attempts: int = 10_000
     purity_tol: float = 1e-4
     out: str = ""
-    detector: DetectorModel = field(init=False)
 
     def __post_init__(self):
-        # ProtocolConfig's rules without its warning, which concerns simulate only
+        # the gate's rules without its warning, which concerns simulate only
         check_bounds(chain(
             ((key, rule[0](getattr(self, name)), rule[1])
              for key, (name, _, rule) in _KEYS.items() if rule),
-            protocol_bounds(self.gamma, self.n, self.alpha1, self.transmittance,
-                            self.max_attempts, self.cutoff),
+            self.rules(),
         ))
-        self.detector = DetectorModel(self.eta, self.dark_rate_hz, self.window_s)
-
-    def protocol(self) -> ProtocolConfig:
-        return ProtocolConfig(gamma=self.gamma, n=self.n, alpha1=self.alpha1,
-                              transmittance=self.transmittance, cutoff=self.cutoff,
-                              max_attempts_per_factor=self.max_attempts, detector=self.detector)
 
 
-# config key -> RunConfig field, parser, and the rule (test, text) of a key
-# that neither ProtocolConfig nor DetectorModel checks
+# config key -> RunConfig or DetectorModel field, parser, and the rule (test,
+# text) of a key that neither ProtocolConfig nor DetectorModel checks
 _KEYS = {
     "gamma": ("gamma", float, None),
     "N": ("n", int, (lambda v: v <= 10**6, "<= 10**6")),  # O(N) error-ensemble: 3 s at 10**6
@@ -84,11 +69,12 @@ _KEYS = {
     "ensemble": ("ensemble", int, (lambda v: v >= 1, ">= 1")),
     "seed": ("seed", int, (lambda v: v >= 0, ">= 0")),
     "input_alpha": ("input_alpha", float, (math.isfinite, "finite")),
-    "max_attempts": ("max_attempts", int, None),
+    "max_attempts": ("max_attempts_per_factor", int, None),
     # unread, as every trajectory is pure; the benchmark's config files write it
     "purity_tol": ("purity_tol", float, (lambda v: 0.0 < v < math.inf, "in (0, inf)")),
     "out": ("out", str, None),
 }
+_DETECTOR_FIELDS = tuple(f.name for f in fields(DetectorModel))
 _FLAGS = {"--" + key.replace("_", "-"): key for key in ("config", *_KEYS)}
 
 
@@ -118,7 +104,9 @@ def parse_config(path: str | None, overrides: dict | None = None) -> RunConfig:
             values[name] = conv(raw)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{where}: config key '{key}': {exc}") from None
-    return RunConfig(**values)
+    detector = DetectorModel(**{name: values.pop(name) for name in _DETECTOR_FIELDS
+                                if name in values})
+    return RunConfig(**values, detector=detector)
 
 
 def _fmt(value) -> str:
@@ -158,13 +146,13 @@ def _write_csv(path: str, header, rows) -> None:
 
 
 def _run_simulate(cfg: RunConfig, out: str) -> None:
-    pconf = cfg.protocol()
+    cfg.warn_weak_subtraction(stacklevel=2)
 
     def rows():
         # one run at a time, so memory stays at the size of the CSV text
         for run in range(cfg.ensemble):
             rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(run,)))
-            [(r, _)] = analysis.run_ensemble(pconf, [cfg.input_alpha], [rng])
+            [(r, _)] = analysis.run_ensemble(cfg, [cfg.input_alpha], [rng])
             yield run, r.success, r.total_attempts, r.fidelity_un, r.fidelity_ideal
 
     try:
@@ -197,7 +185,7 @@ def _run_compare_schemes(cfg: RunConfig, out: str) -> None:
 
 def _run_check_identities(cfg: RunConfig, out: str) -> None:
     c = max(cfg.cutoff, 24)
-    gamma = cfg.gamma if cfg.gamma > 0 else 0.03
+    gamma = cfg.gamma if cfg.gamma > 0 else ProtocolConfig.gamma
     rows = [(rep.name, rep.fitted_constant, rep.residual, rep.cutoff)
             for rep in cubic.identity_reports(c)]
     # the decomposition identities at the configured gamma/N hold between the

@@ -72,24 +72,6 @@ MAX_ATTEMPTS = 2**63 - 1
 MAX_PHOTON_MEAN = 1e6
 
 
-def protocol_bounds(gamma, n, alpha1, transmittance, max_attempts, cutoff):
-    """The rules on the ProtocolConfig parameters, named by their config keys,
-    in the order ``check_bounds`` reads them."""
-    # γ² and α₁² must be finite: the analyses and the click tables square them
-    yield "gamma", 0.0 <= gamma and gamma * gamma < math.inf, "in [0, inf), gamma**2 finite"
-    yield "N", int(n) >= 1, ">= 1"
-    yield "alpha1", 0.0 < alpha1 and alpha1 * alpha1 < math.inf, "in (0, inf), alpha1**2 finite"
-    yield "transmittance", 0.0 < transmittance <= 1.0, "in (0, 1]"
-    yield "max_attempts", 1 <= max_attempts <= MAX_ATTEMPTS, "in [1, 2**63 - 1]"
-    yield "cutoff", int(cutoff) >= 2, ">= 2"
-    # the largest mean: |α₁(1+γ_l λ)|² at the largest x̂ eigenvalue, which is
-    # below √(2·cutoff + 1); alpha1 is named when α₁² alone reaches the bound
-    peak = alpha1 * alpha1 * (1.0 + (gamma / int(n)) ** (1.0 / 3.0)
-                              * math.sqrt(2 * int(cutoff) + 1)) ** 2
-    yield ("alpha1" if alpha1 * alpha1 >= MAX_PHOTON_MEAN else "gamma", peak < MAX_PHOTON_MEAN,
-           f"alpha1**2 * (1 + (gamma/N)**(1/3) * sqrt(2*cutoff + 1))**2 < {MAX_PHOTON_MEAN:g}")
-
-
 @dataclass(frozen=True)
 class DetectorModel:
     """Click/no-click detector: efficiency η, dark rate, and gating window.
@@ -114,7 +96,7 @@ class DetectorModel:
         return self.dark_rate_hz * self.window_s
 
 
-IDEAL_DETECTOR = DetectorModel(eta=1.0, dark_rate_hz=0.0, window_s=1e-10)
+IDEAL_DETECTOR = DetectorModel(eta=1.0, dark_rate_hz=0.0)
 
 
 # assumed |x|-range of the input in the weak-subtraction warning
@@ -128,8 +110,9 @@ class ProtocolConfig:
     ``cutoff`` is the system Fock cutoff, the only truncation.  A
     weak-subtraction parameter (1−T)·α₁²·(1+|γ_l|·X_SUPPORT)² above 0.1 makes
     multi-photon heralds, which apply (1 + γ_l x̂) more than once, common and
-    draws a warning.  Invalid values raise ValueError naming the config key
-    (``max_attempts`` for ``max_attempts_per_factor``).
+    draws a warning (``warn_weak_subtraction``).  Invalid values raise
+    ValueError naming the config key (``max_attempts`` for
+    ``max_attempts_per_factor``).
     """
 
     gamma: float = 0.03
@@ -141,18 +124,40 @@ class ProtocolConfig:
     detector: DetectorModel = field(default_factory=DetectorModel)
 
     def __post_init__(self):
-        check_bounds(protocol_bounds(self.gamma, self.n, self.alpha1, self.transmittance,
-                                     self.max_attempts_per_factor, self.cutoff))
+        check_bounds(self.rules())
         self.cutoff = int(self.cutoff)
+        # level 1 is the helper, 2 this method, 3 the generated __init__
+        self.warn_weak_subtraction(stacklevel=4)
+
+    def rules(self):
+        """The rules on the gate parameters, named by their config keys, in
+        the order ``check_bounds`` reads them."""
+        gamma, alpha1 = self.gamma, self.alpha1
+        # γ² and α₁² must be finite: the analyses and the click tables square them
+        yield "gamma", 0.0 <= gamma and gamma * gamma < math.inf, "in [0, inf), gamma**2 finite"
+        yield "N", int(self.n) >= 1, ">= 1"
+        yield "alpha1", 0.0 < alpha1 and alpha1 * alpha1 < math.inf, "in (0, inf), alpha1**2 finite"
+        yield "transmittance", 0.0 < self.transmittance <= 1.0, "in (0, 1]"
+        yield "max_attempts", 1 <= self.max_attempts_per_factor <= MAX_ATTEMPTS, "in [1, 2**63 - 1]"
+        yield "cutoff", int(self.cutoff) >= 2, ">= 2"
+        # the largest mean: |α₁(1+γ_l λ)|² at the largest x̂ eigenvalue, which is
+        # below √(2·cutoff + 1); alpha1 is named when α₁² alone reaches the bound
+        peak = alpha1 * alpha1 * (1.0 + (gamma / int(self.n)) ** (1.0 / 3.0)
+                                  * math.sqrt(2 * int(self.cutoff) + 1)) ** 2
+        yield ("alpha1" if alpha1 * alpha1 >= MAX_PHOTON_MEAN else "gamma", peak < MAX_PHOTON_MEAN,
+               f"alpha1**2 * (1 + (gamma/N)**(1/3) * sqrt(2*cutoff + 1))**2 < {MAX_PHOTON_MEAN:g}")
+
+    def warn_weak_subtraction(self, stacklevel: int) -> None:
+        """Warn, at ``warnings.warn``'s ``stacklevel``, when the weak-subtraction
+        parameter exceeds 0.1."""
         if self.gamma > 0.0:
             gl_mag = (self.gamma / int(self.n)) ** (1.0 / 3.0)
             weak = (1.0 - self.transmittance) * self.alpha1**2 * (1.0 + gl_mag * X_SUPPORT) ** 2
             if weak > 0.1:
-                # level 1 is this method, level 2 the generated __init__
                 warnings.warn(
                     f"weak-subtraction parameter (1-T)*alpha1^2*(1+|gamma_l|*x)^2 = "
                     f"{weak:.3f} exceeds 0.1; the tapped beam is not single-photon dominated",
-                    stacklevel=3,
+                    stacklevel=stacklevel,
                 )
 
 

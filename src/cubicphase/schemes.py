@@ -22,6 +22,7 @@ import numpy as np
 from .errors import DegenerateOutcomeError, DimensionError
 from .gaussian import displace_columns, squeezed_vacuum, x_eigh
 from .hilbert import FockState, apply_quadrature, real_matmul
+from .protocol import ProtocolConfig
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +114,7 @@ class RuntimeModels:
     marek_prep: float        # 1/p^3 (three simultaneous subtractions)
 
 
-def runtime_models(p: float, n: int = 1) -> RuntimeModels:
+def runtime_models(p: float, n: int = ProtocolConfig.n) -> RuntimeModels:
     p = float(p)
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must lie in (0, 1], got {p}")

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import os
 import re
 import subprocess
@@ -10,10 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cubicphase import analysis, cubic, protocol, reference, schemes
+from cubicphase import analysis, cli, cubic, protocol, reference, schemes
 from cubicphase.cli import main, parse_config, run
 from cubicphase.gaussian import x_eigh
 from cubicphase.hilbert import coherent
+from cubicphase.protocol import DetectorModel, ProtocolConfig
 from cubicphase.reference import FockOperator
 from test_reachability import HERALD_LINES
 
@@ -51,6 +53,13 @@ INVALID_IDS = (list(INVALID_VALUES) + [f"{key}-{value}" for key, value in NONFIN
                   "gamma-1e300", "alpha1-1e150", "alpha1-1e3", "gamma-1e12", "N-1000001"])
 
 
+# a valid value other than the default for every config key
+NON_DEFAULT_VALUES = {"gamma": 0.05, "N": 3, "alpha1": 0.5, "transmittance": 0.9, "eta": 0.8,
+                      "dark_rate_hz": 50.0, "window_s": 1e-9, "cutoff": 40, "ensemble": 2,
+                      "seed": 7, "input_alpha": 0.1, "max_attempts": 20, "purity_tol": 1e-3,
+                      "out": "run.csv"}
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
@@ -62,9 +71,25 @@ class TestParseConfig:
         assert cfg.gamma == 0.03
         assert cfg.n == 1
         assert cfg.transmittance == 0.99
-        assert cfg.eta == 0.9
-        assert cfg.dark_rate_hz == 100.0
-        assert cfg.window_s == 1e-10
+        assert cfg.detector.eta == 0.9
+        assert cfg.detector.dark_rate_hz == 100.0
+        assert cfg.detector.window_s == 1e-10
+
+    def test_defaults_are_the_gates(self):
+        # every physics default lives in ProtocolConfig and DetectorModel alone
+        cfg, gate = parse_config(None), ProtocolConfig()
+        for f in dataclasses.fields(ProtocolConfig):
+            assert getattr(cfg, f.name) == getattr(gate, f.name), f.name
+        assert cfg.detector == DetectorModel()
+
+    @pytest.mark.parametrize("key", list(cli._KEYS))
+    def test_key_lands_on_its_field(self, key):
+        value = NON_DEFAULT_VALUES[key]
+        cfg, default = parse_config(None, {key: str(value)}), parse_config(None)
+        if key in ("eta", "dark_rate_hz", "window_s"):
+            cfg, default = cfg.detector, default.detector
+        name = {"N": "n", "max_attempts": "max_attempts_per_factor"}.get(key, key)
+        assert getattr(cfg, name) == value != getattr(default, name)
 
     def test_file_values(self, tmp_path):
         f = tmp_path / "run.cfg"
@@ -274,6 +299,27 @@ class TestMain:
         assert err.startswith("error: ") and message in err.splitlines()[0]
         assert "Traceback" not in err
         assert not any(tmp_path.iterdir())
+
+    def test_noisy_detector_exit_one_names_its_keys(self, capsys, tmp_path, monkeypatch):
+        # ν = 0.1 per window over 100 expected attempts: p_dark + p_miss > 1
+        monkeypatch.chdir(tmp_path)
+        assert main(["error-ensemble", "--dark-rate-hz", "1e9"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'dark_rate_hz'" in err
+        assert "Traceback" not in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("subcommand, count", [
+        ("simulate", 1), ("sweep-variance", 0), ("error-ensemble", 0), ("compare-schemes", 0),
+        ("check-identities", 0),
+    ])
+    def test_weak_subtraction_warns_once_in_simulate_only(self, subcommand, count, tmp_path):
+        argv = [subcommand, "--alpha1", "2", "--transmittance", "0.8", "--ensemble", "3",
+                "--out", str(tmp_path / "out.csv")]
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            assert main(argv) == 0
+        assert sum("weak-subtraction" in str(w.message) for w in record) == count
 
     def test_missing_config_file_exit_one(self):
         assert main(["check-identities", "--config", "/nonexistent/p.cfg"]) == 1
