@@ -185,13 +185,12 @@ def _run_compare_schemes(cfg: RunConfig, out: str) -> None:
 
 def _run_check_identities(cfg: RunConfig, out: str) -> None:
     c = max(cfg.cutoff, 24)
-    gamma = cfg.gamma if cfg.gamma > 0 else ProtocolConfig.gamma
     rows = [(rep.name, rep.fitted_constant, rep.residual, rep.cutoff)
             for rep in cubic.identity_reports(c)]
     # the decomposition identities at the configured gamma/N hold between the
     # coefficients of polynomials in x̂, so they are checked there, at any cutoff
-    g = gamma / cfg.n
-    e = cubic.factor_coefficients(cubic.gamma_factors(gamma, cfg.n))
+    g = cfg.gamma / cfg.n
+    e = cubic.factor_coefficients(cubic.gamma_factors(cfg.gamma, cfg.n))
     norm = np.convolve(e.conj(), e)  # (Σ e_k x̂^k)†(Σ e_k x̂^k), as x̂ is Hermitian
     rows.append(("factorization", 1.0, float(np.abs(e - (1, 0, 0, 1j * g)).max()), c))
     rows.append(("norm_identity", 1.0, float(np.abs(norm - (1, 0, 0, 0, 0, 0, g * g)).max()), c))

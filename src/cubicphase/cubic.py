@@ -40,11 +40,12 @@ class CubicDecomposition:
 
 @lru_cache(maxsize=64)
 def gamma_factors(gamma: float, n: int) -> CubicDecomposition:
-    """Factor coefficients γ_l = e^{iπ(4l+1)/6}(γ/N)^{1/3} for l = 0, 1, 2."""
+    """Factor coefficients γ_l = e^{iπ(4l+1)/6}(γ/N)^{1/3} for l = 0, 1, 2; all
+    three are zero at γ = 0."""
     gamma = float(gamma)
     n = int(n)
-    if gamma <= 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    if not gamma >= 0.0:
+        raise ValueError(f"gamma must be non-negative, got {gamma}")
     if n < 1:
         raise ValueError(f"N must be a positive integer, got {n}")
     mag = (gamma / n) ** (1.0 / 3.0)

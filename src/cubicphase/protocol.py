@@ -50,7 +50,7 @@ from .errors import (
     NumericalDegradationError,
 )
 from .gaussian import x_eigh, x_labels
-from .hilbert import FockState
+from .hilbert import FockState, real_matmul
 
 
 def check_bounds(rules) -> None:
@@ -259,47 +259,28 @@ class FactorModel:
     def first_click(self, q: np.ndarray, u: float) -> tuple:
         """(M, F(1)), M = None if no click: M is the first k ≤ ``budget`` with
         u < F(k), the click CDF F(k) = Σ_λ q_λ (1 − exp(−νk − ηI_λ(1 − T^k)))
-        (no dark count and no tapped photon seen).  The click table @ q gives
-        F(1…16) and F(budget), compared with u as Python floats; a later click
-        is searched for in blocks of growing length, up to 4,096 rows.  F grows
-        with k, so galloping and bisecting over F at the last row of each
-        4,096-row block skips the blocks that cannot hold the click.  The block
-        sums F(budget) in another order: if the table's says a click comes and
-        no block finds one, it comes at ``budget``."""
-        cdf = (self.table @ q).tolist()
-        for k, f in enumerate(cdf[:16], 1):
-            if u < f:
-                return k, cdf[0]
-        if not u < cdf[-1]:
-            return None, cdf[0]
-        budget, seen, nu, log_t = self.budget, self.seen, self.nu, self.log_t
-        # F(k) alone and F(k) in a block sum the same terms, each within a few
-        # ulps, in orders that differ by less than `slack`: F(k) alone at or below
-        # u − slack rules out a click by attempt k in any block
-        slack = 4 * q.size * np.finfo(float).eps * u
-
-        def may_click_by(k):
-            return k >= budget or u - slack < (_cdf_rows(np.array([[k]]), seen, nu, log_t) @ q)[0]
-
-        start, size = 17, 32
-        while start <= budget:
-            if size == 4096:
-                # counting blocks from start, blocks up to lo cannot hold the click
-                # (lo = −1: no block); block hi may
-                lo, hi = -1, 0
-                while not may_click_by(start + 4096 * hi + 4095):
-                    lo, hi = hi, 2 * hi + 1
-                while hi - lo > 1:
-                    mid = (lo + hi) // 2
-                    lo, hi = (lo, mid) if may_click_by(start + 4096 * mid + 4095) else (mid, hi)
-                start += 4096 * hi
-            ks = np.arange(start, min(start + size, budget + 1))[:, None]
-            hit = u < _cdf_rows(ks, seen, nu, log_t) @ q
-            if hit.any():
-                return start + int(hit.argmax()), cdf[0]
-            start += size
-            size = min(2 * size, 4096)
-        return budget, cdf[0]
+        (no dark count and no tapped photon seen).  Every F(k) is its row
+        ``np.vecdot`` q, summed in one order whatever rows come with it, so F
+        as summed never falls as k grows (no term does) and the table's
+        F(budget) is the search's.  The table gives F(1…16) and F(budget); a
+        later click is narrowed from F(16) ≤ u < F(budget) to one attempt,
+        reading per step the next 16 attempts and up to 16 spread over the
+        rest of the bracket."""
+        cdf = np.vecdot(self.table, q)
+        first = int(cdf.searchsorted(u, side="right"))
+        if first == cdf.size:
+            return None, float(cdf[0])
+        if first < 16:
+            return first + 1, float(cdf[0])
+        lo, hi = 16, self.budget  # F(lo) ≤ u < F(hi)
+        while hi - lo > 1:
+            step = (hi - lo + 15) // 16
+            ks = [*range(lo + 1, min(lo + 17, hi)), *range(lo + 16 + step, hi, step)]
+            f = np.vecdot(_cdf_rows(np.array(ks)[:, None], self.seen, self.nu, self.log_t), q)
+            edges = [lo, *ks, hi]
+            i = int(f.searchsorted(u, side="right"))
+            lo, hi = edges[i], edges[i + 1]
+        return hi, float(cdf[0])
 
     @lru_cache(maxsize=64)
     def attempt_rows(self, attempts: int, clicked: bool) -> tuple:
@@ -373,7 +354,7 @@ def label_gate(log_c: np.ndarray, config: ProtocolConfig, rng, log: TrialLog, fa
             break
     c = np.exp(log_c - log_c.real.max())
     c = c / math.sqrt(np.vdot(c, c).real)
-    psi = x_eigh(c.size)[1] @ c
+    psi = real_matmul(x_eigh(c.size)[1], c)
     if not np.isfinite(psi.view(float)).all():
         raise ValueError("amplitudes contain NaN/Inf")
     if headroom:

@@ -309,6 +309,21 @@ class TestMain:
         assert "Traceback" not in err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("n", ["1", "4", "1000"])
+    def test_error_ensemble_at_gamma_zero_writes_zero_rows(self, tmp_path, n):
+        # γ = 0 is the identity gate, which every detector outcome applies exactly
+        out = tmp_path / "err.csv"
+        assert main(["error-ensemble", "--gamma", "0", "--N", n, "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert len(rows) == 1 + 6
+        assert all(r[1:4] == ["0.0", "0.0", "0.0"] for r in rows[1:])
+
+    def test_check_identities_at_gamma_zero_checks_gamma_zero(self, tmp_path):
+        out = tmp_path / "ids.csv"
+        assert main(["check-identities", "--gamma", "0", "--out", str(out)]) == 0
+        rows = {r[0]: r[1:3] for r in read_csv(out)[1:]}
+        assert rows["factorization"] == rows["norm_identity"] == ["1.0", "0.0"]
+
     @pytest.mark.parametrize("subcommand, count", [
         ("simulate", 1), ("sweep-variance", 0), ("error-ensemble", 0), ("compare-schemes", 0),
         ("check-identities", 0),

@@ -51,7 +51,7 @@ class TestGammaFactors:
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
-            gamma_factors(0.0, 1)
+            gamma_factors(-0.03, 1)
         with pytest.raises(ValueError):
             gamma_factors(0.03, 0)
 

@@ -21,6 +21,7 @@ from cubicphase.hilbert import FockState, coherent, fidelity
 from cubicphase.protocol import (
     HEADROOM_BOUND,
     IDEAL_DETECTOR,
+    MAX_ATTEMPTS,
     DetectorModel,
     FactorRecord,
     ProtocolConfig,
@@ -164,15 +165,20 @@ def forced_click_u(psi, gamma_l, config, m):
     raise AssertionError(f"no draw clicks at attempt {m}")
 
 
+def summed_cdf(ks, q, intensity, nu, transmittance):
+    """The click CDF F at the attempts in the column ``ks``, each row summed on
+    its own by ``np.vecdot``."""
+    return np.vecdot(-np.expm1(-nu * ks + intensity * np.expm1(ks * math.log(transmittance))), q)
+
+
 def block_search_first_click(q, intensity, nu, transmittance, max_attempts, u):
     """The click draw before the click table: (M, F(1)), M = None if no click,
     with F searched from attempt 1 in blocks of growing length."""
-    log_t = math.log(transmittance)
     start, size = 1, 16
     first_p = None
     while start <= max_attempts:
         ks = np.arange(start, min(start + size, max_attempts + 1))[:, None]
-        cdf = -np.expm1(-nu * ks + intensity * np.expm1(ks * log_t)) @ q
+        cdf = summed_cdf(ks, q, intensity, nu, transmittance)
         if first_p is None:
             first_p = float(cdf[0])
         hit = u < cdf
@@ -190,8 +196,7 @@ def block_search_last_cdf(q, intensity, nu, transmittance, max_attempts):
     while start + size <= max_attempts:
         start += size
         size = min(2 * size, 4096)
-    ks = np.arange(start, max_attempts + 1)[:, None]
-    return (-np.expm1(-nu * ks + intensity * np.expm1(ks * math.log(transmittance))) @ q)[-1]
+    return summed_cdf(np.arange(start, max_attempts + 1)[:, None], q, intensity, nu, transmittance)[-1]
 
 
 def direct_photon_count(mean, u, nu=None):
@@ -855,6 +860,8 @@ class TestClickTable:
         "strong": (0.001, 3.3, 0.9734, 8, 1.0, 0.0),
         "lossy": (0.05, 2.0, 0.95, 20, 0.7, 0.02),
     }
+    # T = 0.999 keeps F(k) rising, by ever fewer ulps, up to about attempt 40,000
+    SLOW = (0.001, 3.3, 0.999, 8, 1.0, 1e-3)
 
     @pytest.mark.parametrize("max_attempts", [1, 15, 16, 17, 400, 10_000])
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -868,32 +875,25 @@ class TestClickTable:
             for _ in range(10):
                 q = rng.random(cutoff) ** 3
                 q /= q.sum()
-                cdf = table @ q
+                cdf = np.vecdot(table, q)
                 f_last, f_16 = cdf[-1], cdf[min(16, max_attempts) - 1]
-                # the table and the last block sum the cutoff terms of
-                # F(max_attempts) in different orders; between the two sums
-                # the table decides
+                # a row sums alone, so the table's F(max_attempts) is the last block's
                 f_block = block_search_last_cdf(q, intensity, nu, T, max_attempts)
-                assert abs(f_last - f_block) <= cutoff * np.finfo(float).eps * f_block
-                edges = [f_16, f_last, f_block]
+                assert f_last == f_block
+                edges = [f_16, f_last]
                 us = list(rng.random(20) * 1.2 * f_last) + edges
                 us += [np.nextafter(f, d) for f in edges for d in (0.0, 1.0)]
                 for u in us:
                     got = model.first_click(q, u)
                     want = block_search_first_click(q, intensity, nu, T, max_attempts, u)
                     assert got[0] is None or 1 <= got[0] <= max_attempts
-                    assert got[1] == want[1]
-                    if min(f_last, f_block) <= u < max(f_last, f_block):
-                        assert got[0] == (max_attempts if u < f_last else None)
-                    else:
-                        assert got[0] == want[0], f"u = {u!r}"
+                    assert got == want, f"u = {u!r}"
 
     @pytest.mark.parametrize("nu", [0.0, 1e-3])
     def test_skipped_blocks_match_block_search(self, nu):
         # T = 0.999 keeps F(k) rising, by ever fewer ulps, up to about attempt
-        # 40,000, well into the 4096-row blocks that galloping may skip; draws
-        # within an ulp of F(max_attempts) click where rounding in the block
-        # search says
+        # 40,000, well into the 4096-row blocks of the block search; draws
+        # within an ulp of F(max_attempts) click where the block search says
         alpha1, T, cutoff, budget = 3.3, 0.999, 8, 60_000
         rng = np.random.default_rng(29)
         for gl in gamma_factors(0.001, 1).gamma_l:
@@ -903,17 +903,14 @@ class TestClickTable:
             for _ in range(5):
                 q = rng.random(cutoff) ** 3
                 q /= q.sum()
-                f_last = (table @ q)[-1]
-                f_block = block_search_last_cdf(q, intensity, nu, T, budget)
-                us = [v for f in (f_last, f_block) for v in (np.nextafter(f, 0.0), f)]
+                f_last = np.vecdot(table, q)[-1]
+                assert f_last == block_search_last_cdf(q, intensity, nu, T, budget)
+                us = [np.nextafter(f_last, 0.0), f_last]
                 us += list(f_last * (1.0 - rng.random(5) * 1e-13))
                 for u in us:
                     got = model.first_click(q, u)[0]
                     want = block_search_first_click(q, intensity, nu, T, budget, u)[0]
-                    if min(f_last, f_block) <= u < max(f_last, f_block):
-                        assert got == (budget if u < f_last else None)
-                    else:
-                        assert got == want, f"u = {u!r}"
+                    assert got == want, f"u = {u!r}"
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_late_click_at_a_huge_budget(self, case):
@@ -940,6 +937,56 @@ class TestClickTable:
                     got, _ = model.first_click(q, u)
                     assert 17 <= got <= budget
                     assert u < closed_cdf(got, q) and not u < closed_cdf(got - 1, q)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_table_rows_sum_as_rows_alone(self, case):
+        # the search reads F(max_attempts) from the table and every later F
+        # from rows of its own, so each row must sum to the same bits alone
+        gamma, alpha1, T, cutoff, eta, nu = self.CASES[case]
+        rng = np.random.default_rng(31)
+        ks = [*range(1, 17), 10_000]
+        for gl in gamma_factors(gamma, 1).gamma_l:
+            model = factor_model(complex(gl), alpha1, cutoff, eta, nu, T, 10_000)
+            intensity = eta * model.intensity
+            for _ in range(10):
+                q = rng.random(cutoff) ** 3
+                q /= q.sum()
+                alone = [summed_cdf(np.array([[k]]), q, intensity, nu, T)[0] for k in ks]
+                assert np.vecdot(model.table, q).tobytes() == np.array(alone).tobytes()
+
+    @pytest.mark.parametrize("case, budget", [
+        *((case, budget) for case in sorted(CASES) for budget in (400, 10_000)),
+        ("slow", 60_000),
+    ])
+    def test_summed_cdf_never_falls(self, case, budget):
+        # the search bisects over F, so F as summed must not fall as k grows
+        gamma, alpha1, T, cutoff, eta, nu = self.SLOW if case == "slow" else self.CASES[case]
+        rng = np.random.default_rng(37)
+        ks = np.arange(1, budget + 1)[:, None]
+        for gl in gamma_factors(gamma, 1).gamma_l:
+            intensity = eta * factor_model(complex(gl), alpha1, cutoff, eta, nu, T, budget).intensity
+            for _ in range(5):
+                q = rng.random(cutoff) ** 3
+                q /= q.sum()
+                assert (np.diff(summed_cdf(ks, q, intensity, nu, T)) >= 0.0).all()
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_late_click_at_the_largest_budget(self, case):
+        # the bracket spans 2**63 − 17 attempts, in Python ints
+        gamma, alpha1, T, cutoff, eta, nu = self.CASES[case]
+        rng = np.random.default_rng(41)
+        for gl in gamma_factors(gamma, 1).gamma_l:
+            model = factor_model(complex(gl), alpha1, cutoff, eta, nu, T, MAX_ATTEMPTS)
+            intensity = eta * model.intensity
+            for _ in range(3):
+                q = rng.random(cutoff) ** 3
+                q /= q.sum()
+                cdf = np.vecdot(model.table, q)
+                for u in [*(cdf[15] + rng.random(3) * (cdf[-1] - cdf[15])), np.nextafter(cdf[-1], 0.0)]:
+                    got, _ = model.first_click(q, u)
+                    assert 17 <= got <= MAX_ATTEMPTS
+                    f = summed_cdf(np.array([[got - 1], [got]]), q, intensity, nu, T)
+                    assert u < f[1] and not u < f[0]
 
     @pytest.mark.parametrize("max_attempts, rows", [(1, 1), (16, 16), (17, 17), (10_000, 17)])
     def test_rows_do_not_grow_with_the_budget(self, max_attempts, rows):
