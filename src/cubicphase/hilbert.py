@@ -1,4 +1,4 @@
-"""Truncated Fock space: pure states, coherent amplitudes, and x̂/p̂ by recurrence.
+"""Truncated Fock space: pure states, coherent amplitudes, and x̂'s matrix entries.
 
 Quadrature convention used throughout the package:
 
@@ -10,16 +10,16 @@ convention should halve all quadrature values and quarter all variances.
 Mode ordering for composite systems: mode 0 is the slowest-varying index of
 the amplitude vector (plain Kronecker order).
 
-No operator matrix is built here: x̂ and p̂ act on amplitudes by their
-three-term recurrence.  The dense ``FockOperator`` and its constructors are
-test oracles in ``cubicphase.reference``.
+No operator matrix is built here: x̂'s off-diagonal entries feed
+``gaussian.x_eigh``, in whose eigenbasis x̂ and p̂ act.  The dense
+``FockOperator`` and its constructors are test oracles in
+``cubicphase.reference``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -108,24 +108,10 @@ def coherent(alpha: complex, cutoff: int, max_loss: float = COHERENT_LOSS_TOL) -
     return FockState(coherent_columns([alpha], cutoff, max_loss)[:, 0], (int(cutoff),))
 
 
-@lru_cache(maxsize=32)
 def quadrature_coefficients(cutoff: int) -> np.ndarray:
-    """s_n = √(n+1)/√2, n < cutoff − 1, read-only: bit for bit the off-diagonal
-    entries of ``reference.quadrature_x``, so divided in complex as there."""
-    s = (np.sqrt(np.arange(1, int(cutoff))).astype(complex) / math.sqrt(2.0)).real
-    s.flags.writeable = False
-    return s
-
-
-def apply_quadrature(a: np.ndarray, sign: int) -> np.ndarray:
-    """(â + sign·â†)/√2 @ a (x̂ for sign 1, P = ip̂ for −1) on a vector or on axis −2,
-    by the recurrence (X·a)_n = s_n·a_{n+1} + sign·s_{n−1}·a_{n−1}: no matrix is built."""
-    f = a[:, None] if a.ndim == 1 else a
-    s = quadrature_coefficients(f.shape[-2])[:, None]
-    out = np.zeros(f.shape, np.result_type(f, 1.0))
-    out[..., :-1, :] = s * f[..., 1:, :]
-    out[..., 1:, :] += (sign * s) * f[..., :-1, :]
-    return out.reshape(a.shape)
+    """s_n = √(n+1)/√2, n < cutoff − 1: bit for bit the off-diagonal entries of
+    ``reference.quadrature_x``, so divided in complex as there."""
+    return (np.sqrt(np.arange(1, int(cutoff))).astype(complex) / math.sqrt(2.0)).real
 
 
 def real_matmul(m: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DegenerateOutcomeError, DimensionError
 from .gaussian import displace_columns, squeezed_vacuum, x_eigh
-from .hilbert import FockState, apply_quadrature, real_matmul
+from .hilbert import FockState, real_matmul
 from .protocol import ProtocolConfig
 
 
@@ -31,11 +31,12 @@ from .protocol import ProtocolConfig
 
 def marek_resource_state(r_width: float, gamma: float, cutoff: int,
                          max_loss: float = 1e-8) -> FockState:
-    """Normalized (I + iγx̂³)·S(r)|0⟩."""
+    """Normalized (I + iγx̂³)·S(r)|0⟩, with x̂³ = V·diag(λ³)·Vᵀ in ``x_eigh``'s eigenbasis."""
     if gamma < 0.0:
         raise ValueError("gamma must be >= 0")
     base = squeezed_vacuum(r_width, cutoff, max_loss=max_loss).amplitudes.real
-    x3_base = apply_quadrature(apply_quadrature(apply_quadrature(base, 1), 1), 1)
+    w, v = x_eigh(cutoff)
+    x3_base = v @ (w**3 * (v.T @ base))
     amp = base + 1j * float(gamma) * x3_base
     return FockState(amp / np.linalg.norm(amp), (int(cutoff),))
 

@@ -183,6 +183,19 @@ class TestErrorOperatorStats:
             assert abs(row.mean - mean) < 4 * stderr
 
 
+class TestMomentumLabels:
+    @pytest.mark.parametrize("cutoff", [2, 3, 8, 30, 120])
+    def test_closed_form_is_the_dense_product(self, cutoff):
+        # A = VᵀPV with P = ip̂ from the dense oracle; the closed form reads only
+        # V's last row and the eigenvalue gaps, so A is exactly antisymmetric
+        _, v = x_eigh(cutoff)
+        a = analysis._momentum_labels(cutoff)
+        assert np.abs(a - v.T @ (1j * quadrature_p(cutoff).matrix) @ v).max() <= 1e-12
+        assert np.array_equal(a, -a.T)
+        assert not np.diag(a).any()
+        assert not a.flags.writeable
+
+
 class TestVarianceSweep:
     def test_gamma_zero_all_columns_vacuum(self):
         spec = MomentSweepSpec(gamma=0.0, re_alpha_grid=(0.0, 0.5), cutoff=25)

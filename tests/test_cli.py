@@ -775,7 +775,7 @@ DENSE_ANALYSIS_RUNS = {
 
 @pytest.mark.parametrize("operation", list(DENSE_ANALYSIS_RUNS))
 def test_dense_analysis_builds_no_fock_operator(tmp_path, monkeypatch, operation):
-    # x̂ and p̂ act by their recurrence: once a warm-up run has filled the cached
+    # x̂ and p̂ act in the x̂ eigenbasis: once a warm-up run has filled the cached
     # eigenbases, a second run constructs no dense operator
     run_once, out = DENSE_ANALYSIS_RUNS[operation], str(tmp_path / "out.csv")
     assert run_once(out) == 0

@@ -6,15 +6,16 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from cubicphase import analysis
 from cubicphase.errors import CutoffError, DimensionError
 from cubicphase.gaussian import x_eigh
 from cubicphase.hilbert import (
     COHERENT_LOSS_TOL,
     FockState,
-    apply_quadrature,
     coherent,
     coherent_columns,
     fidelity,
+    quadrature_coefficients,
     real_matmul,
 )
 from cubicphase.reference import (
@@ -193,29 +194,33 @@ QUADRATURE_SHAPES = {"vector": lambda c: (c,), "matrix": lambda c: (c, 4),
                      "stack": lambda c: (5, c, 7)}
 
 
-class TestApplyQuadrature:
+class TestEigenbasisQuadratures:
     @pytest.mark.parametrize("shape", list(QUADRATURE_SHAPES))
     @pytest.mark.parametrize("cutoff", [2, 3, 8, 30, 120])
     def test_matches_dense_operators(self, cutoff, shape):
+        # x̂ = V·diag(λ)·Vᵀ and P = ip̂ = V·A·Vᵀ, as the dense analyses apply them
         rng = np.random.default_rng(cutoff)
         dims = QUADRATURE_SHAPES[shape](cutoff)
         a = rng.normal(size=dims) + 1j * rng.normal(size=dims)
-        for got, dense in ((apply_quadrature(a, 1), quadrature_x(cutoff).matrix @ a),
-                           (-1j * apply_quadrature(a, -1), quadrature_p(cutoff).matrix @ a)):
+        w, v = x_eigh(cutoff)
+        labels = real_matmul(v.T, a)
+        lam = w if a.ndim == 1 else w[:, None]
+        for got, dense in (
+                (real_matmul(v, lam * labels), quadrature_x(cutoff).matrix),
+                (-1j * real_matmul(v, real_matmul(analysis._momentum_labels(cutoff), labels)),
+                 quadrature_p(cutoff).matrix)):
             assert got.shape == dims
-            # 4 ulps of the largest entry
-            assert np.abs(got - dense).max() <= 4 * np.spacing(np.abs(dense).max())
+            # the eigenbasis round trip against the banded product: 1e-13 of the
+            # largest Σ|X||a| (8.3e-15 at cutoff 120)
+            scale = (np.abs(dense) @ np.abs(a)).max()
+            assert np.abs(got - dense @ a).max() <= 1e-13 * scale
 
-    def test_real_input_stays_real(self):
-        base = np.linspace(-1.0, 1.0, 9)
-        for sign in (1, -1):
-            assert apply_quadrature(base, sign).dtype == np.float64
-
-    def test_identity_gives_the_dense_entries(self):
+    def test_coefficients_are_the_dense_entries(self):
         # the coefficients are formed as quadrature_x forms its entries
-        x = apply_quadrature(np.eye(30), 1)
-        assert np.array_equal(x, quadrature_x(30).matrix.real)
-        assert np.array_equal(-1j * apply_quadrature(np.eye(30), -1), quadrature_p(30).matrix)
+        for cutoff in (2, 3, 8, 30, 120):
+            s = quadrature_coefficients(cutoff)
+            assert np.array_equal(s, np.diag(quadrature_x(cutoff).matrix.real, 1))
+            assert np.array_equal(s, np.diag((1j * quadrature_p(cutoff).matrix).real, 1))
 
 
 class TestRealMatmul:

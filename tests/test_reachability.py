@@ -20,8 +20,8 @@ ENGINE = (errors, hilbert, gaussian, cubic, protocol, analysis, schemes, cli)
 HERALD_LINES = ("gamma=0.001\nN=2\nalpha1=3.3\ntransmittance=0.9734\ncutoff=8\neta=1.0\n"
                 "dark_rate_hz=0.0\npurity_tol=3e-2\nensemble=1\nmax_attempts=500\n"
                 "input_alpha=0.0\n")
-# a slow tap: seed 1 clicks at attempt 10,284, past the 4,080 attempts of the
-# growing blocks, so the search gallops; seed 0 exhausts the budget
+# a slow tap: seed 1 clicks at attempt 10,284, past attempt 16, so the bracket
+# search runs; seed 0 exhausts the budget
 LATE_CLICK = dict(alpha1=1.0, transmittance=0.9999, max_attempts_per_factor=20_000)
 # the strong envelope squeezes the output past the cutoff: exit 2
 TRUNCATED = ["--alpha1", "60", "--transmittance", "0.5", "--eta", "1", "--dark-rate-hz", "0",

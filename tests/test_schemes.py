@@ -7,7 +7,7 @@ import pytest
 from cubicphase import reference, schemes
 from cubicphase.errors import DegenerateOutcomeError
 from cubicphase.hilbert import FockState, coherent, fidelity
-from cubicphase.gaussian import x_eigh
+from cubicphase.gaussian import squeezed_vacuum, x_eigh
 from cubicphase.reference import (
     GkpStateSpec,
     apply,
@@ -105,6 +105,14 @@ class TestMarekResource:
         st = marek_resource_state(2.0, 0.03, 40)
         co = marek_frame_coefficients(st, 2.0)
         assert abs(co[2]) < 1e-10
+
+    @pytest.mark.parametrize("r, gamma, cutoff", [(1.5, 0.03, 40), (16.0, 0.03, 61),
+                                                  (0.5, 0.1, 41), (4.0, 0.03, 41)])
+    def test_matches_dense_cubic(self, r, gamma, cutoff):
+        # x̂³ applied as λ³ in the eigenbasis against the cube of the dense x̂
+        want = _cubic_target(squeezed_vacuum(r, cutoff, max_loss=0.01), gamma)
+        got = marek_resource_state(r, gamma, cutoff, max_loss=0.01)
+        assert np.abs(got.amplitudes - want.amplitudes).max() <= 1e-14
 
 
 def _cubic_target(psi, gamma):
