@@ -129,9 +129,7 @@ class SweepRow:
     re_alpha: float
     ideal: float
     by_n: dict
-    mean_x_ideal: float
     mean_p_ideal: float
-    mean_x_by_n: dict
     mean_p_by_n: dict
 
 
@@ -159,7 +157,7 @@ def variance_sweep(spec: MomentSweepSpec) -> list[SweepRow]:
     not depend on how many N are swept.  Every column must pass ``check_headroom``,
     on its top two Fock rows V[−2:]·L, and in full (V·L) when they near the bound."""
     c = int(spec.cutoff)
-    w, v = x_eigh(c)
+    _, v = x_eigh(c)
     n_list = [int(n) for n in spec.n_list]
     inputs = coherent_columns([complex(re_a, spec.im_alpha) for re_a in spec.re_alpha_grid], c)
     diags = [_gate_targets(spec.gamma, 1, c)[1]] + [_gate_targets(spec.gamma, n, c)[0] for n in n_list]
@@ -172,14 +170,13 @@ def variance_sweep(spec: MomentSweepSpec) -> list[SweepRow]:
         check_headroom(real_matmul(v, labels[i, :, j]),
                        lambda: f"sweep column {name} at re_alpha={spec.re_alpha_grid[j]}")
     a_labels = real_matmul(_momentum_labels(c), labels)
-    mean_x = (w[:, None] * np.abs(labels) ** 2).sum(axis=1)
     mean_p = (labels.conj() * a_labels).imag.sum(axis=1)
     var_p = (np.abs(a_labels) ** 2).sum(axis=1) - mean_p**2
     # one list per Re(α): the ideal gate's value, then U_N's for each N
-    var_p, mean_x, mean_p = (m.T.tolist() for m in (var_p, mean_x, mean_p))
-    return [SweepRow(float(re_a), var[0], dict(zip(n_list, var[1:])), mx[0], mp[0],
-                     dict(zip(n_list, mx[1:])), dict(zip(n_list, mp[1:])))
-            for re_a, var, mx, mp in zip(spec.re_alpha_grid, var_p, mean_x, mean_p)]
+    var_p, mean_p = var_p.T.tolist(), mean_p.T.tolist()
+    return [SweepRow(float(re_a), var[0], dict(zip(n_list, var[1:])), mp[0],
+                     dict(zip(n_list, mp[1:])))
+            for re_a, var, mp in zip(spec.re_alpha_grid, var_p, mean_p)]
 
 
 # ---------------------------------------------------------------------------

@@ -177,10 +177,10 @@ def _run_error_ensemble(cfg: RunConfig, out: str) -> None:
 
 
 def _run_compare_schemes(cfg: RunConfig, out: str) -> None:
-    header = ("p", "ours_per_factor", "ours_total", "marek_model", "marek_restart_exact", "gkp")
+    header = ("p", "ours_per_factor", "ours_total", "marek_model", "marek_restart_exact")
     models = ((p, schemes.runtime_models(p, n=cfg.n)) for p in (0.05, 0.1, 0.2, 0.3, 0.5, 1.0))
     _write_csv(out, header, [(p, m.ours_per_factor, m.ours_total, m.marek_prep,
-                              schemes.marek_restart_mean(p), "n/a") for p, m in models])
+                              schemes.marek_restart_mean(p)) for p, m in models])
 
 
 def _run_check_identities(cfg: RunConfig, out: str) -> None:

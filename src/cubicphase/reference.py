@@ -5,11 +5,11 @@ library entry points ``full_gate`` and ``rus_factor`` run.  Everything here is
 the independent, dense route the tests check the engine against: operators as
 ``FockOperator`` matrices, gates as exact matrix exponentials of their
 truncated generators (scipy's scaling-and-squaring), and the subtraction
-protocol on a truncated Fock resource and ancilla.  So are the library
-functions no subcommand runs: gate-fidelity reports over an input ensemble,
-one operator-identity report at a time, and the photon-counting scheme's
-analytic phase record.  No engine module imports this one, so scipy loads
-only with it.
+protocol on a truncated Fock resource and ancilla.  So are the
+one-at-a-time wrappers of the operator-identity reports that
+``cubic.identity_reports`` runs together for check-identities.  Nothing here
+runs an engine driver (``analysis``, ``cli``), and no engine module imports
+this one, so scipy loads only with it.
 
 Conventions fixed here:
 
@@ -27,20 +27,18 @@ Conventions fixed here:
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm
 
-from .analysis import run_ensemble
 from .cubic import (IdentityReport, _comm, _monomial_report, _polynomial_report,
                     _real_quadratures, power_table)
 from .errors import CutoffError, DegenerateOutcomeError, DimensionError
 from .gaussian import displace_columns, squeezed_vacuum, x_eigh
 from .hilbert import FockState, _as_cutoffs, _mean_photons, coherent, real_matmul
-from .protocol import DetectorModel, ProtocolConfig, _inverse_cdf
+from .protocol import HEADROOM_BOUND, DetectorModel, _inverse_cdf
 from .schemes import _feed_forward_phase
 
 # Refuse tensor products beyond this total dimension (dense-matrix budget).
@@ -57,7 +55,6 @@ class FockOperator:
 
     matrix: np.ndarray
     cutoffs: tuple[int, ...]
-    hermitian_hint: bool = False
 
     def __post_init__(self):
         self.cutoffs = _as_cutoffs(self.cutoffs)
@@ -143,26 +140,22 @@ def annihilation(cutoff: int) -> FockOperator:
 
 def number_op(cutoff: int) -> FockOperator:
     m = np.diag(np.arange(int(cutoff), dtype=float)).astype(complex)
-    return FockOperator(m, (int(cutoff),), hermitian_hint=True)
+    return FockOperator(m, (int(cutoff),))
 
 
 def identity(cutoffs) -> FockOperator:
     cutoffs = _as_cutoffs(cutoffs)
-    return FockOperator(
-        np.eye(int(np.prod(cutoffs)), dtype=complex),
-        cutoffs,
-        hermitian_hint=True,
-    )
+    return FockOperator(np.eye(int(np.prod(cutoffs)), dtype=complex), cutoffs)
 
 
 def quadrature_x(cutoff: int) -> FockOperator:
     a = annihilation(cutoff).matrix
-    return FockOperator((a + a.conj().T) / math.sqrt(2.0), (int(cutoff),), hermitian_hint=True)
+    return FockOperator((a + a.conj().T) / math.sqrt(2.0), (int(cutoff),))
 
 
 def quadrature_p(cutoff: int) -> FockOperator:
     a = annihilation(cutoff).matrix
-    return FockOperator((a - a.conj().T) / (1j * math.sqrt(2.0)), (int(cutoff),), hermitian_hint=True)
+    return FockOperator((a - a.conj().T) / (1j * math.sqrt(2.0)), (int(cutoff),))
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +173,7 @@ def tensor(a, b):
     if kind is FockState:
         return FockState(np.kron(a.amplitudes, b.amplitudes), a.cutoffs + b.cutoffs,
                          normalized=a.normalized and b.normalized)
-    return FockOperator(np.kron(a.matrix, b.matrix), a.cutoffs + b.cutoffs,
-                        hermitian_hint=a.hermitian_hint and b.hermitian_hint)
+    return FockOperator(np.kron(a.matrix, b.matrix), a.cutoffs + b.cutoffs)
 
 
 def apply(op: FockOperator, state: FockState, modes=None) -> FockState:
@@ -500,25 +492,6 @@ def u_n_convergence_norms(gamma: float, n_list, cutoff: int,
     return out
 
 
-def commutator_approx_residual(a: FockOperator, b: FockOperator, t: float,
-                               margin: int = 5) -> float:
-    """Interior max-norm of e^{iAt}e^{iBt}e^{−iAt}e^{−iBt} − e^{−[A,B]t²}.
-
-    Both inputs must be Hermitian (hint set).  The caller checks the O(t³)
-    scaling; for pairs whose commutator is central the group identity is exact
-    and the residual is pure truncation noise.
-    """
-    if not (a.hermitian_hint and b.hermitian_hint):
-        raise ValueError("commutator_approx_residual expects Hermitian operators")
-    if a.cutoffs != b.cutoffs:
-        raise DimensionError("operator cutoffs differ")
-    t = float(t)
-    am, bm = a.matrix, b.matrix
-    lhs = expm(1j * am * t) @ expm(1j * bm * t) @ expm(-1j * am * t) @ expm(-1j * bm * t)
-    rhs = expm(-(am @ bm - bm @ am) * t * t)
-    return float(np.abs(interior_block(lhs - rhs, a.cutoffs, margin)).max())
-
-
 # ---------------------------------------------------------------------------
 # one operator-identity report at a time, on the private helpers that
 # ``cubic.identity_reports`` runs for check-identities
@@ -570,10 +543,7 @@ def detector_povm(detector: DetectorModel, cutoff: int) -> tuple[FockOperator, F
     """(Π₀, Π_click) with Π₀ diagonal e^{−ν}(1−η)^m and Π_click = I − Π₀."""
     pi0 = np.diag(_povm0_diag(detector.eta, detector.nu, int(cutoff)).astype(complex))
     pick = np.eye(int(cutoff), dtype=complex) - pi0
-    return (
-        FockOperator(pi0, (int(cutoff),), hermitian_hint=True),
-        FockOperator(pick, (int(cutoff),), hermitian_hint=True),
-    )
+    return FockOperator(pi0, (int(cutoff),)), FockOperator(pick, (int(cutoff),))
 
 
 @lru_cache(maxsize=64)
@@ -621,7 +591,7 @@ def couple_resource(state: FockState, alpha1: float, gamma_l: complex, cutoffs) 
     # pile probability against the truncation boundary
     occ = two.amplitudes.reshape(sys_c, res_c)
     top = float(np.sum(np.abs(occ[:, res_c - 2:]) ** 2) / np.sum(np.abs(occ) ** 2))
-    if top > 1e-6:
+    if top > HEADROOM_BOUND:
         raise CutoffError(
             f"resource cutoff {res_c} too small: {top:.2e} of the coupled state "
             f"sits in the top two levels"
@@ -776,130 +746,3 @@ def marek_restart_mc(p: float, runs: int, rng: np.random.Generator,
     if active.size:
         raise RuntimeError("restart-chain sampling did not terminate")
     return float(attempts.mean())
-
-
-# ---------------------------------------------------------------------------
-# gate-fidelity reports over an ensemble of coherent inputs, on the engine's
-# ``analysis.run_ensemble``
-
-
-@dataclass(frozen=True)
-class GateFidelityReport:
-    runs: tuple
-    mean_fidelity_un: float
-    mean_fidelity_ideal: float
-    mean_total_attempts: float
-    first_attempt_click_prob: float
-    predicted_attempts: float       # 3N / p_first
-    attempts_ratio: float           # mean_total / predicted
-    failures: int
-
-
-DEFAULT_INPUT_ALPHAS = (0.3, 0.15 + 0.15j, 0.0, -0.2 + 0.1j)
-
-
-def gate_fidelity_report(
-    config: ProtocolConfig,
-    ensemble_size: int,
-    rng: np.random.Generator,
-    input_alphas=DEFAULT_INPUT_ALPHAS,
-) -> GateFidelityReport:
-    """Run the full gate over an ensemble of coherent inputs.
-
-    Reports output-state fidelity against the normalized U_N target and the
-    ideal cubic gate, plus attempt statistics compared with 3N/p, where p is
-    the mean over heralded factors of F(1), the first row of the factor's
-    click table: the exact probability of a click at its first attempt.
-    Runs whose factor exhausts its attempt budget count as failures and carry
-    no fidelity.  Each run draws from its own child of ``rng`` (``rng.spawn``).
-    """
-    alphas = (complex(input_alphas[i % len(input_alphas)]) for i in range(int(ensemble_size)))
-    results = run_ensemble(config, alphas, rng.spawn(int(ensemble_size)))
-    runs = tuple(r for r, _ in results)
-    done = [(r, log) for r, log in results if r.success]
-    first_ps = [f.first_click_prob for _, log in done for f in log.factors if f.attempts > 0]
-    fid_un = [r.fidelity_un for r, _ in done]
-    fid_ideal = [r.fidelity_ideal for r, _ in done]
-    attempts = [r.total_attempts for r, _ in done]
-    failures = len(runs) - len(done)
-
-    p_first = float(np.mean(first_ps)) if first_ps else float("nan")
-    mean_attempts = float(np.mean(attempts)) if attempts else float("nan")
-    predicted = 3.0 * int(config.n) / p_first if p_first > 0 else float("nan")
-    return GateFidelityReport(
-        runs=runs,
-        mean_fidelity_un=float(np.mean(fid_un)) if fid_un else float("nan"),
-        mean_fidelity_ideal=float(np.mean(fid_ideal)) if fid_ideal else float("nan"),
-        mean_total_attempts=mean_attempts,
-        first_attempt_click_prob=p_first,
-        predicted_attempts=predicted,
-        attempts_ratio=mean_attempts / predicted if predicted and not math.isnan(predicted) else float("nan"),
-        failures=failures,
-    )
-
-
-# ---------------------------------------------------------------------------
-# the photon-counting (EPR + number measurement) scheme, kept analytic: its
-# output is a WKB phase function exp[i x³/(6√(2E)) − i(√(2E)−α)x] with
-# E = n + 1/2, valid for large displacement α, and only the phase coefficients
-# are checkable at desk scale
-
-
-@dataclass
-class GkpStateSpec:
-    """Detected photon number n, momentum-shift amplitude α, and an optional
-    x-grid on which to evaluate the resulting phase function."""
-
-    n: int
-    alpha: float
-    domain: tuple = ()
-
-    def __post_init__(self):
-        if int(self.n) < 0:
-            raise ValueError("photon number must be >= 0")
-        if self.alpha < 10.0:
-            warnings.warn(
-                f"alpha = {self.alpha:g} is outside the α ≫ 1 validity regime",
-                stacklevel=2,
-            )
-
-    @property
-    def energy(self) -> float:
-        return int(self.n) + 0.5
-
-
-@dataclass(frozen=True)
-class GkpPhaseRecord:
-    cubic_coeff: float
-    linear_coeff: float
-    energy: float
-    domain: tuple
-    phase: tuple
-
-
-def gkp_cubic_state(spec: GkpStateSpec) -> GkpPhaseRecord:
-    """Phase coefficients of the heralded state: x³/(6√(2E)) − (√(2E)−α)x."""
-    e = spec.energy
-    cubic = 1.0 / (6.0 * math.sqrt(2.0 * e))
-    linear = -(math.sqrt(2.0 * e) - spec.alpha)
-    xs = tuple(float(x) for x in spec.domain)
-    phase = tuple(cubic * x**3 + linear * x for x in xs)
-    return GkpPhaseRecord(cubic, linear, e, xs, phase)
-
-
-@dataclass(frozen=True)
-class LikelihoodRange:
-    lo: float
-    hi: float
-    inside: bool
-
-
-def gkp_mode_likelihood(n: int, alpha: float, sigma_x: float, sigma_p: float) -> LikelihoodRange:
-    """Whether n + 1/2 falls in the likely window ½(α ± σ_x⁻¹)² + ½σ_p⁻²."""
-    if not (0.0 < sigma_x < 1.0 and 0.0 < sigma_p < 1.0):
-        raise ValueError("sigma_x and sigma_p must lie in (0, 1)")
-    base = 0.5 / sigma_p**2
-    lo = 0.5 * (alpha - 1.0 / sigma_x) ** 2 + base
-    hi = 0.5 * (alpha + 1.0 / sigma_x) ** 2 + base
-    e = int(n) + 0.5
-    return LikelihoodRange(lo, hi, lo <= e <= hi)

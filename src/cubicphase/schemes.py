@@ -7,8 +7,7 @@ resource position is measured by homodyne (spectral decomposition of the
 truncated x̂, outcome binned to an eigenvalue), and the feed-forward unitary
 U_FF = exp[−iγq³ − 3iγ(x̂+q)x̂q] repairs the nonzero-q branch.  The squeezed
 frame, the dense U_FF and the restart chain's Monte Carlo mean are test
-oracles in ``cubicphase.reference``, which also keeps the photon-counting
-scheme's analytic phase record.
+oracles in ``cubicphase.reference``.
 """
 
 from __future__ import annotations

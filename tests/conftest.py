@@ -23,8 +23,7 @@ class ForcedOutcomeRng:
     ``subtraction_attempt`` draws twice per attempt: the outcome, then the
     ancilla photon number by inverse CDF, where 0.0 gives the lowest number
     of positive weight and 1 − 1e-15 the highest; after a no-click at η = 1
-    both give 0, the only one.  spawn() hands the same
-    stand-in to every run of an ensemble.
+    both give 0, the only one.
     """
 
     def __init__(self, value: float = 0.0):
@@ -32,9 +31,6 @@ class ForcedOutcomeRng:
 
     def random(self) -> float:
         return self.value
-
-    def spawn(self, n: int) -> list:
-        return [self] * n
 
 
 @pytest.fixture

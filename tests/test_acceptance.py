@@ -32,12 +32,10 @@ from cubicphase.protocol import (
     rus_factor,
 )
 from cubicphase.reference import (
-    GkpStateSpec,
     apply,
     couple_resource,
     detector_povm,
     factor_operator,
-    gkp_cubic_state,
     interior_max_norm,
     marek_frame_coefficients,
     marek_restart_mc,
@@ -275,19 +273,6 @@ def test_criterion_9_marek_resource_and_restart(rng):
         f"squeezed-frame support leak {others.max():.1e} (<1e-10), |3>/|1> ratio "
         f"err {ratio_err:.1e} (<1e-6); restart model: " + "; ".join(details),
         support_ok and ratio_err < 1e-6 and mc_ok,
-    )
-
-
-def test_criterion_10_gkp_formula():
-    rec = gkp_cubic_state(GkpStateSpec(n=49, alpha=20.0))
-    coeff_err = abs(rec.cubic_coeff - 1.0 / (6.0 * math.sqrt(2.0 * 49.5)))
-    c199 = gkp_cubic_state(GkpStateSpec(n=199, alpha=20.0)).cubic_coeff
-    ratio = rec.cubic_coeff / c199
-    check(
-        10,
-        f"cubic coefficient 1/(6 sqrt(2E)) exact (err {coeff_err:.1e}), "
-        f"n^(-1/2) scaling ratio {ratio:.4f} (2 within 1%)",
-        coeff_err < 1e-12 and abs(ratio - 2.0) / 2.0 < 0.01,
     )
 
 

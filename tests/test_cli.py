@@ -171,11 +171,23 @@ class TestRun:
         cfg = parse_config(None, {"out": str(out)})
         assert run("compare-schemes", cfg) == 0
         rows = read_csv(out)
-        assert rows[0][0] == "p"
+        assert rows[0] == ["p", "ours_per_factor", "ours_total", "marek_model", "marek_restart_exact"]
+        assert len(rows) == 1 + 6
         row_p1 = [r for r in rows[1:] if float(r[0]) == 0.1][0]
         assert float(row_p1[1]) == pytest.approx(10.0)
         assert float(row_p1[4]) == pytest.approx(1110.0)
-        assert row_p1[5] == "n/a"
+
+    @pytest.mark.parametrize("n", ["1", "4"])
+    def test_compare_schemes_rows_are_the_closed_forms(self, tmp_path, n):
+        # per p: 1/p, 3N/p with N from the config, p⁻³ and (1 + p + p²)/p³
+        out = tmp_path / "cmp.csv"
+        assert main(["compare-schemes", "--N", n, "--out", str(out)]) == 0
+        rows = read_csv(out)[1:]
+        assert [float(r[0]) for r in rows] == [0.05, 0.1, 0.2, 0.3, 0.5, 1.0]
+        for r in rows:
+            p = float(r[0])
+            expected = [1 / p, 3 * int(n) / p, p**-3, (1 + p + p * p) / p**3]
+            assert [float(v) for v in r[1:]] == pytest.approx(expected, rel=1e-12)
 
     def test_simulate_runs(self, tmp_path):
         out = tmp_path / "sim.csv"

@@ -14,8 +14,6 @@ from cubicphase.cubic import (
 )
 from cubicphase.errors import DimensionError
 from cubicphase.reference import (
-    FockOperator,
-    commutator_approx_residual,
     factor_operator,
     ideal_cubic_gate,
     interior_block,
@@ -138,44 +136,6 @@ class TestIdealCubicGate:
         g = ideal_cubic_gate(0.03, 30).matrix
         x = quadrature_x(30).matrix
         assert interior_max_norm(g @ x - x @ g, (30,), 5) < 1e-10
-
-
-class TestCommutatorApprox:
-    def test_zero_time(self):
-        x, p = quadrature_x(30), quadrature_p(30)
-        assert commutator_approx_residual(x, p, 0.0) < 1e-14
-
-    def test_equal_operators(self):
-        x = quadrature_x(30)
-        assert commutator_approx_residual(x, x, 0.2) < 1e-12
-
-    def test_central_pair_exact_identity(self):
-        # [x̂, p̂] = i is central: the group identity is exact, the residual is
-        # the truncation floor (frozen from a build-time run), far below C·t³
-        x, p = quadrature_x(40), quadrature_p(40)
-        assert commutator_approx_residual(x, p, 0.1, margin=5) < 1e-7
-
-    def test_cubic_scaling_noncentral(self):
-        # (x̂², p̂²) has a non-central commutator: residual halving ratio → 8
-        c = 40
-        x2 = FockOperator(
-            np.linalg.matrix_power(quadrature_x(c).matrix, 2), (c,), hermitian_hint=True
-        )
-        p2 = FockOperator(
-            np.linalg.matrix_power(quadrature_p(c).matrix, 2), (c,), hermitian_hint=True
-        )
-        ts = (0.1, 0.05, 0.025)
-        rs = [commutator_approx_residual(x2, p2, t, margin=8) for t in ts]
-        ratios = [rs[i] / rs[i + 1] for i in range(2)]
-        assert all(5.0 < r < 11.0 for r in ratios)
-        assert ratios[-1] == pytest.approx(8.0, abs=1.2)
-
-    def test_rejects_non_hermitian(self):
-        c = 10
-        x = quadrature_x(c)
-        bad = FockOperator(np.triu(np.ones((c, c))), (c,))
-        with pytest.raises(ValueError):
-            commutator_approx_residual(x, bad, 0.1)
 
 
 def complex_route(name, cutoff, margin):

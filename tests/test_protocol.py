@@ -8,7 +8,7 @@ import pytest
 from scipy import stats
 
 from oracles import coherent_position_density, factor_attempt_stats, gate_total_attempts
-from cubicphase import analysis, protocol
+from cubicphase import analysis, protocol, reference
 from cubicphase.cubic import gamma_factors
 from cubicphase.errors import (
     CutoffError,
@@ -295,6 +295,22 @@ class TestCoupleResource:
         gl = gamma_factors(0.03, 1).gamma_l[0]
         with pytest.raises(CutoffError, match="cutoff 10"):
             couple_resource(coherent(0.3, 10), 3.0, gl, (10, 10))
+
+    def test_coupled_resource_past_headroom_raises(self):
+        # |1.5⟩ fits 20 levels, but the coupling spreads it to 1.99e-6 of the
+        # state in the top two of them; 25 levels hold it
+        gl = gamma_factors(0.03, 1).gamma_l[0]
+        with pytest.raises(CutoffError, match="cutoff 20 too small: .* top two levels"):
+            couple_resource(coherent(0.3, 30), 1.5, gl, (30, 20))
+        couple_resource(coherent(0.3, 30), 1.5, gl, (30, 25))
+
+    def test_headroom_is_protocols_bound(self, monkeypatch):
+        # the bound is protocol.HEADROOM_BOUND read by name, so moving it
+        # moves where couple_resource refuses
+        assert reference.HEADROOM_BOUND is HEADROOM_BOUND
+        gl = gamma_factors(0.03, 1).gamma_l[0]
+        monkeypatch.setattr(reference, "HEADROOM_BOUND", 1e-5)
+        couple_resource(coherent(0.3, 30), 1.5, gl, (30, 20))
 
     def test_narrow_system_gives_coherent_resource(self):
         # near-position-eigenstate at x0: resource ≈ |α₁(1 + γ_l x0)⟩

@@ -9,11 +9,8 @@ from cubicphase.errors import DegenerateOutcomeError
 from cubicphase.hilbert import FockState, coherent, fidelity
 from cubicphase.gaussian import squeezed_vacuum, x_eigh
 from cubicphase.reference import (
-    GkpStateSpec,
     apply,
     expm,
-    gkp_cubic_state,
-    gkp_mode_likelihood,
     marek_frame_coefficients,
     marek_gamma_prime,
     marek_restart_mc,
@@ -28,55 +25,6 @@ from cubicphase.schemes import (
     marek_restart_mean,
     runtime_models,
 )
-
-
-class TestGkpCubicState:
-    def test_cubic_coefficient_n49(self):
-        rec = gkp_cubic_state(GkpStateSpec(n=49, alpha=20.0))
-        assert rec.cubic_coeff == pytest.approx(1.0 / (6.0 * math.sqrt(99.0)), rel=1e-12)
-        assert rec.cubic_coeff == pytest.approx(0.016750, abs=1e-6)
-
-    def test_linear_term_cancels_when_alpha_matches(self):
-        n = 50  # alpha = sqrt(101) > 10 keeps the validity warning quiet
-        alpha = math.sqrt(2 * (n + 0.5))
-        rec = gkp_cubic_state(GkpStateSpec(n=n, alpha=alpha))
-        assert rec.linear_coeff == pytest.approx(0.0, abs=1e-12)
-
-    def test_sqrt_n_scaling(self):
-        c49 = gkp_cubic_state(GkpStateSpec(n=49, alpha=20.0)).cubic_coeff
-        c199 = gkp_cubic_state(GkpStateSpec(n=199, alpha=20.0)).cubic_coeff
-        assert c49 / c199 == pytest.approx(2.0, rel=0.01)
-
-    def test_phase_evaluated_on_domain(self):
-        rec = gkp_cubic_state(GkpStateSpec(n=49, alpha=20.0, domain=(0.0, 1.0)))
-        assert rec.phase[0] == 0.0
-        assert rec.phase[1] == pytest.approx(rec.cubic_coeff + rec.linear_coeff)
-
-    def test_small_alpha_warns(self):
-        with pytest.warns(UserWarning, match="validity"):
-            GkpStateSpec(n=10, alpha=5.0)
-
-
-class TestGkpLikelihood:
-    def test_range_endpoints(self):
-        r = gkp_mode_likelihood(200, 20.0, 0.2, 0.2)
-        assert r.lo == pytest.approx(125.0)
-        assert r.hi == pytest.approx(325.0)
-        assert r.inside
-
-    def test_small_n_outside(self):
-        assert not gkp_mode_likelihood(0, 20.0, 0.2, 0.2).inside
-
-    def test_endpoints_monotone_in_alpha(self):
-        prev = gkp_mode_likelihood(200, 15.0, 0.2, 0.2)
-        for alpha in (20.0, 25.0):
-            cur = gkp_mode_likelihood(200, alpha, 0.2, 0.2)
-            assert cur.lo > prev.lo and cur.hi > prev.hi
-            prev = cur
-
-    def test_invalid_sigma(self):
-        with pytest.raises(ValueError):
-            gkp_mode_likelihood(10, 20.0, 1.5, 0.2)
 
 
 class TestMarekResource:
