@@ -31,8 +31,8 @@ from . import analysis, cubic, schemes
 from .errors import CutoffError, DegenerateOutcomeError, NumericalDegradationError
 from .protocol import DetectorModel, ProtocolConfig, check_bounds
 
-# the largest system cutoff: check-identities, the largest in memory, peaks at
-# 1.14 GB RSS there and fits a 1.5 GB address space (README, CLI)
+# the largest system cutoff: simulate and sweep-variance, the largest in memory,
+# peak at about 0.39 GB RSS there (README, CLI)
 MAX_CUTOFF = 3000
 
 
@@ -185,15 +185,16 @@ def _run_compare_schemes(cfg: RunConfig, out: str) -> None:
 
 def _run_check_identities(cfg: RunConfig, out: str) -> None:
     c = max(cfg.cutoff, 24)
-    rows = [(rep.name, rep.fitted_constant, rep.residual, rep.cutoff)
-            for rep in cubic.identity_reports(c)]
+    rows = [(*row, c) for row in cubic.identity_rows(c)]
     # the decomposition identities at the configured gamma/N hold between the
-    # coefficients of polynomials in x̂, so they are checked there, at any cutoff
+    # coefficients of polynomials in x̂, so they are checked there, at any cutoff;
+    # each residual is relative to the target's largest coefficient, as the fits' are
     g = cfg.gamma / cfg.n
     e = cubic.factor_coefficients(cubic.gamma_factors(cfg.gamma, cfg.n))
     norm = np.convolve(e.conj(), e)  # (Σ e_k x̂^k)†(Σ e_k x̂^k), as x̂ is Hermitian
-    rows.append(("factorization", 1.0, float(np.abs(e - (1, 0, 0, 1j * g)).max()), c))
-    rows.append(("norm_identity", 1.0, float(np.abs(norm - (1, 0, 0, 0, 0, 0, g * g)).max()), c))
+    for name, got, want in (("factorization", e, (1, 0, 0, 1j * g)),
+                            ("norm_identity", norm, (1, 0, 0, 0, 0, 0, g * g))):
+        rows.append((name, 1.0, float(np.abs(got - want).max() / np.abs(want).max()), c))
     _write_csv(out, ("identity_name", "fitted_constant", "residual", "cutoff"), rows)
 
 

@@ -7,25 +7,27 @@ The target unitary is e^{iγx̂³}.  Its N-step approximant factorizes as
 
 because the three γ_l sum to zero pairwise-products-to-zero and multiply to
 i γ/N.  These are identities between polynomial coefficients, which
-``factor_coefficients`` multiplies out.  The identity reports are polynomials
-of the *truncated* real x̂ and P = ip̂ matrices, formed and fitted only on the
-interior block that excludes the top Fock levels, where truncation corrupts p̂²
-and high powers of x̂.  The dense U_N, e^{iγx̂³} and factor matrices are test
-oracles in ``cubicphase.reference``, as are the one-report wrappers
-``monomial_identity_report`` and ``polynomial_identity_report``.
+``factor_coefficients`` multiplies out.  The identity fits are polynomials of
+the *truncated* real x̂ and P = ip̂, band matrices each kept as its diagonals, a
+(2b + 1, n) array for half-width b: a product is one slice multiply-add per
+diagonal of the narrower operand, so the five fits take O(n) time and memory
+and make no BLAS call.  They are fitted on the interior block that excludes the
+top Fock levels, where truncation corrupts p̂² and high powers of x̂, and cached
+per cutoff.  The dense U_N, e^{iγx̂³} and factor matrices are test oracles in
+``cubicphase.reference``, as are the dense identity reports
+``monomial_identity_report`` and ``polynomial_identity_report``, the banded
+fits' oracle.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
 
-from .errors import DimensionError
 from .hilbert import quadrature_coefficients
 
 
@@ -58,108 +60,85 @@ def factor_coefficients(dec: CubicDecomposition) -> np.ndarray:
     return reduce(np.convolve, ((1.0, gl) for gl in dec.gamma_l))
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    """Best-fit proportionality between a target operator, phase·real_lhs, and a
-    nested-commutator construction, phase·real_rhs, with the residual after
-    removing the fitted part.  Both hold the interior block, the top-left
-    (cutoff − margin)² entries."""
-
-    name: str
-    cutoff: int
-    margin: int
-    fitted_constant: float
-    residual: float
-    real_lhs: np.ndarray
-    real_rhs: np.ndarray
-    phase: complex
+def _quadrature_bands(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """x̂ and P = (â − â†)/√2 as diagonals; p̂ = −iP."""
+    s = quadrature_coefficients(cutoff)
+    up, down = np.append(s, 0.0), np.insert(s, 0, 0.0)
+    zero = np.zeros(int(cutoff))
+    return np.array((down, zero, up)), np.array((-down, zero, up))
 
 
-def power_table(m: np.ndarray, k: int) -> list:
-    """[None, m, m², …, m^k] by repeated matmul; no report reads the identity."""
-    table = [None, m]
-    for _ in range(k - 1):
-        table.append(table[-1] @ m)
-    return table
+def _padded(d: np.ndarray, w: int) -> np.ndarray:
+    """Diagonals d with w zero columns on each side."""
+    out = np.zeros((len(d), d.shape[1] + 2 * w))
+    out[:, w:w + d.shape[1]] = d
+    return out
 
 
-def _real_quadratures(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """x̂ and P = (â − â†)/√2 as real matrices; p̂ = −iP."""
-    up = np.diag(quadrature_coefficients(cutoff), 1)  # â/√2
-    return up + up.T, up - up.T
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a·b of two banded operators by one slice multiply-add per diagonal of the
+    narrower one, which goes on the left: ab = (bᵀaᵀ)ᵀ."""
+    if len(a) > len(b):
+        return _transpose(_product(_transpose(b), _transpose(a)))
+    ha, hb, n = len(a) // 2, len(b) // 2, a.shape[1]
+    out, bp = np.zeros((2 * (ha + hb) + 1, n)), _padded(b, ha)
+    for j in range(2 * ha + 1):  # (i, i + j − ha) of a meets row i + j − ha of b
+        out[j:j + 2 * hb + 1] += a[j] * bp[:, j:j + n]
+    return out
 
 
-def _comm(u, v, parity: int, keep: int | None = None):
-    """The top-left keep×keep block of [u, v] (all of it by default) by one product
-    u[:keep] @ v[:, :keep]: vu = parity·(uv)ᵀ when uᵀ = ±u, vᵀ = ±v (signs' product)."""
-    uv = u[:keep] @ v[:, :keep]
-    return uv - uv.T if parity == 1 else uv + uv.T
+def _transpose(d: np.ndarray) -> np.ndarray:
+    """The diagonals of the transpose: its entry (i, i + k) is the operator's (i + k, i)."""
+    h, n = len(d) // 2, d.shape[1]
+    dp = _padded(d, h)
+    return np.array([dp[2 * h - r, r:r + n] for r in range(2 * h + 1)])
 
 
-def _interior(cutoff: int, margin: int) -> int:
-    """The size of the interior block, which leaves out the top ``margin`` levels."""
-    keep = int(cutoff) - int(margin)
-    if keep < 1:
-        raise DimensionError(f"margin {margin} leaves no interior block")
-    return keep
+def _comm(u, v, parity: int) -> np.ndarray:
+    """[u, v] by one product: vu = parity·(uv)ᵀ when uᵀ = ±u, vᵀ = ±v (signs' product)."""
+    uv = _product(u, v)
+    return uv - parity * _transpose(uv)
 
 
-def _fit_report(name, lb, rb, cutoff, margin, phase: complex = 1.0) -> IdentityReport:
-    """Fit rb ≈ c·lb on the interior blocks of real matrices that equal the
-    operators up to the common unit factor ``phase``, which the fit does not see."""
-    c = float(np.vdot(lb, rb) / np.vdot(lb, lb))
-    dev = c * lb  # in place from here: each temporary is another k×k block
-    dev -= rb
-    residual = float(np.abs(dev, out=dev).max())
-    return IdentityReport(name, int(cutoff), int(margin), c, residual, lb, rb, complex(phase))
+def _fit(lhs, rhs, keep: int) -> tuple[float, float]:
+    """(c, max|c·lhs − rhs| / max|rhs|) for the least-squares c of rhs ≈ c·lhs on the
+    interior block, rows and columns below ``keep``, where rhs is the wider band."""
+    h, hl = len(rhs) // 2, len(lhs) // 2
+    lb, rb = blocks = np.zeros((2, 2 * h + 1, keep))
+    lb[h - hl:h + hl + 1], rb[:] = lhs[:, :keep], rhs[:, :keep]
+    blocks[:, np.arange(-h, h + 1)[:, None] + np.arange(keep) >= keep] = 0.0  # right of the block
+    c = float(np.add.reduce(lb * rb, axis=None) / np.add.reduce(lb * lb, axis=None))
+    return c, float(np.abs(c * lb - rb).max() / np.abs(rb).max())
 
 
-def _monomial_report(m: int, cutoff: int, margin, xs, x3_p2) -> IdentityReport:
-    """The monomial fit from the x̂ table ``xs`` and x3_p2 = [x̂³, p̂²] = −[x̂³, P²]."""
-    if margin is None:
-        margin = max(5, m + 2)
-    keep = _interior(cutoff, margin)
-    rhs = _comm(xs[m - 1], x3_p2, -1, keep)
-    rhs *= -2.0 / (3.0 * (m - 1))
-    lhs = xs[m][:keep, :keep].copy()  # contiguous, and not a view that holds the whole table
-    return _fit_report(f"monomial_m{m}", lhs, rhs, cutoff, margin)
+def _identity_bands(cutoff: int):
+    """(name, keep, lhs, rhs) of each fit, banded over the whole cutoff; the fit
+    reads the interior block keep = cutoff − margin, which leaves out the top
+    levels, where truncation corrupts p̂² and high powers of x̂."""
+    x, P = _quadrature_bands(cutoff)
+    xs, ps = [None, x], [None, P, _product(P, P)]
+    for _ in range(4):
+        xs.append(_product(x, xs[-1]))
+    ps.append(_product(P, ps[2]))
+    x3_p2 = _comm(ps[2], xs[3], 1)  # [P², x̂³] = [x̂³, p̂²]
+    for m in (4, 5):
+        rhs = _comm(xs[m - 1], x3_p2, -1) * (-2.0 / (3.0 * (m - 1)))
+        yield f"monomial_m{m}", cutoff - max(5, m + 2), xs[m], rhs
+    for m, n in ((1, 1), (2, 1), (1, 2)):
+        # x̂^k is symmetric and P^k has transpose parity (−1)^k, so the anticommutator
+        # {x̂^m, P^n} is the commutator's construction with the opposite sign
+        lhs = _comm(xs[m], ps[n], (-1) ** (n + 1))
+        rhs = _comm(xs[m + 1], ps[n + 1], (-1) ** (n + 1)) * (-4.0 / ((n + 1) * (m + 1)))
+        for k in range(1, n):  # [x̂^m, P^k] has parity (−1)^{k+1}
+            outer = _comm(ps[n - k], _comm(xs[m], ps[k], (-1) ** k), (-1) ** (n + 1))
+            rhs[2:-2] -= outer * (1.0 / (n + 1))  # half-width m + n, two less than rhs
+        yield f"polynomial_m{m}_n{n}", cutoff - max(5, m + n + 3), lhs, rhs
 
 
-def _polynomial_report(m: int, n: int, cutoff: int, margin, xs, ps) -> IdentityReport:
-    """The polynomial fit from the x̂ table ``xs`` and the P table ``ps``."""
-    if margin is None:
-        margin = max(5, m + n + 3)
-    keep = _interior(cutoff, margin)
-    # x̂^k is symmetric and P^k has transpose parity (−1)^k, so the anticommutator
-    # {x̂^m, P^n} is the commutator's construction with the opposite sign
-    lhs = _comm(xs[m], ps[n], (-1) ** (n + 1), keep)
-    rhs = _comm(xs[m + 1], ps[n + 1], (-1) ** (n + 1), keep)
-    rhs *= -4.0 / ((n + 1) * (m + 1))  # −4i·(−i)^{n+1} = −4·(−i)ⁿ
-    for k in range(1, n):  # [x̂^m, P^k] has parity (−1)^{k+1}; the outer one reads all of it
-        inner = _comm(xs[m], ps[k], (-1) ** k)
-        outer = _comm(ps[n - k], inner, (-1) ** (n + 1), keep)
-        outer *= 1.0 / (n + 1)
-        rhs -= outer
-    return _fit_report(f"polynomial_m{m}_n{n}", lhs, rhs, cutoff, margin, phase=(-1j) ** n)
-
-
-@lru_cache(maxsize=1)  # one cutoff's tables: at cutoff 3000 they hold about 0.65 GB
-def _identity_tables(cutoff: int) -> tuple:
-    """The x̂¹…x̂⁵ and P¹…P³ tables (by power) and [x̂³, P²] of ``identity_reports``,
-    read-only: built once per cutoff, so a run frees little of what it allocates."""
-    x, P = _real_quadratures(cutoff)
-    xs, ps = tuple(power_table(x, 5)), tuple(power_table(P, 3))
-    x3_p2 = _comm(ps[2], xs[3], 1)
-    for m in (*xs[1:], *ps[1:], x3_p2):
-        m.flags.writeable = False
-    return xs, ps, x3_p2
-
-
-def identity_reports(cutoff: int):
-    """An iterator over the monomial reports m = 4, 5 and the polynomial ones (m, n) =
-    (1, 1), (2, 1), (1, 2), which share one x̂¹…x̂⁵ table and one P¹…P³.  The reports
-    are made as the iterator is read, so one report's blocks are held at a time."""
-    xs, ps, x3_p2 = _identity_tables(int(cutoff))
-    return itertools.chain(
-        (_monomial_report(m, cutoff, None, xs, x3_p2) for m in (4, 5)),
-        (_polynomial_report(m, n, cutoff, None, xs, ps) for m, n in ((1, 1), (2, 1), (1, 2))))
+@lru_cache(maxsize=8)  # a few hundred bytes per cutoff
+def identity_rows(cutoff: int) -> tuple:
+    """``check-identities``' five fits as (name, fitted constant, relative residual),
+    built once per cutoff: the monomials m = 4, 5 and the polynomials (m, n) =
+    (1, 1), (2, 1), (1, 2)."""
+    return tuple((name, *_fit(lhs, rhs, keep))
+                 for name, keep, lhs, rhs in _identity_bands(int(cutoff)))

@@ -6,8 +6,8 @@ the independent, dense route the tests check the engine against: operators as
 ``FockOperator`` matrices, gates as exact matrix exponentials of their
 truncated generators (scipy's scaling-and-squaring), and the subtraction
 protocol on a truncated Fock resource and ancilla.  So are the
-one-at-a-time wrappers of the operator-identity reports that
-``cubic.identity_reports`` runs together for check-identities.  Nothing here
+dense operator-identity reports, one at a time, which check the banded
+fits ``cubic.identity_rows`` runs for check-identities.  Nothing here
 runs an engine driver (``analysis``, ``cli``), and no engine module imports
 this one, so scipy loads only with it.
 
@@ -33,11 +33,10 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import expm
 
-from .cubic import (IdentityReport, _comm, _monomial_report, _polynomial_report,
-                    _real_quadratures, power_table)
 from .errors import CutoffError, DegenerateOutcomeError, DimensionError
 from .gaussian import displace_columns, squeezed_vacuum, x_eigh
-from .hilbert import FockState, _as_cutoffs, _mean_photons, coherent, real_matmul
+from .hilbert import (FockState, _as_cutoffs, _mean_photons, coherent,
+                      quadrature_coefficients, real_matmul)
 from .protocol import HEADROOM_BOUND, DetectorModel, _inverse_cdf
 from .schemes import _feed_forward_phase
 
@@ -493,8 +492,62 @@ def u_n_convergence_norms(gamma: float, n_list, cutoff: int,
 
 
 # ---------------------------------------------------------------------------
-# one operator-identity report at a time, on the private helpers that
-# ``cubic.identity_reports`` runs for check-identities
+# one operator-identity report at a time, as dense matrices: the oracle of the
+# banded fits ``cubic.identity_rows`` runs for check-identities
+
+
+@dataclass(frozen=True)
+class IdentityReport:
+    """Best-fit proportionality between a target operator, phase·real_lhs, and a
+    nested-commutator construction, phase·real_rhs, with the residual after
+    removing the fitted part, relative to the construction's largest entry.
+    Both hold the interior block, the top-left (cutoff − margin)² entries."""
+
+    name: str
+    cutoff: int
+    margin: int
+    fitted_constant: float
+    residual: float
+    real_lhs: np.ndarray
+    real_rhs: np.ndarray
+    phase: complex
+
+
+def power_table(m: np.ndarray, k: int) -> list:
+    """[None, m, m², …, m^k] by repeated matmul; no report reads the identity."""
+    table = [None, m]
+    for _ in range(k - 1):
+        table.append(table[-1] @ m)
+    return table
+
+
+def _real_quadratures(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """x̂ and P = (â − â†)/√2 as dense real matrices; p̂ = −iP."""
+    up = np.diag(quadrature_coefficients(cutoff), 1)  # â/√2
+    return up + up.T, up - up.T
+
+
+def _comm(u, v, parity: int, keep: int | None = None):
+    """The top-left keep×keep block of [u, v] (all of it by default) by one product
+    u[:keep] @ v[:, :keep]: vu = parity·(uv)ᵀ when uᵀ = ±u, vᵀ = ±v (signs' product)."""
+    uv = u[:keep] @ v[:, :keep]
+    return uv - uv.T if parity == 1 else uv + uv.T
+
+
+def _interior(cutoff: int, margin: int) -> int:
+    """The size of the interior block, which leaves out the top ``margin`` levels."""
+    keep = int(cutoff) - int(margin)
+    if keep < 1:
+        raise DimensionError(f"margin {margin} leaves no interior block")
+    return keep
+
+
+def _fit_report(name, lb, rb, cutoff, margin, phase: complex = 1.0) -> IdentityReport:
+    """Fit rb ≈ c·lb on the interior blocks of real matrices that equal the
+    operators up to the common unit factor ``phase``, which the fit does not see."""
+    c = float(np.vdot(lb, rb) / np.vdot(lb, lb))
+    residual = float(np.abs(c * lb - rb).max() / np.abs(rb).max())
+    return IdentityReport(name, int(cutoff), int(margin), c, residual, lb, rb, complex(phase))
 
 
 def monomial_identity_report(m: int, cutoff: int, margin: int | None = None) -> IdentityReport:
@@ -502,14 +555,18 @@ def monomial_identity_report(m: int, cutoff: int, margin: int | None = None) -> 
 
     The constant is reported, not asserted: under this package's [x̂,p̂] = i
     convention the construction evaluates to 4·x̂^m.  Computed in real
-    arithmetic: p̂² = −P².
+    arithmetic: [x̂³, p̂²] = [P², x̂³].
     """
     m = int(m)
     if m < 4:
         raise ValueError("monomial identity requires m >= 4")
+    margin = max(5, m + 2) if margin is None else margin
+    keep = _interior(cutoff, margin)
     x, P = _real_quadratures(cutoff)
     xs = power_table(x, m)
-    return _monomial_report(m, cutoff, margin, xs, _comm(P @ P, xs[3], 1))
+    rhs = _comm(xs[m - 1], _comm(P @ P, xs[3], 1), -1, keep)
+    rhs *= -2.0 / (3.0 * (m - 1))
+    return _fit_report(f"monomial_m{m}", xs[m][:keep, :keep], rhs, cutoff, margin)
 
 
 def polynomial_identity_report(m: int, n: int, cutoff: int,
@@ -529,8 +586,19 @@ def polynomial_identity_report(m: int, n: int, cutoff: int,
     m, n = int(m), int(n)
     if m < 1 or n < 1:
         raise ValueError("polynomial identity requires m, n >= 1")
+    margin = max(5, m + n + 3) if margin is None else margin
+    keep = _interior(cutoff, margin)
     x, P = _real_quadratures(cutoff)
-    return _polynomial_report(m, n, cutoff, margin, power_table(x, m + 1), power_table(P, n + 1))
+    xs, ps = power_table(x, m + 1), power_table(P, n + 1)
+    # x̂^k is symmetric and P^k has transpose parity (−1)^k, so the anticommutator
+    # {x̂^m, P^n} is the commutator's construction with the opposite sign
+    lhs = _comm(xs[m], ps[n], (-1) ** (n + 1), keep)
+    rhs = _comm(xs[m + 1], ps[n + 1], (-1) ** (n + 1), keep)
+    rhs *= -4.0 / ((n + 1) * (m + 1))  # −4i·(−i)^{n+1} = −4·(−i)ⁿ
+    for k in range(1, n):  # [x̂^m, P^k] has parity (−1)^{k+1}; the outer one reads all of it
+        inner = _comm(xs[m], ps[k], (-1) ** k)
+        rhs -= _comm(ps[n - k], inner, (-1) ** (n + 1), keep) * (1.0 / (n + 1))
+    return _fit_report(f"polynomial_m{m}_n{n}", lhs, rhs, cutoff, margin, phase=(-1j) ** n)
 
 
 # ---------------------------------------------------------------------------

@@ -287,9 +287,10 @@ def test_criterion_11_identity_reports():
         r40 = maker(*args, 40)
         r60 = maker(*args, 60)
         stable = abs(r40.fitted_constant - r60.fitted_constant) < 1e-6
-        ok &= stable and r40.residual < 1e-6 and r60.residual < 1e-6
+        ok &= stable and r40.residual < 1e-12 and r60.residual < 1e-12
         details.append(f"{r40.name}: c={r40.fitted_constant:.6f} res={r40.residual:.1e}")
-    check(11, "cutoff-stable fitted constants, residual < 1e-6: " + "; ".join(details), ok)
+    check(11, "cutoff-stable fitted constants, relative residual < 1e-12: " + "; ".join(details),
+          ok)
 
 
 def test_criterion_12_cli_determinism(tmp_path):

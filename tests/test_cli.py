@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cubicphase import analysis, cli, cubic, protocol, reference, schemes
+from cubicphase import analysis, cli, cubic, protocol, schemes
 from cubicphase.cli import main, parse_config, run
 from cubicphase.gaussian import x_eigh
 from cubicphase.hilbert import coherent
@@ -148,7 +148,7 @@ class TestRun:
         assert "polynomial_m1_n1" in names
         assert "factorization" in names
         for r in rows[1:]:
-            assert float(r[2]) < 1e-6
+            assert float(r[2]) < 1e-12
 
     def test_sweep_variance_columns(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -733,22 +733,46 @@ def _marek_shot(out):
     return 0 if applied and q != 0.0 else 1
 
 
-def test_check_identities_shares_its_power_tables(tmp_path, monkeypatch):
-    # a warm run builds one table x̂¹…x̂⁵ and one P¹…P³ for all its rows, and
-    # each report row is the public report's, bit for bit
+def test_check_identities_fits_once_per_cutoff(tmp_path, monkeypatch):
+    # the five fits are cached per cutoff: a warm run makes no banded product,
+    # and its rows are the cached fits
     out = str(tmp_path / "ids.csv")
-    assert main(["check-identities", "--cutoff", "80", "--out", out]) == 0
     calls = []
-    power_table = cubic.power_table
-    monkeypatch.setattr(cubic, "power_table", lambda m, k: calls.append(k) or power_table(m, k))
+    product = cubic._product
+    monkeypatch.setattr(cubic, "_product", lambda a, b: calls.append(1) or product(a, b))
+    cubic.identity_rows.cache_clear()
     assert main(["check-identities", "--cutoff", "80", "--out", out]) == 0
-    assert len(calls) <= 2
-    monkeypatch.undo()
-    reports = [reference.monomial_identity_report(m, 80) for m in (4, 5)]
-    reports += [reference.polynomial_identity_report(m, n, 80)
-                for m, n in ((1, 1), (2, 1), (1, 2))]
-    assert read_csv(out)[1:6] == [[r.name, repr(r.fitted_constant), repr(r.residual), "80"]
-                                  for r in reports]
+    assert calls  # a cold run does
+    calls.clear()
+    assert main(["check-identities", "--cutoff", "80", "--out", out]) == 0
+    assert calls == []
+    assert read_csv(out)[1:6] == [[name, repr(c), repr(residual), "80"]
+                                  for name, c, residual in cubic.identity_rows(80)]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_check_identities_at_the_top_cutoff_stays_small(tmp_path):
+    # a fresh interpreter reports its own peak RSS: VmHWM, in KiB.  Its
+    # ru_maxrss would not do: Linux carries the peak of the address space an
+    # exec replaces into it, here the whole test process's
+    out = tmp_path / "ids.csv"
+    script = (
+        "import sys\n"
+        "from cubicphase.cli import main\n"
+        "code = main(['check-identities', '--cutoff', '3000', '--out', sys.argv[1]])\n"
+        "print(*[line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM')])\n"
+        "sys.exit(code)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script, str(out)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.split()[-1]) < 100 * 1024
+    fits = {r[0]: (float(r[1]), float(r[2])) for r in read_csv(out)[1:6]}
+    assert all(abs(c - (4.0 if name.startswith("monomial") else 2.0)) <= 1e-12
+               and residual < 1e-8 for name, (c, residual) in fits.items()), fits
 
 
 def _decomposition_rows(out: str, *flags) -> dict:

@@ -4,16 +4,17 @@ import math
 import numpy as np
 import pytest
 
+from cubicphase import cubic
 from cubicphase.cubic import (
     CubicDecomposition,
-    _identity_tables,
-    _real_quadratures,
+    _identity_bands,
     factor_coefficients,
     gamma_factors,
-    identity_reports,
+    identity_rows,
 )
 from cubicphase.errors import DimensionError
 from cubicphase.reference import (
+    _real_quadratures,
     factor_operator,
     ideal_cubic_gate,
     interior_block,
@@ -140,7 +141,7 @@ class TestIdealCubicGate:
 
 def complex_route(name, cutoff, margin):
     """The reports' constructions in complex Fock matrices, p̂ = (â − â†)/(i√2):
-    (lhs and rhs interior blocks, fitted constant, residual)."""
+    (lhs and rhs interior blocks, fitted constant, relative residual)."""
     x, p = quadrature_x(cutoff).matrix, quadrature_p(cutoff).matrix
     mp = np.linalg.matrix_power
 
@@ -160,15 +161,17 @@ def complex_route(name, cutoff, margin):
     lb = interior_block(lhs, (cutoff,), margin)
     rb = interior_block(rhs, (cutoff,), margin)
     c = float((np.vdot(lb, rb) / np.vdot(lb, lb)).real)
-    return lb, rb, c, float(np.abs(rb - c * lb).max())
+    return lb, rb, c, float(np.abs(rb - c * lb).max() / np.abs(rb).max())
 
 
 class TestRealArithmeticReports:
     # the reports run on real x̂ and P = i p̂; the complex route is the reference
     def test_real_quadratures_are_the_dense_entries(self):
-        x, P = _real_quadratures(40)
-        assert np.array_equal(x, quadrature_x(40).matrix.real)
-        assert np.array_equal(P, (1j * quadrature_p(40).matrix).real)
+        # the dense oracle's and the banded route's x̂ and P, entry for entry
+        x, P = quadrature_x(40).matrix.real, (1j * quadrature_p(40).matrix).real
+        assert all(map(np.array_equal, _real_quadratures(40), (x, P)))
+        assert all(np.array_equal(dense(band, 40), m)
+                   for band, m in zip(cubic._quadrature_bands(40), (x, P)))
 
     @pytest.mark.parametrize("cutoff", [24, 40, 80])
     @pytest.mark.parametrize(
@@ -183,7 +186,7 @@ class TestRealArithmeticReports:
         assert abs(rep.fitted_constant - c) < 1e-12
         assert np.abs(rep.phase * rep.real_lhs - lhs).max() < 1e-12 * np.abs(lhs).max()
         assert np.abs(rep.phase * rep.real_rhs - rhs).max() < 1e-12 * np.abs(rhs).max()
-        assert rep.residual < 1e-6 and residual < 1e-6
+        assert rep.residual < 1e-12 and residual < 1e-12
 
     @pytest.mark.parametrize("report", [lambda: monomial_identity_report(4, 24, margin=24),
                                         lambda: polynomial_identity_report(1, 2, 24, margin=30)])
@@ -192,27 +195,57 @@ class TestRealArithmeticReports:
             report()
 
 
-class TestSharedTables:
-    @pytest.mark.parametrize("cutoff", [24, 80])
-    def test_reports_equal_the_public_ones(self, cutoff):
-        # one x̂ and one P table for all five reports: bit for bit the same fits
-        reports = identity_reports(cutoff)
+def dense(band: np.ndarray, keep: int) -> np.ndarray:
+    """The top-left keep×keep block of the operator whose diagonals ``band``
+    holds, row h + d with entry (i, i + d) at column i."""
+    h, out = len(band) // 2, np.zeros((keep, keep))
+    for d in range(-h, h + 1):
+        i = np.arange(max(0, -d), min(keep, keep - d))
+        out[i, i + d] = band[h + d, i]
+    return out
+
+
+class TestBandedRoute:
+    # check-identities' banded fits against the dense oracle reports
+    @pytest.mark.parametrize("cutoff", [24, 30, 80, 200])
+    def test_matches_dense_oracle(self, cutoff):
+        # the rhs cancels products ~n² times its size: at cutoff 200 the dense and
+        # banded monomial rhs each differ from an extended-precision one by ~2e-12
+        tol = 1e-12 if cutoff <= 80 else 1e-11
         want = [monomial_identity_report(m, cutoff) for m in (4, 5)]
         want += [polynomial_identity_report(m, n, cutoff) for m, n in ((1, 1), (2, 1), (1, 2))]
-        for got, ref in zip(reports, want, strict=True):
-            assert (got.name, got.margin, got.phase) == (ref.name, ref.margin, ref.phase)
-            assert repr((got.fitted_constant, got.residual)) == repr((ref.fitted_constant, ref.residual))
-            assert np.array_equal(got.real_lhs, ref.real_lhs)
-            assert np.array_equal(got.real_rhs, ref.real_rhs)
-        xs = _identity_tables(cutoff)[0]
-        x5 = np.linalg.matrix_power(_real_quadratures(cutoff)[0], 5)
-        assert len(xs) == 6 and np.abs(xs[5] - x5).max() <= 1e-13 * np.abs(x5).max()
+        rows = identity_rows(cutoff)
+        for (name, keep, lhs, rhs), (row_name, c, residual), ref in zip(
+                _identity_bands(cutoff), rows, want, strict=True):
+            assert name == row_name == ref.name and keep == cutoff - ref.margin
+            for band, block in ((lhs, ref.real_lhs), (rhs, ref.real_rhs)):
+                h = len(band) // 2
+                assert np.abs(dense(band, keep) - block).max() <= tol * np.abs(block).max()
+                off = np.abs(np.subtract.outer(np.arange(keep), np.arange(keep))) > h
+                assert np.all(block[off] == 0.0)  # the band holds every nonzero entry
+            assert abs(c - ref.fitted_constant) <= 1e-13
+            assert residual <= tol and ref.residual <= tol
+
+    @pytest.mark.parametrize("ha, hb", [(1, 1), (1, 3), (3, 1), (2, 5)])
+    def test_product_and_transpose(self, ha, hb):
+        rng = np.random.default_rng(ha * 10 + hb)
+        n = 12
+        a, b = (np.triu(np.tril(rng.normal(size=(n, n)), h), -h) for h in (ha, hb))
+
+        def band(m, h):
+            return np.array([np.pad(np.diagonal(m, d), (max(0, -d), max(0, d)))
+                             for d in range(-h, h + 1)])
+
+        ab = cubic._product(band(a, ha), band(b, hb))
+        assert ab.shape == (2 * (ha + hb) + 1, n)
+        assert np.abs(dense(ab, n) - a @ b).max() <= 1e-14 * np.abs(a @ b).max()
+        assert np.array_equal(dense(cubic._transpose(band(a, ha)), n), a.T)
 
 
 class TestMonomialIdentity:
     def test_m4_proportional(self):
         rep = monomial_identity_report(4, 40)
-        assert rep.residual < 1e-6
+        assert rep.residual < 1e-12
         assert rep.fitted_constant == pytest.approx(4.0, abs=1e-9)
 
     def test_constant_cutoff_stable(self):
@@ -227,7 +260,7 @@ class TestMonomialIdentity:
 
     def test_m5(self):
         rep = monomial_identity_report(5, 40)
-        assert rep.residual < 1e-6
+        assert rep.residual < 1e-12
         assert rep.fitted_constant == pytest.approx(4.0, abs=1e-8)
 
     def test_rejects_small_m(self):
@@ -238,7 +271,7 @@ class TestMonomialIdentity:
 class TestPolynomialIdentity:
     def test_m1_n1(self):
         rep = polynomial_identity_report(1, 1, 40)
-        assert rep.residual < 1e-6
+        assert rep.residual < 1e-12
         assert rep.fitted_constant == pytest.approx(2.0, abs=1e-10)
 
     def test_lhs_hermitian(self):
@@ -247,12 +280,12 @@ class TestPolynomialIdentity:
 
     def test_m2_n1(self):
         rep = polynomial_identity_report(2, 1, 40)
-        assert rep.residual < 1e-6
+        assert rep.residual < 1e-12
         assert rep.fitted_constant == pytest.approx(2.0, abs=1e-9)
 
     def test_m1_n2_sum_term_runs(self):
         rep = polynomial_identity_report(1, 2, 40)
-        assert rep.residual < 1e-6
+        assert rep.residual < 1e-12
 
     def test_cutoff_stability(self):
         for m, n in ((1, 1), (2, 1)):
