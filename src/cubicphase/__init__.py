@@ -14,7 +14,6 @@ from .errors import (
 from .hilbert import (
     FockState,
     coherent,
-    fidelity,
 )
 from .cubic import (
     CubicDecomposition,
@@ -29,8 +28,6 @@ from .protocol import (
     rus_factor,
 )
 from .analysis import (
-    ErrorEnsembleSpec,
-    MomentSweepSpec,
     error_operator_stats,
     variance_sweep,
 )

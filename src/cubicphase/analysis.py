@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -26,32 +26,27 @@ import numpy as np
 from .cubic import gamma_factors
 from .errors import FactorFailure
 from .gaussian import x_eigh, x_labels
-from .hilbert import coherent, coherent_columns, fidelity, real_matmul
+from .hilbert import coherent, coherent_columns, real_matmul
 from .protocol import (HEADROOM_BOUND, DetectorModel, ProtocolConfig, TrialLog, check_headroom,
                        label_gate, top_share)
 
 
-@dataclass
-class ErrorEnsembleSpec:
-    """Event model for detector-driven factor errors.
+# the position values the error-ensemble CSV reports, and the expected length
+# E[M] of a factor's attempt window in the dark-count model
+X_GRID = (0.0, 0.5, 1.0, 1.5, 2.0, 2.5)
+EXPECTED_ATTEMPTS = 100.0
 
-    Per factor: p_dark = 1 − e^{−ν·E[M]} (a dark count preempts the real
-    subtraction somewhere in the expected E[M]-attempt window, replacing the
-    factor by the identity), p_miss = 1 − η (the heralding click was missed
-    and the factor is applied twice), p_correct = remainder.
+
+def event_probabilities(detector: DetectorModel) -> tuple[float, float, float]:
+    """(p_correct, p_dark, p_miss) for one factor; they sum to one.
+
+    p_dark = 1 − e^{−ν·E[M]} (a dark count preempts the real subtraction
+    somewhere in the expected E[M]-attempt window, replacing the factor by the
+    identity), p_miss = 1 − η (the heralding click was missed and the factor is
+    applied twice), p_correct = remainder.
     """
-
-    gamma: float = ProtocolConfig.gamma
-    n: int = ProtocolConfig.n
-    detector: DetectorModel = field(default_factory=DetectorModel)
-    x_grid: tuple = (0.0, 0.5, 1.0, 1.5, 2.0, 2.5)
-    expected_attempts: float = 100.0
-
-
-def event_probabilities(spec: ErrorEnsembleSpec) -> tuple[float, float, float]:
-    """(p_correct, p_dark, p_miss) for one factor; they sum to one."""
-    p_dark = 1.0 - math.exp(-spec.detector.nu * spec.expected_attempts)
-    p_miss = 1.0 - spec.detector.eta
+    p_dark = 1.0 - math.exp(-detector.nu * EXPECTED_ATTEMPTS)
+    p_miss = 1.0 - detector.eta
     p_correct = 1.0 - p_dark - p_miss
     if p_correct < 0.0:
         raise ValueError(f"config keys 'eta', 'dark_rate_hz' and 'window_s': p_miss = {p_miss:g} "
@@ -67,61 +62,53 @@ class ErrorStatRow:
     method: str = "enumerate"  # the only method: the exact product over the factors
 
 
-def error_operator_stats(spec: ErrorEnsembleSpec) -> list[ErrorStatRow]:
+def error_operator_row(gamma: float, n: int, detector: DetectorModel, x: float) -> ErrorStatRow:
     """Exact mean and standard deviation of A(x) over detector-error realizations.
 
     The 3^{3N} outcomes need not be enumerated: by independence E[Πf] = ΠE[f]
     and E|Πf|² = ΠE|f|², so one pass over the 3N factors costs O(N), with the
     variance of the product accumulated without cancellation.  Raises
-    ValueError naming config key 'gamma' when a row passes the float range.
+    ValueError naming config key 'gamma' when the row passes the float range.
     """
-    probs = event_probabilities(spec)
-    dec = gamma_factors(spec.gamma, spec.n)
-    rows = []
-    for x in spec.x_grid:
-        x = float(x)
-        try:
-            ideal = cmath.exp(1j * spec.gamma * x**3)
-            # per factor of a repetition: the mean μ and variance v_f of its
-            # (correct, dark, missed) values at x, the same in every repetition
-            moments = []
-            for gl in dec.gamma_l:
-                f = (1.0 + gl * x, 1.0 + 0.0j, (1.0 + gl * x) ** 2)
-                mu = sum(p * v for p, v in zip(probs, f))
-                moments.append((mu, sum(p * abs(v - mu) ** 2 for p, v in zip(probs, f))))
-            # Var Πf = Π(|μ_i|² + v_i) − Π|μ_i|², built factor by factor from
-            # nonnegative terms so it stays exact near zero
-            mean, var = 1.0 + 0.0j, 0.0
-            for _ in range(int(spec.n)):
-                for mu, v_f in moments:
-                    var = abs(mu) ** 2 * var + v_f * (abs(mean) ** 2 + var)
-                    mean *= mu
-            mean, stddev = mean - ideal, math.sqrt(var)
-        except OverflowError:
-            mean = stddev = math.inf
-        if not (cmath.isfinite(mean) and math.isfinite(stddev)):
-            raise ValueError(f"config key 'gamma': error moments at x={x:g}, N={spec.n} overflow")
-        rows.append(ErrorStatRow(x, mean, stddev))
-    return rows
+    probs = event_probabilities(detector)
+    x = float(x)
+    try:
+        ideal = cmath.exp(1j * gamma * x**3)
+        # per factor of a repetition: the mean μ and variance v_f of its
+        # (correct, dark, missed) values at x, the same in every repetition
+        moments = []
+        for gl in gamma_factors(gamma, n).gamma_l:
+            f = (1.0 + gl * x, 1.0 + 0.0j, (1.0 + gl * x) ** 2)
+            mu = sum(p * v for p, v in zip(probs, f))
+            moments.append((mu, sum(p * abs(v - mu) ** 2 for p, v in zip(probs, f))))
+        # Var Πf = Π(|μ_i|² + v_i) − Π|μ_i|², built factor by factor from
+        # nonnegative terms so it stays exact near zero
+        mean, var = 1.0 + 0.0j, 0.0
+        for _ in range(int(n)):
+            for mu, v_f in moments:
+                var = abs(mu) ** 2 * var + v_f * (abs(mean) ** 2 + var)
+                mean *= mu
+        mean, stddev = mean - ideal, math.sqrt(var)
+    except OverflowError:
+        mean = stddev = math.inf
+    if not (cmath.isfinite(mean) and math.isfinite(stddev)):
+        raise ValueError(f"config key 'gamma': error moments at x={x:g}, N={n} overflow")
+    return ErrorStatRow(x, mean, stddev)
+
+
+def error_operator_stats(gamma: float, n: int, detector: DetectorModel) -> list[ErrorStatRow]:
+    """``error_operator_row`` at each x of ``X_GRID``: the error-ensemble CSV."""
+    return [error_operator_row(gamma, n, detector, x) for x in X_GRID]
 
 
 # ---------------------------------------------------------------------------
 # moment sweeps
 
 
-@dataclass
-class MomentSweepSpec:
-    """Coherent-input sweep: Im(α) fixed, Re(α) on a grid, N over a list."""
-
-    gamma: float = ProtocolConfig.gamma
-    n_list: tuple = (1, 3, 5, 7)
-    re_alpha_grid: tuple = (0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5)
-    im_alpha: float = 0.25
-    cutoff: int = 40
-
-    def __post_init__(self):
-        if list(self.n_list) != sorted(self.n_list):
-            raise ValueError("n_list must be sorted ascending")
+# the sweep's grid: coherent inputs Re(α) + i·IM_ALPHA, and U_N for each N of N_LIST
+N_LIST = (1, 3, 5, 7)
+RE_ALPHA_GRID = (0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5)
+IM_ALPHA = 0.25
 
 
 @dataclass(frozen=True)
@@ -129,8 +116,6 @@ class SweepRow:
     re_alpha: float
     ideal: float
     by_n: dict
-    mean_p_ideal: float
-    mean_p_by_n: dict
 
 
 @lru_cache(maxsize=4)
@@ -146,37 +131,33 @@ def _momentum_labels(cutoff: int) -> np.ndarray:
     return a
 
 
-def variance_sweep(spec: MomentSweepSpec) -> list[SweepRow]:
-    """σ_p² after U_N and after the ideal gate, per Re(α) grid point.
+def variance_sweep(gamma: float, cutoff: int) -> list[SweepRow]:
+    """σ_p² after U_N and after the ideal gate, per Re(α) of ``RE_ALPHA_GRID``.
 
     Both gates are diagonal in the x̂ eigenbasis (``_gate_targets``), so every
     output is a stack of label amplitudes L: slice 0 holds the ideal gate's
-    outputs and slice 1 + i those of U_N for n_list[i], one column per Re(α).
+    outputs and slice 1 + i those of U_N for N_LIST[i], one column per Re(α).
     Each moment is a column reduction in labels: ⟨p̂⟩ = Im(Lᴴ·A·L) and ⟨p̂²⟩ = ‖A·L‖²
-    with A = VᵀPV, P = ip̂.  Each slice is its own matmul, so a column's values do
-    not depend on how many N are swept.  Every column must pass ``check_headroom``,
-    on its top two Fock rows V[−2:]·L, and in full (V·L) when they near the bound."""
-    c = int(spec.cutoff)
+    with A = VᵀPV, P = ip̂.  Every column must pass ``check_headroom``, on its
+    top two Fock rows V[−2:]·L, and in full (V·L) when they near the bound."""
+    c = int(cutoff)
     _, v = x_eigh(c)
-    n_list = [int(n) for n in spec.n_list]
-    inputs = coherent_columns([complex(re_a, spec.im_alpha) for re_a in spec.re_alpha_grid], c)
-    diags = [_gate_targets(spec.gamma, 1, c)[1]] + [_gate_targets(spec.gamma, n, c)[0] for n in n_list]
+    inputs = coherent_columns([complex(re_a, IM_ALPHA) for re_a in RE_ALPHA_GRID], c)
+    diags = [_gate_targets(gamma, 1, c)[1]] + [_gate_targets(gamma, n, c)[0] for n in N_LIST]
     labels = np.stack(diags)[:, :, None] * real_matmul(v.T, inputs)
     labels /= np.linalg.norm(labels, axis=1, keepdims=True)
     # the columns are normalized: one under half the bound passes check_headroom
     top = (np.abs(real_matmul(v[-2:], labels)) ** 2).sum(axis=1)
     for i, j in zip(*np.nonzero(top > 0.5 * HEADROOM_BOUND)):
-        name = "ideal" if i == 0 else f"N{n_list[i - 1]}"
+        name = "ideal" if i == 0 else f"N{N_LIST[i - 1]}"
         check_headroom(real_matmul(v, labels[i, :, j]),
-                       lambda: f"sweep column {name} at re_alpha={spec.re_alpha_grid[j]}")
+                       lambda: f"sweep column {name} at re_alpha={RE_ALPHA_GRID[j]}")
     a_labels = real_matmul(_momentum_labels(c), labels)
     mean_p = (labels.conj() * a_labels).imag.sum(axis=1)
     var_p = (np.abs(a_labels) ** 2).sum(axis=1) - mean_p**2
     # one list per Re(α): the ideal gate's value, then U_N's for each N
-    var_p, mean_p = var_p.T.tolist(), mean_p.T.tolist()
-    return [SweepRow(float(re_a), var[0], dict(zip(n_list, var[1:])), mp[0],
-                     dict(zip(n_list, mp[1:])))
-            for re_a, var, mp in zip(spec.re_alpha_grid, var_p, mean_p)]
+    return [SweepRow(re_a, var[0], dict(zip(N_LIST, var[1:])))
+            for re_a, var in zip(RE_ALPHA_GRID, var_p.T.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +166,6 @@ def variance_sweep(spec: MomentSweepSpec) -> list[SweepRow]:
 
 @dataclass(frozen=True)
 class RunResult:
-    alpha: complex
     success: bool
     total_attempts: int
     fidelity_un: float | None
@@ -222,28 +202,29 @@ def run_ensemble(config: ProtocolConfig, alphas, rngs) -> list[tuple[RunResult, 
     """Run the full gate once per (coherent input α, generator) pair.
 
     Each run's output is scored by fidelity against the normalized U_N target
-    and the ideal cubic gate applied to its input (against the input itself
-    when γ = 0), all in the x̂ eigenbasis, where both are diagonal: from the
-    cached input labels through ``label_gate``; after the gate's checks, the
-    U_N target must pass ``check_headroom`` (its share is cached).  A run whose
-    factor exhausts its attempt budget is a failure and carries no fidelity.
-    Seeding stays with the caller, which gives each run its own generator.
+    and the ideal cubic gate applied to its input, all in the x̂ eigenbasis,
+    where both are diagonal: from the cached input labels through
+    ``label_gate``; after the gate's checks, the U_N target must pass
+    ``check_headroom`` (its share is cached).  At γ = 0 the gate is the
+    identity, and both fidelities are 1.0 exactly.  A run whose factor exhausts
+    its attempt budget is a failure and carries no fidelity.  Seeding stays
+    with the caller, which gives each run its own generator.
     """
     results = []
     for alpha, rng in zip(alphas, rngs):
         log = TrialLog()
         if config.gamma == 0.0:
-            inp = coherent(alpha, config.cutoff)
-            results.append((RunResult(alpha, True, 0, *[fidelity(inp, inp)] * 2), log))
+            coherent(alpha, config.cutoff)  # raises CutoffError if the cutoff cannot hold it
+            results.append((RunResult(True, 0, 1.0, 1.0), log))
             continue
         log_c, un, ideal, v_un, share = _scored_input(alpha, config.gamma, config.n, config.cutoff)
         try:
             c_out, _ = label_gate(log_c, config, rng, log)
         except FactorFailure:
-            results.append((RunResult(alpha, False, log.total_attempts, None, None), log))
+            results.append((RunResult(False, log.total_attempts, None, None), log))
             continue
         if share > HEADROOM_BOUND:
             check_headroom(v_un, lambda: f"the U_N target of input {alpha}")
         f_un, f_id = (abs(np.vdot(c_out, t)) ** 2 for t in (un, ideal))
-        results.append((RunResult(alpha, True, log.total_attempts, f_un, f_id), log))
+        results.append((RunResult(True, log.total_attempts, f_un, f_id), log))
     return results

@@ -163,17 +163,15 @@ def _run_simulate(cfg: RunConfig, out: str) -> None:
 
 
 def _run_sweep_variance(cfg: RunConfig, out: str) -> None:
-    spec = analysis.MomentSweepSpec(gamma=cfg.gamma, cutoff=max(cfg.cutoff, 30))
-    _write_csv(out, ("re_alpha", "ideal") + tuple(f"N{n}" for n in spec.n_list),
-               [(r.re_alpha, r.ideal) + tuple(r.by_n[n] for n in spec.n_list)
-                for r in analysis.variance_sweep(spec)])
+    _write_csv(out, ("re_alpha", "ideal") + tuple(f"N{n}" for n in analysis.N_LIST),
+               [(r.re_alpha, r.ideal) + tuple(r.by_n[n] for n in analysis.N_LIST)
+                for r in analysis.variance_sweep(cfg.gamma, max(cfg.cutoff, 30))])
 
 
 def _run_error_ensemble(cfg: RunConfig, out: str) -> None:
-    spec = analysis.ErrorEnsembleSpec(gamma=cfg.gamma, n=cfg.n, detector=cfg.detector)
     _write_csv(out, ("x", "mean_re", "mean_im", "stddev", "method"),
                [(r.x, r.mean.real, r.mean.imag, r.stddev, r.method)
-                for r in analysis.error_operator_stats(spec)])
+                for r in analysis.error_operator_stats(cfg.gamma, cfg.n, cfg.detector)])
 
 
 def _run_compare_schemes(cfg: RunConfig, out: str) -> None:

@@ -59,8 +59,8 @@ def x_eigh(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
 
 def x_labels(amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(c, log c) for the labels c = Vᵀψ of single-mode Fock amplitudes ψ in
-    ``x_eigh``'s eigenbasis, with a complex Vᵀ's bits: every RUS run starts there."""
-    c = x_eigh(amplitudes.size)[1].T.astype(complex) @ amplitudes
+    ``x_eigh``'s eigenbasis, by ``real_matmul``: every RUS run starts there."""
+    c = real_matmul(x_eigh(amplitudes.size)[1].T, amplitudes)
     with np.errstate(divide="ignore"):  # a label of zero amplitude has log-weight −inf
         return c, np.log(c)
 

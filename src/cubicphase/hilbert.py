@@ -121,14 +121,3 @@ def real_matmul(m: np.ndarray, z: np.ndarray) -> np.ndarray:
     out = (m @ f.view(float)).view(complex)
     return out[:, 0] if z.ndim == 1 else out
 
-
-# ---------------------------------------------------------------------------
-# overlap
-
-
-def fidelity(a: FockState, b: FockState) -> float:
-    """|⟨a|b⟩|² for pure states (norm-insensitive)."""
-    if a.cutoffs != b.cutoffs:
-        raise DimensionError("state cutoffs differ")
-    ov = np.vdot(a.amplitudes, b.amplitudes)
-    return float(abs(ov) ** 2 / (np.vdot(a.amplitudes, a.amplitudes).real * np.vdot(b.amplitudes, b.amplitudes).real))

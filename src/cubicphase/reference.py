@@ -266,12 +266,20 @@ def _psd_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(w > floor, w, 0.0), v
 
 
+def fidelity(a: FockState, b: FockState) -> float:
+    """|⟨a|b⟩|² for pure states (norm-insensitive)."""
+    if a.cutoffs != b.cutoffs:
+        raise DimensionError("state cutoffs differ")
+    ov = np.vdot(a.amplitudes, b.amplitudes)
+    return float(abs(ov) ** 2 / (np.vdot(a.amplitudes, a.amplitudes).real * np.vdot(b.amplitudes, b.amplitudes).real))
+
+
 def state_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Uhlmann fidelity (Tr√(√ρ σ √ρ))² between density matrices.
 
     Both square roots come from eigendecompositions of positive semidefinite
     matrices, so rank-deficient (e.g. pure) inputs are exact.  The simulator
-    keeps pure states and uses ``hilbert.fidelity`` instead.
+    keeps pure states, whose overlap is ``fidelity``.
     """
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)

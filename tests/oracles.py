@@ -87,12 +87,6 @@ def ideal_gate_p_variance(gamma: float, alpha: complex) -> float:
     return 0.5 + 9.0 * gamma**2 * (2.0 * xbar**2 + 0.5)
 
 
-def ideal_gate_p_mean(gamma: float, alpha: complex) -> float:
-    xbar = np.sqrt(2.0) * np.real(alpha)
-    pbar = np.sqrt(2.0) * np.imag(alpha)
-    return pbar + 3.0 * gamma * (xbar**2 + 0.5)
-
-
 def error_factor_moments(x: float, gamma_l, probs):
     """Closed-form E[A(x)] and E[|A(x)|²] using independence across factors."""
     p_c, p_d, p_m = probs

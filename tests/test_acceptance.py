@@ -16,14 +16,15 @@ from oracles import (
     factor_attempt_stats,
 )
 from cubicphase.analysis import (
-    ErrorEnsembleSpec,
-    MomentSweepSpec,
+    N_LIST,
+    X_GRID,
+    error_operator_row,
     error_operator_stats,
     variance_sweep,
 )
 from cubicphase.cli import parse_config, run as cli_run
 from cubicphase.cubic import gamma_factors
-from cubicphase.hilbert import coherent, fidelity
+from cubicphase.hilbert import coherent
 from cubicphase.protocol import (
     IDEAL_DETECTOR,
     DetectorModel,
@@ -36,6 +37,7 @@ from cubicphase.reference import (
     couple_resource,
     detector_povm,
     factor_operator,
+    fidelity,
     interior_max_norm,
     marek_frame_coefficients,
     marek_restart_mc,
@@ -201,15 +203,11 @@ def test_criterion_5_no_click_invariance():
 
 def test_criterion_6_detector_error_ensemble():
     detector = DetectorModel(eta=0.9, dark_rate_hz=100.0, window_s=1e-10)
-    spec = ErrorEnsembleSpec(
-        gamma=0.03, n=1, detector=detector, x_grid=(0.0, 0.5, 1.0, 1.5, 2.0, 2.5)
-    )
-    rows = error_operator_stats(spec)
+    assert X_GRID == (0.0, 0.5, 1.0, 1.5, 2.0, 2.5)
+    rows = error_operator_stats(0.03, 1, detector)
     stds = [r.stddev for r in rows]
     monotone = all(a <= b + 1e-15 for a, b in zip(stds, stds[1:]))
-    probe = error_operator_stats(
-        ErrorEnsembleSpec(gamma=0.03, n=1, detector=detector, x_grid=(0.25, 2.5))
-    )
+    probe = [error_operator_row(0.03, 1, detector, x) for x in (0.25, 2.5)]
     ratio_ok = abs(probe[0].mean) * 10 <= abs(probe[1].mean)
     check(
         6,
@@ -220,18 +218,15 @@ def test_criterion_6_detector_error_ensemble():
 
 
 def test_criterion_7_variance_sweep():
-    spec = MomentSweepSpec(
-        gamma=0.03, n_list=(1, 3, 5, 7),
-        re_alpha_grid=(0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5), im_alpha=0.25, cutoff=40,
-    )
-    rows = variance_sweep(spec)
-    ok = True
+    assert N_LIST == (1, 3, 5, 7)
+    rows = variance_sweep(0.03, 40)
+    ok = len(rows) == 7
     for row in rows:
-        devs = [abs(row.by_n[n] - row.ideal) for n in spec.n_list]
+        devs = [abs(row.by_n[n] - row.ideal) for n in N_LIST]
         ok &= all(a >= b - 1e-9 for a, b in zip(devs, devs[1:]))
     check(
         7,
-        f"|sigma_p^2(U_N) - sigma_p^2(ideal)| non-increasing over N={spec.n_list} "
+        f"|sigma_p^2(U_N) - sigma_p^2(ideal)| non-increasing over N={N_LIST} "
         f"at all {len(rows)} grid points",
         ok,
     )

@@ -9,15 +9,18 @@ import pytest
 from oracles import (
     error_factor_moments,
     gate_total_attempts,
-    ideal_gate_p_mean,
     ideal_gate_p_variance,
     sampled_error_mean,
 )
 from cubicphase import analysis, protocol
 from cubicphase.analysis import (
-    ErrorEnsembleSpec,
-    MomentSweepSpec,
+    EXPECTED_ATTEMPTS,
+    IM_ALPHA,
+    N_LIST,
+    RE_ALPHA_GRID,
+    X_GRID,
     _gate_targets,
+    error_operator_row,
     error_operator_stats,
     event_probabilities,
     variance_sweep,
@@ -37,6 +40,8 @@ from cubicphase.reference import (
 )
 
 REALISTIC_DETECTOR = DetectorModel(eta=0.9, dark_rate_hz=100.0, window_s=1e-10)
+# the gate's defaults, at which the analyses run unless a test sets otherwise
+GAMMA, N = ProtocolConfig.gamma, ProtocolConfig.n
 
 # (ProtocolConfig keywords, coherent input α) scored both in label space and
 # through full_gate's FockState
@@ -70,16 +75,16 @@ def fock_route_scores(config, alpha, rng):
     return True, log.total_attempts, f_un, f_id
 
 
-def enumerated_error_stats(spec):
-    """(x, E[A(x)], std A(x)) by summing all 3^{3N} detector-event outcomes."""
-    probs = event_probabilities(spec)
-    gl = gamma_factors(spec.gamma, spec.n).gamma_l
+def enumerated_error_stats(gamma, n, detector):
+    """(x, E[A(x)], std A(x)) on ``X_GRID`` by summing all 3^{3N} detector-event outcomes."""
+    probs = event_probabilities(detector)
+    gl = gamma_factors(gamma, n).gamma_l
     rows = []
-    for x in spec.x_grid:
-        ideal = cmath.exp(1j * spec.gamma * x**3)
-        values = [(1.0 + g * x, 1.0 + 0.0j, (1.0 + g * x) ** 2) for g in gl] * spec.n
+    for x in X_GRID:
+        ideal = cmath.exp(1j * gamma * x**3)
+        values = [(1.0 + g * x, 1.0 + 0.0j, (1.0 + g * x) ** 2) for g in gl] * n
         mean, mean_sq = 0.0 + 0.0j, 0.0
-        for events in itertools.product(range(3), repeat=3 * spec.n):
+        for events in itertools.product(range(3), repeat=3 * n):
             p, amp = 1.0, 1.0 + 0.0j
             for f, e in zip(values, events):
                 p *= probs[e]
@@ -90,68 +95,65 @@ def enumerated_error_stats(spec):
     return rows
 
 
-def dense_sweep_moments(spec):
-    """Per Re(α): (⟨p̂⟩, σ_p²) after the dense ideal gate, then after the dense
-    U_N for each N, each output a normalized ``apply`` of the operator."""
-    c = spec.cutoff
+def dense_sweep_variances(gamma, cutoff):
+    """Per Re(α) of ``RE_ALPHA_GRID``: σ_p² after the dense ideal gate, then after
+    the dense U_N for each N of ``N_LIST``, each output a normalized ``apply`` of
+    the operator."""
+    c = cutoff
     p = quadrature_p(c)
     p2 = p @ p
-    gates = [ideal_cubic_gate(spec.gamma, c)] + [u_n_operator(spec.gamma, n, c) for n in spec.n_list]
+    gates = [ideal_cubic_gate(gamma, c)] + [u_n_operator(gamma, n, c) for n in N_LIST]
     rows = []
-    for re_a in spec.re_alpha_grid:
-        inp = coherent(complex(re_a, spec.im_alpha), c)
+    for re_a in RE_ALPHA_GRID:
+        inp = coherent(complex(re_a, IM_ALPHA), c)
         outs = [normalize(apply(g, inp)) for g in gates]
-        rows.append([(expectation(p, o).real,
-                      expectation(p2, o).real - expectation(p, o).real ** 2) for o in outs])
+        rows.append([expectation(p2, o).real - expectation(p, o).real ** 2 for o in outs])
     return rows
 
 
 class TestEventModel:
     def test_probabilities_sum_to_one(self):
-        spec = ErrorEnsembleSpec(detector=REALISTIC_DETECTOR)
-        assert sum(event_probabilities(spec)) == pytest.approx(1.0, abs=1e-15)
+        assert sum(event_probabilities(REALISTIC_DETECTOR)) == pytest.approx(1.0, abs=1e-15)
 
     def test_dark_probability_formula(self):
-        spec = ErrorEnsembleSpec(detector=REALISTIC_DETECTOR, expected_attempts=100.0)
-        _, p_dark, p_miss = event_probabilities(spec)
+        assert EXPECTED_ATTEMPTS == 100.0
+        _, p_dark, p_miss = event_probabilities(REALISTIC_DETECTOR)
         assert p_dark == pytest.approx(1 - math.exp(-1e-8 * 100), rel=1e-9)
         assert p_miss == pytest.approx(0.1, abs=1e-12)
 
 
 class TestErrorOperatorStats:
     def test_perfect_detector_zero_at_origin(self):
-        spec = ErrorEnsembleSpec(detector=IDEAL_DETECTOR, x_grid=(0.0,))
-        row = error_operator_stats(spec)[0]
+        row = error_operator_row(GAMMA, N, IDEAL_DETECTOR, 0.0)
         assert abs(row.mean) < 1e-14
         assert row.stddev < 1e-14
 
     def test_perfect_detector_scalar_value(self):
-        spec = ErrorEnsembleSpec(detector=IDEAL_DETECTOR, x_grid=(1.0,))
-        row = error_operator_stats(spec)[0]
+        row = error_operator_row(GAMMA, N, IDEAL_DETECTOR, 1.0)
         expected = abs((1 + 0.03j) - cmath.exp(0.03j))
         assert abs(row.mean) == pytest.approx(expected, rel=1e-9)
         assert row.stddev < 1e-14
 
     def test_matches_independence_oracle(self):
-        spec = ErrorEnsembleSpec(detector=REALISTIC_DETECTOR, x_grid=(0.5, 1.5))
-        probs = event_probabilities(spec)
-        gl = gamma_factors(spec.gamma, spec.n).gamma_l
-        for row in error_operator_stats(spec):
+        probs = event_probabilities(REALISTIC_DETECTOR)
+        gl = gamma_factors(GAMMA, N).gamma_l
+        for x in (0.5, 1.5):
+            row = error_operator_row(GAMMA, N, REALISTIC_DETECTOR, x)
             mean_o, mean_abs2_o = error_factor_moments(row.x, gl, probs)
             assert abs(row.mean - mean_o) < 1e-12
             std_o = math.sqrt(max(0.0, mean_abs2_o - abs(mean_o) ** 2))
             assert row.stddev == pytest.approx(std_o, abs=1e-12)
 
+    def test_rows_are_the_per_x_rows_on_the_grid(self):
+        rows = error_operator_stats(GAMMA, 2, REALISTIC_DETECTOR)
+        assert [r.x for r in rows] == list(X_GRID)
+        assert rows == [error_operator_row(GAMMA, 2, REALISTIC_DETECTOR, x) for x in X_GRID]
+
     def test_fig1_shape(self):
-        spec = ErrorEnsembleSpec(detector=REALISTIC_DETECTOR)
-        rows = error_operator_stats(spec)
-        means = [abs(r.mean) for r in rows]
+        rows = error_operator_stats(GAMMA, N, REALISTIC_DETECTOR)
         stds = [r.stddev for r in rows]
-        by_x = {r.x: abs(r.mean) for r in rows}
-        # re-evaluate at the criterion's probe points
-        probe = error_operator_stats(
-            ErrorEnsembleSpec(detector=REALISTIC_DETECTOR, x_grid=(0.25, 2.5))
-        )
+        # evaluate at the criterion's probe points, 0.25 off the grid
+        probe = [error_operator_row(GAMMA, N, REALISTIC_DETECTOR, x) for x in (0.25, 2.5)]
         assert abs(probe[0].mean) * 10 < abs(probe[1].mean)
         assert all(a <= b + 1e-15 for a, b in zip(stds, stds[1:]))
 
@@ -162,10 +164,9 @@ class TestErrorOperatorStats:
         ids=["realistic", "noisy"],
     )
     def test_closed_form_matches_brute_force(self, n, detector):
-        spec = ErrorEnsembleSpec(gamma=0.03, n=n, detector=detector)
-        rows = error_operator_stats(spec)
+        rows = error_operator_stats(0.03, n, detector)
         assert all(r.method == "enumerate" for r in rows)
-        for row, (x, mean, std) in zip(rows, enumerated_error_stats(spec)):
+        for row, (x, mean, std) in zip(rows, enumerated_error_stats(0.03, n, detector), strict=True):
             assert row.x == x
             assert abs(row.mean - mean) <= 1e-13
             assert abs(row.stddev - std) <= 1e-13
@@ -173,11 +174,11 @@ class TestErrorOperatorStats:
     def test_exact_within_sampling_error_at_n4(self, rng):
         # 3^12 outcomes, too many to sum: the exact mean must lie within 4σ
         # of the mean over sampled detector events
-        spec = ErrorEnsembleSpec(detector=REALISTIC_DETECTOR, n=4, x_grid=(0.5, 1.0, 2.0))
-        gamma_l = gamma_factors(spec.gamma, spec.n).gamma_l * spec.n
-        for row in error_operator_stats(spec):
-            mean, stderr = sampled_error_mean(row.x, spec.gamma, gamma_l,
-                                              event_probabilities(spec), 40_000, rng)
+        gamma_l = gamma_factors(GAMMA, 4).gamma_l * 4
+        for x in (0.5, 1.0, 2.0):
+            row = error_operator_row(GAMMA, 4, REALISTIC_DETECTOR, x)
+            mean, stderr = sampled_error_mean(row.x, GAMMA, gamma_l,
+                                              event_probabilities(REALISTIC_DETECTOR), 40_000, rng)
             assert abs(row.mean - mean) < 4 * stderr
 
 
@@ -196,56 +197,37 @@ class TestMomentumLabels:
 
 class TestVarianceSweep:
     def test_gamma_zero_all_columns_vacuum(self):
-        spec = MomentSweepSpec(gamma=0.0, re_alpha_grid=(0.0, 0.5), cutoff=25)
-        for row in variance_sweep(spec):
+        for row in variance_sweep(0.0, 25):
             assert row.ideal == pytest.approx(0.5, abs=1e-8)
             for v in row.by_n.values():
                 assert v == pytest.approx(0.5, abs=1e-8)
 
+    def test_rows_on_the_grids(self):
+        rows = variance_sweep(GAMMA, 30)
+        assert [r.re_alpha for r in rows] == list(RE_ALPHA_GRID)
+        assert all(list(r.by_n) == list(N_LIST) for r in rows)
+
     def test_ideal_column_matches_heisenberg_oracle(self):
-        spec = MomentSweepSpec()
-        for row in variance_sweep(spec):
-            alpha = complex(row.re_alpha, spec.im_alpha)
-            assert row.ideal == pytest.approx(
-                ideal_gate_p_variance(spec.gamma, alpha), rel=1e-4
-            )
-            assert row.mean_p_ideal == pytest.approx(
-                ideal_gate_p_mean(spec.gamma, alpha), abs=1e-4
-            )
+        for row in variance_sweep(GAMMA, 40):
+            alpha = complex(row.re_alpha, IM_ALPHA)
+            assert row.ideal == pytest.approx(ideal_gate_p_variance(GAMMA, alpha), rel=1e-4)
 
     def test_deviation_non_increasing_in_n(self):
-        spec = MomentSweepSpec()
-        for row in variance_sweep(spec):
-            devs = [abs(row.by_n[n] - row.ideal) for n in spec.n_list]
+        for row in variance_sweep(GAMMA, 40):
+            devs = [abs(row.by_n[n] - row.ideal) for n in N_LIST]
             assert all(a >= b - 1e-9 for a, b in zip(devs, devs[1:]))
-
-    def test_first_moment_agreement(self):
-        # regression bound frozen from the oracle run
-        spec = MomentSweepSpec(re_alpha_grid=(0.0, 0.5, 1.0))
-        for row in variance_sweep(spec):
-            assert abs(row.mean_p_by_n[1] - row.mean_p_ideal) < 0.02
 
     @pytest.mark.parametrize("cutoff", [30, 40, 120])
     def test_matches_dense_reference(self, cutoff):
-        spec = MomentSweepSpec(n_list=(1, 3, 5, 7), cutoff=cutoff)
-        for row, dense in zip(variance_sweep(spec), dense_sweep_moments(spec), strict=True):
-            got = [(row.mean_p_ideal, row.ideal)] + [
-                (row.mean_p_by_n[n], row.by_n[n]) for n in spec.n_list]
+        rows = variance_sweep(GAMMA, cutoff)
+        for row, dense in zip(rows, dense_sweep_variances(GAMMA, cutoff), strict=True):
+            got = [row.ideal] + [row.by_n[n] for n in N_LIST]
             assert np.array(got) == pytest.approx(np.array(dense), rel=1e-10)
 
-    def test_ideal_column_invariant_under_n_list(self):
-        a = variance_sweep(MomentSweepSpec(n_list=(1, 3), re_alpha_grid=(0.5,)))
-        b = variance_sweep(MomentSweepSpec(n_list=(1, 3, 5, 7), re_alpha_grid=(0.5,)))
-        assert a[0].ideal == b[0].ideal
-
     def test_variances_nonnegative(self):
-        for row in variance_sweep(MomentSweepSpec()):
+        for row in variance_sweep(GAMMA, 40):
             assert row.ideal >= 0
             assert all(v >= 0 for v in row.by_n.values())
-
-    def test_unsorted_n_list_rejected(self):
-        with pytest.raises(ValueError):
-            MomentSweepSpec(n_list=(3, 1))
 
 
 def ensemble_rngs():
@@ -288,7 +270,7 @@ class TestRunEnsembleStatistics:
         _, results = ensemble
         assert len(results) == 300
         for r, log in results:
-            assert r.alpha == 0.3 and r.success and log.success
+            assert r.success and log.success
             assert r.total_attempts == log.total_attempts
             assert 0.0 <= r.fidelity_un <= 1.0 + 1e-12
             assert 0.0 <= r.fidelity_ideal <= 1.0 + 1e-12

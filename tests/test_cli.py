@@ -336,6 +336,23 @@ class TestMain:
         rows = {r[0]: r[1:3] for r in read_csv(out)[1:]}
         assert rows["factorization"] == rows["norm_identity"] == ["1.0", "0.0"]
 
+    def test_simulate_at_gamma_zero_scores_the_identity(self, tmp_path):
+        # γ = 0 is the identity gate: every run succeeds with no attempt, and
+        # both fidelities are exactly 1.0
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--gamma", "0", "--ensemble", "2", "--out", str(out)]) == 0
+        assert out.read_text() == ("run,success,total_attempts,fidelity_un,fidelity_ideal\n"
+                                   "0,1,0,1.0,1.0\n1,1,0,1.0,1.0\n")
+
+    def test_dense_csvs_are_on_the_analysis_grids(self, tmp_path):
+        sweep, errors = tmp_path / "sweep.csv", tmp_path / "err.csv"
+        assert main(["sweep-variance", "--out", str(sweep)]) == 0
+        assert main(["error-ensemble", "--out", str(errors)]) == 0
+        rows = read_csv(sweep)
+        assert rows[0] == ["re_alpha", "ideal"] + [f"N{n}" for n in analysis.N_LIST]
+        assert [float(r[0]) for r in rows[1:]] == list(analysis.RE_ALPHA_GRID)
+        assert [float(r[0]) for r in read_csv(errors)[1:]] == list(analysis.X_GRID)
+
     @pytest.mark.parametrize("subcommand, count", [
         ("simulate", 1), ("sweep-variance", 0), ("error-ensemble", 0), ("compare-schemes", 0),
         ("check-identities", 0),

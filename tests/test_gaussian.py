@@ -8,7 +8,7 @@ from cubicphase.gaussian import (
     squeezed_vacuum,
     x_eigh,
 )
-from cubicphase.hilbert import coherent, fidelity
+from cubicphase.hilbert import coherent
 from cubicphase.reference import (
     _apply_qnd_compensated,
     apply,
@@ -16,6 +16,7 @@ from cubicphase.reference import (
     beamsplitter_gate,
     displacement_gate,
     expectation,
+    fidelity,
     identity,
     interior_max_norm,
     momentum_shift_gate,

@@ -14,7 +14,6 @@ from cubicphase.hilbert import (
     FockState,
     coherent,
     coherent_columns,
-    fidelity,
     quadrature_coefficients,
     real_matmul,
 )
@@ -25,6 +24,7 @@ from cubicphase.reference import (
     coherent_truncation_loss,
     density_matrix,
     expectation,
+    fidelity,
     identity,
     interior_block,
     interior_mask,

@@ -17,7 +17,7 @@ from cubicphase.errors import (
     NumericalDegradationError,
 )
 from cubicphase.gaussian import x_labels
-from cubicphase.hilbert import FockState, coherent, fidelity
+from cubicphase.hilbert import FockState, coherent
 from cubicphase.protocol import (
     HEADROOM_BOUND,
     IDEAL_DETECTOR,
@@ -43,6 +43,7 @@ from cubicphase.reference import (
     detector_povm,
     expectation,
     factor_operator,
+    fidelity,
     ideal_project,
     identity,
     normalize,

@@ -6,11 +6,12 @@ import pytest
 
 from cubicphase import reference, schemes
 from cubicphase.errors import DegenerateOutcomeError
-from cubicphase.hilbert import FockState, coherent, fidelity
+from cubicphase.hilbert import FockState, coherent
 from cubicphase.gaussian import squeezed_vacuum, x_eigh
 from cubicphase.reference import (
     apply,
     expm,
+    fidelity,
     marek_frame_coefficients,
     marek_gamma_prime,
     marek_restart_mc,
